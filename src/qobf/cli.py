@@ -125,14 +125,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else 1
 
 
-def cmd_predicate(args: argparse.Namespace) -> int:
-    params = {}
+def _predicate_params(args: argparse.Namespace) -> dict[str, int]:
+    """Generator parameters of ``--kind``, taken from ``--pairs`` or ``--seed``."""
     if args.kind == "multi_pair":
-        params["n_pairs"] = args.pairs
+        return {"n_pairs": args.pairs}
     if args.kind == "branch":
-        params["seed"] = args.seed
+        return {"seed": args.seed}
+    return {}
+
+
+def cmd_predicate(args: argparse.Namespace) -> int:
     try:
-        pred = make_predicate(args.kind, params)
+        pred = make_predicate(args.kind, _predicate_params(args))
     except ValueError as exc:
         return _fail(str(exc))
     Path(args.output).write_text(emit(pred.circuit), encoding="utf-8")
@@ -157,11 +161,6 @@ def cmd_wrap(args: argparse.Namespace) -> int:
         payload = Path(args.payload).read_text(encoding="utf-8")
     except OSError as exc:
         return _fail(f"cannot read {args.payload}: {exc}")
-    params = {}
-    if args.kind == "multi_pair":
-        params["n_pairs"] = args.pairs
-    if args.kind == "branch":
-        params["seed"] = args.seed
     policy = DecoyPolicy(
         mode=args.mode or REQUIRED_MODE[args.kind],
         decoy_seed=args.decoy_seed,
@@ -171,7 +170,7 @@ def cmd_wrap(args: argparse.Namespace) -> int:
         emitted, manifest = wrap(
             SourceBlock(payload),
             args.kind,
-            params,
+            _predicate_params(args),
             policy,
             template_id=args.template,
             template_dir=args.template_dir,

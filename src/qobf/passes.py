@@ -149,11 +149,12 @@ class RulesetReport:
         return "\n".join(lines)
 
 
-def effective_unitary(seq: GateSequence) -> np.ndarray:
-    """Matrix of a slot sequence in application order (computed, never trusted)."""
+def effective_unitary(seq: GateSequence, n_qubits: int | None = None) -> np.ndarray:
+    """Matrix of a slot sequence in application order (computed, never trusted),
+    on ``n_qubits`` qubits (default: the sequence's own slot count)."""
     if seq.n_slots > 3:
         raise RulesetError(f"sequence {seq.name!r} uses {seq.n_slots} slots; at most 3 allowed")
-    return unitary_of(seq)
+    return unitary_of(seq, n_qubits=n_qubits)
 
 
 def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetReport:
@@ -169,9 +170,7 @@ def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetRep
             raise RulesetError(f"rule target {target.value!r} is not a unitary gate")
         arity = ARITY[target]
         n = max(arity, seq.n_slots)
-        effective = unitary_of(seq, n_qubits=n) if seq.n_slots <= 3 else None
-        if effective is None:
-            raise RulesetError(f"sequence {seq.name!r} uses more than 3 slots")
+        effective = effective_unitary(seq, n_qubits=n)
         target_u = unitary_of([GateApp(target, tuple(range(arity)))], n_qubits=n)
         ok, phase = proportional(effective, target_u, tol=RULE_TOL)
         if ok:
@@ -444,6 +443,9 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
         warnings.warn("delayed pass: no eligible insertion site", PassWarning)
         return circuit
     work: list[GateApp] = list(circuit.gates)
+    # sites run right to left and insertions land at ``start`` or later, so
+    # work[:start] is always circuit.gates[:start]
+    measured = _measured_before(circuit)
     committed = 0
     for start in range(len(work) - 1, -1, -1):
         g = work[start]
@@ -451,12 +453,7 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             continue
         if rng.random() >= cfg.intensity:
             continue
-        # qubits measured before this position (insertion happens around it)
-        measured: set[int] = set()
-        for prior in work[:start]:
-            if prior.kind is GateKind.MEASURE:
-                measured.update(prior.qubits)
-        free = [q for q in range(circuit.n_qubits) if q not in measured]
+        free = [q for q in range(circuit.n_qubits) if q not in measured[start]]
         for _ in range(MAX_DRAWS):
             length = rng.randint(1, 3)
             block: list[GateApp] = []

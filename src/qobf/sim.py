@@ -15,7 +15,7 @@ second target; CCX: first two operands control).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .ir import (
 MAX_SIM_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
 
-#: |inner product| threshold for statevector-mode equivalence
+#: max entry deviation of the phase-aligned output states in statevector mode
 SV_TOL = 1e-9
-#: max aligned entry deviation for unitary-mode equivalence
+#: max entry deviation of the phase-aligned unitaries in unitary mode
 UNITARY_TOL = 1e-9
 #: total-variation threshold for distribution-mode equivalence
 DIST_TOL = 1e-9
@@ -150,7 +150,7 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
 
     Mutates ``state`` in place and returns it. BARRIER is a no-op; MEASURE is
     rejected. Trailing batch axes ride along untouched, which is how the
-    multi-initial statevector check and the full-unitary builder are computed.
+    full-unitary builder evolves every basis column at once.
     """
     for g in gates:
         if g.kind is GateKind.BARRIER:
@@ -178,20 +178,36 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     return state
 
 
+def _run(gates: Sequence[GateApp], n: int,
+         columns: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Evolve the states ``columns(2**n)`` builds through ``gates``.
+
+    ``columns`` returns a (2**n,) state or a (2**n, k) batch of column states;
+    it is called only after the simulator cap is checked, so an oversized
+    circuit fails before anything is allocated. Returns the same shape.
+    """
+    if n > MAX_SIM_QUBITS:
+        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
+    states = columns(2**n)
+    shaped = states.reshape((2,) * n + states.shape[1:])
+    return _apply_gates(shaped, gates, n).reshape(states.shape)
+
+
 def simulate(circuit: Circuit, initial: int = 0) -> np.ndarray:
     """Statevector after applying the circuit's gates to basis state ``initial``.
 
     The circuit must contain no measurements and at most MAX_SIM_QUBITS qubits.
     """
     n = circuit.n_qubits
-    if n > MAX_SIM_QUBITS:
-        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
     if not 0 <= initial < 2**n:
         raise SimulationError(f"initial basis index {initial} out of range for {n} qubits")
-    state = np.zeros(2**n, dtype=complex)
-    state[initial] = 1.0
-    state = _apply_gates(state.reshape((2,) * n), circuit.gates, n).reshape(-1)
-    return state
+
+    def basis(dim: int) -> np.ndarray:
+        state = np.zeros(dim, dtype=complex)
+        state[initial] = 1.0
+        return state
+
+    return _run(circuit.gates, n, basis)
 
 
 def unitary_of(obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | None = None) -> np.ndarray:
@@ -207,10 +223,8 @@ def unitary_of(obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | 
         raise SimulationError(f"gates touch qubit {implied - 1}, beyond n_qubits={n}")
     if n > MAX_UNITARY_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
-    dim = 2**n
-    # Batch all basis-state columns through the gate applier at once.
-    basis = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    return _apply_gates(basis, gates, n).reshape(dim, dim)
+    # every basis column evolves at once
+    return _run(gates, n, lambda dim: np.eye(dim, dtype=complex))
 
 
 def strip_measures(circuit: Circuit) -> Circuit:
@@ -266,64 +280,46 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
     return {format(i, f"0{k}b"): float(marginal[i]) / total for i in nonzero}
 
 
-def _phase_aligned(mat: np.ndarray) -> np.ndarray:
-    """Divide by the phase of the first entry with modulus > 1e-8 (row-major scan)."""
-    flat = mat.ravel()
-    idx = int(np.argmax(np.abs(flat) > 1e-8))
-    pivot = flat[idx]
-    if abs(pivot) <= 1e-8:
-        return mat
-    return mat / (pivot / abs(pivot))
-
-
 def proportional(u: np.ndarray, v: np.ndarray, tol: float = UNITARY_TOL) -> tuple[bool, complex]:
-    """Is u == phase * v for a unit-modulus scalar phase? Returns (ok, phase)."""
+    """Is u == phase * v for a unit-modulus scalar phase? Returns (ok, phase).
+
+    The phase is read off the largest-modulus entry of ``v``, so it stays well
+    conditioned when every entry is small (a dense state on many qubits).
+    """
     if u.shape != v.shape:
         return False, 0j
-    flat_v = v.ravel()
-    idx = int(np.argmax(np.abs(flat_v) > 1e-8))
-    pivot = flat_v[idx]
+    idx = int(np.argmax(np.abs(v)))
+    pivot = v.flat[idx]
     if abs(pivot) <= 1e-8:
         return bool(np.max(np.abs(u)) <= tol), 1 + 0j
-    phase = complex(u.ravel()[idx] / pivot)
+    phase = complex(u.flat[idx] / pivot)
     ok = abs(abs(phase) - 1) <= tol and float(np.max(np.abs(u - phase * v))) <= tol
     return ok, phase
 
 
+def _stimulus(dim: int) -> np.ndarray:
+    """The fixed-seed, normalised, dense random state both circuits run on."""
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
 def _statevector_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
+    # U1 psi == phase * U2 psi is the miter test U2^dagger U1 psi == phase * psi;
+    # a dense psi has weight on every basis state, so relative phases show up
     n = c1.n_qubits
-    if n > MAX_SIM_QUBITS:
-        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
-    step = (2**n) // 16
-    indices = sorted({0} | {k * step for k in range(16)})
-    dim = 2**n
-    # chunk the batched initial states so memory stays bounded at large n
-    per_chunk = max(1, 2**22 // dim)
-    fidelity = 1.0
-    for lo in range(0, len(indices), per_chunk):
-        chunk = indices[lo : lo + per_chunk]
-        batch = np.zeros((dim, len(chunk)), dtype=complex)
-        for col, idx in enumerate(chunk):
-            batch[idx, col] = 1.0
-        shaped = batch.reshape((2,) * n + (len(chunk),))
-        out1 = _apply_gates(shaped.copy(), c1.gates, n).reshape(dim, len(chunk))
-        out2 = _apply_gates(shaped, c2.gates, n).reshape(dim, len(chunk))
-        overlaps = np.abs(np.sum(np.conj(out1) * out2, axis=0))
-        fidelity = min(fidelity, float(overlaps.min()))
-    return fidelity >= 1.0 - SV_TOL, fidelity
+    out1 = _run(c1.gates, n, _stimulus)
+    out2 = _run(c2.gates, n, _stimulus)
+    ok, _ = proportional(out1, out2, tol=SV_TOL)
+    return ok, float(abs(np.vdot(out1, out2)))
 
 
 def _unitary_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
-    n = c1.n_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise SimulationError(
-            f"unitary mode needs <= {MAX_UNITARY_QUBITS} qubits, got {n}"
-        )
     u1 = unitary_of(c1)
     u2 = unitary_of(c2)
-    deviation = float(np.max(np.abs(_phase_aligned(u1) - _phase_aligned(u2))))
-    fidelity = float(abs(np.trace(u1.conj().T @ u2)) / 2**n)
-    return deviation <= UNITARY_TOL, fidelity
+    ok, _ = proportional(u1, u2, tol=UNITARY_TOL)
+    fidelity = float(abs(np.trace(u1.conj().T @ u2)) / len(u1))
+    return ok, fidelity
 
 
 def _distribution_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
@@ -338,11 +334,12 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
     """Decide circuit equivalence up to global phase; returns (equal, fidelity).
 
     Modes:
-      * ``statevector`` - |<psi1|psi2>| >= 1 - 1e-9 from |0...0> and from 16
-        deterministic additional basis states (indices k * floor(2**n / 16));
-        measurements are stripped first. Fidelity is the worst overlap.
-      * ``unitary``     - max entry deviation after global-phase alignment
-        <= 1e-9 (n <= 10); fidelity is |tr(U1^dagger U2)| / 2**n.
+      * ``statevector`` - both circuits (measurements stripped) run once on
+        one dense random state psi drawn from a fixed seed; equal when
+        U1 psi == phase * U2 psi within 1e-9 per entry. Relative phases count.
+        Fidelity is the overlap |<U1 psi|U2 psi>|.
+      * ``unitary``     - U1 == phase * U2 within 1e-9 per entry (n <= 10);
+        fidelity is |tr(U1^dagger U2)| / 2**n.
       * ``distribution`` - total-variation distance of exact outcome
         distributions <= 1e-9; fidelity is 1 - TV.
     """

@@ -28,12 +28,12 @@ from typing import Mapping, Sequence
 from .predicates import (
     ELSE_KEY,
     PredicateCircuit,
+    _measured_cbits,
     key_marginal,
     make_predicate,
 )
 from .qasm import emit
 from .sim import measure_distribution
-from .ir import GateKind
 
 MANIFEST_SCHEMA = "qobf.wrap-manifest/1"
 TEMPLATE_ENV_VAR = "QOBF_TEMPLATE_DIR"
@@ -485,10 +485,7 @@ def resolve_branches(manifest: WrapManifest) -> dict[str, float]:
         return {b.id: 1.0 for b in manifest.branches}
     pred = make_predicate(manifest.predicate_kind, manifest.predicate_params)
     dist = measure_distribution(pred.circuit)
-    measured = tuple(
-        g.cbit for g in pred.circuit.gates if g.kind is GateKind.MEASURE
-    )
-    keyed = key_marginal(dist, manifest.key_cbits, measured)
+    keyed = key_marginal(dist, manifest.key_cbits, _measured_cbits(pred.circuit))
     out: dict[str, float] = {}
     explicit_total = 0.0
     for branch in manifest.branches:

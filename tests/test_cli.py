@@ -1,9 +1,13 @@
 import json
+import random
 
 import pytest
 
+import qobf.cli
 from qobf.cli import main
 from qobf.fixtures import standard_fixtures
+from qobf.ir import ARITY, UNITARY_KINDS, GateApp, GateKind
+from qobf.passes import apply_pass
 from qobf.qasm import emit, parse
 from qobf.sim import measure_distribution
 
@@ -81,6 +85,38 @@ class TestObfuscate:
         assert a.read_text() == b.read_text()
 
 
+def _inject_after_pass(kind: GateKind, seed: int):
+    """A stand-in for apply_pass that runs the real pass, then inserts one
+    ``kind`` gate at a seeded position before the first measurement."""
+
+    def broken(method, circuit, cfg, ruleset=None):
+        out = apply_pass(method, circuit, cfg, ruleset)
+        rng = random.Random(seed)
+        first_measure = next(
+            (i for i, g in enumerate(out.gates) if g.kind is GateKind.MEASURE), len(out.gates)
+        )
+        pos = rng.randrange(first_measure + 1)
+        stray = GateApp(kind, tuple(rng.sample(range(out.n_qubits), ARITY[kind])), origin="inserted")
+        return out.with_gates(out.gates[:pos] + (stray,) + out.gates[pos:])
+
+    return broken
+
+
+STRAY_KINDS = sorted(UNITARY_KINDS, key=lambda k: k.value)
+
+
+class TestSoundnessGateFaultInjection:
+    @pytest.mark.parametrize("kind", STRAY_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("fixture", ["bv6", "qaoa_ring4", "period7"])
+    def test_stray_gate_refused(self, kind, fixture, qasm_dir, monkeypatch, capsys):
+        monkeypatch.setattr(qobf.cli, "apply_pass", _inject_after_pass(kind, seed=STRAY_KINDS.index(kind)))
+        out = qasm_dir / "never.qasm"
+        rc = main(["obfuscate", "--method", "inverse", str(qasm_dir / f"{fixture}.qasm"), "-o", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "refusing to write" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_same_file(self, qasm_dir):
         f = str(qasm_dir / "x.qasm")
@@ -91,6 +127,17 @@ class TestVerify:
 
     def test_x_vs_z_nonzero(self, qasm_dir):
         assert main(["verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "z.qasm")]) != 0
+
+    @pytest.mark.parametrize("mode", ["statevector", "unitary"])
+    @pytest.mark.parametrize("n, stray", [(2, "t q[0];"), (8, "t q[1];")], ids=["2q-t-q0", "8q-t-q1"])
+    def test_phase_only_difference_exit_1(self, tmp_path, capsys, mode, n, stray):
+        head = f"OPENQASM 2.0;\nqreg q[{n}];\nh q[0];\n"
+        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
+        a.write_text(head)
+        b.write_text(f"{head}{stray}\ncz q[0],q[1];\n")
+        rc = main(["verify", str(a), str(b), "--mode", mode])
+        assert rc == 1
+        assert "equivalent=False" in capsys.readouterr().out
 
     def test_qubit_mismatch_exit_2(self, qasm_dir):
         rc = main(["verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "bv6.qasm")])
@@ -130,6 +177,23 @@ class TestPredicate:
 
 
 class TestWrapCommand:
+    @pytest.mark.parametrize(
+        "flags, params",
+        [
+            (["--kind", "multi_pair", "--pairs", "3"], {"n_pairs": 3}),
+            (["--kind", "branch", "--seed", "5"], {"seed": 5}),
+            (["--kind", "bell", "--pairs", "3", "--seed", "5"], {}),
+        ],
+    )
+    def test_params_match_predicate_command(self, tmp_path, flags, params):
+        payload = tmp_path / "payload.py"
+        payload.write_text("print('hi')\n")
+        assert main(["wrap", "--payload", str(payload), *flags, "-o", str(tmp_path / "w.py")]) == 0
+        assert main(["predicate", *flags, "-o", str(tmp_path / "p.qasm")]) == 0
+        manifest = json.loads((tmp_path / "w.py.manifest.json").read_text())
+        model = json.loads((tmp_path / "p.qasm.model.json").read_text())
+        assert manifest["predicate"]["params"] == model["params"] == params
+
     def test_wrap_writes_program_and_manifest(self, tmp_path, capsys):
         payload = tmp_path / "payload.py"
         payload.write_text("print('hi')\n")

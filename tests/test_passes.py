@@ -125,6 +125,11 @@ class TestVerifyRuleset:
         assert len(rules.accepted) == 1
         assert rules.accepted[0].phase_factor == pytest.approx(1.0)
 
+    def test_more_than_three_slots_raises(self):
+        wide = type(INVERSE_PAIRS[0])("wide", ((K.CCX, (0, 1, 2)), (K.X, (3,))))
+        with pytest.raises(RulesetError, match="4 slots"):
+            verify_ruleset([(K.X, wide)])
+
 
 class TestInversePass:
     def test_single_gate_gains_adjacent_pairs(self):
@@ -240,6 +245,24 @@ class TestDelayedPass:
         out = delayed_gates_pass(lone_h, cfg("delayed", seed=0))
         assert gate_count(out).total > 1
         assert equivalent(lone_h, out, "unitary")[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_gate_after_mid_circuit_measure(self, seed):
+        c = Circuit(
+            3,
+            1,
+            (
+                GateApp(K.H, (0,)),
+                GateApp(K.MEASURE, (0,), cbit=0),
+                GateApp(K.X, (1,)),
+                GateApp(K.CX, (1, 2)),
+                GateApp(K.Z, (2,)),
+            ),
+        )
+        out = delayed_gates_pass(c, cfg("delayed", seed=seed))
+        measure_at = next(i for i, g in enumerate(out.gates) if g.kind is K.MEASURE)
+        assert all(0 not in g.qubits for g in out.gates[measure_at + 1 :])
+        assert equivalent(c, out, "unitary")[0]
 
     def test_measure_only_circuit_warns(self):
         c = Circuit(1, 1, (GateApp(K.MEASURE, (0,), cbit=0),))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS
 from qobf.sim import (
+    MAX_UNITARY_QUBITS,
     SimulationError,
     equivalent,
     gate_matrix,
@@ -245,6 +246,18 @@ class TestMeasureDistribution:
         assert measure_distribution(c) == {"10": 0.5, "11": 0.5}
 
 
+#: (qubits, gate): circuits that differ from the identity only where a check
+#: probing |0...0> and a few basis states cannot see (a phase, or a
+#: permutation of states it never visits)
+PROBE_BLIND = [
+    (1, GateApp(K.Z, (0,))),
+    (3, GateApp(K.CCX, (0, 1, 2))),
+    (8, GateApp(K.T, (0,))),
+    (8, GateApp(K.CZ, (0, 1))),
+    (16, GateApp(K.S, (0,))),
+]
+
+
 class TestEquivalent:
     def test_reflexive(self, fixtures):
         for c in fixtures.values():
@@ -310,3 +323,25 @@ class TestEquivalent:
         ok_u, _ = equivalent(c, shifted, "unitary")
         ok_sv, _ = equivalent(c, shifted, "statevector")
         assert ok_u and ok_sv
+
+    @pytest.mark.parametrize(
+        "mode, n, gate",
+        [("statevector", n, g) for n, g in PROBE_BLIND]
+        + [("unitary", n, g) for n, g in PROBE_BLIND if n <= MAX_UNITARY_QUBITS],
+        ids=lambda v: v.kind.value if isinstance(v, GateApp) else str(v),
+    )
+    def test_identity_vs_probe_blind_gate(self, mode, n, gate):
+        ok, fidelity = equivalent(Circuit(n), Circuit(n, 0, (gate,)), mode)
+        assert ok is False
+        assert fidelity < 1 - 1e-6
+
+    def test_statevector_fidelity_is_overlap(self):
+        # |<psi|T psi>| = |p + (1 - p) e^(i pi/4)| with p = |psi_0|^2 in (0, 1),
+        # which lies in [cos(pi/8), 1)
+        ok, fidelity = equivalent(c1(), c1(K.T), "statevector")
+        assert not ok
+        assert math.cos(math.pi / 8) <= fidelity < 1
+
+    def test_statevector_cap_fails_before_allocating(self):
+        with pytest.raises(SimulationError, match="cap"):
+            equivalent(Circuit(40), Circuit(40), "statevector")
