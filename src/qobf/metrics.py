@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -32,16 +32,18 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class Report:
+    # field order is the JSON key order of to_dict
     method: str
     input_id: str
-    bytes_before: int
-    bytes_after: int
+    _: KW_ONLY
     depth_before: int | None = None
     depth_after: int | None = None
     gate_counts_before: dict[str, int] | None = None
     gate_counts_after: dict[str, int] | None = None
     gate_total_before: int | None = None
     gate_total_after: int | None = None
+    bytes_before: int
+    bytes_after: int
     sim_wall_time_before_us: int | None = None
     sim_wall_time_after_us: int | None = None
     equivalent: bool | None = None
@@ -51,26 +53,7 @@ class Report:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "method": self.method,
-            "input_id": self.input_id,
-            "depth_before": self.depth_before,
-            "depth_after": self.depth_after,
-            "gate_counts_before": self.gate_counts_before,
-            "gate_counts_after": self.gate_counts_after,
-            "gate_total_before": self.gate_total_before,
-            "gate_total_after": self.gate_total_after,
-            "bytes_before": self.bytes_before,
-            "bytes_after": self.bytes_after,
-            "sim_wall_time_before_us": self.sim_wall_time_before_us,
-            "sim_wall_time_after_us": self.sim_wall_time_after_us,
-            "equivalent": self.equivalent,
-            "fidelity": self.fidelity,
-            "timestamp": self.timestamp,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-        }
+        return {"schema": REPORT_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":

@@ -6,6 +6,12 @@ restart, or which amplitudes must be present). The model is oracle-checked at
 construction time, so a PredicateCircuit in hand is already proven to behave
 as advertised.
 
+The simulator splits each predicate into the connected components of its
+qubit-interaction graph and simulates and normalizes each component on its
+own (see the README): multi_pair runs as n two-qubit states, whose product
+gives 2**-n exactly, and branch as its two segments, whose core alone gives
+the (c2, c3) key "11" probability exactly 1.
+
 Four kinds:
   * bell       - one entangled pair; keys 00/11 live with probability 1/2
                  each, 01/10 dead (probability exactly zero)

@@ -15,6 +15,7 @@ second target; CCX: first two operands control).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -178,6 +179,11 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     return state
 
 
+def _check_cap(n: int) -> None:
+    if n > MAX_SIM_QUBITS:
+        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
+
+
 def _run(gates: Sequence[GateApp], n: int,
          columns: Callable[[int], np.ndarray]) -> np.ndarray:
     """Evolve the states ``columns(2**n)`` builds through ``gates``.
@@ -186,28 +192,84 @@ def _run(gates: Sequence[GateApp], n: int,
     it is called only after the simulator cap is checked, so an oversized
     circuit fails before anything is allocated. Returns the same shape.
     """
-    if n > MAX_SIM_QUBITS:
-        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
+    _check_cap(n)
     states = columns(2**n)
     shaped = states.reshape((2,) * n + states.shape[1:])
     return _apply_gates(shaped, gates, n).reshape(states.shape)
+
+
+def _basis(index: int, dim: int) -> np.ndarray:
+    state = np.zeros(dim, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
+def _components(gates: Sequence[GateApp], n: int) -> list[tuple[list[int], list[GateApp]]]:
+    """Split a circuit into the connected components of its qubit-interaction graph.
+
+    Two qubits are connected when a gate acts on both; barriers and
+    measurements join nothing. A barrier spanning components is dropped (it
+    is a no-op), and a measurement stays with its qubit's component. Every
+    qubit lies in exactly one component, an untouched qubit in one of its
+    own. Returns (qubits, gates) per component, ordered by lowest qubit,
+    with the qubits ascending and the gates relabelled onto local indices in
+    that order, so a component's state keeps the global bit order. The cap
+    holds for the whole circuit, however small its components.
+    """
+    _check_cap(n)
+    parent = list(range(n))
+
+    def find(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    for g in gates:
+        if len(g.qubits) > 1 and g.kind is not GateKind.BARRIER:
+            root = find(g.qubits[0])
+            for q in g.qubits[1:]:
+                parent[find(q)] = root
+    roots = [find(q) for q in range(n)]
+    if len(set(roots)) == 1:
+        # connected: the relabelling is the identity and a barrier joins
+        # nothing new, so the gates run as given
+        return [(list(range(n)), list(gates))]
+    local = [0] * n
+    parts: dict[int, tuple[list[int], list[GateApp]]] = {}
+    for q, root in enumerate(roots):
+        qubits, _ = parts.setdefault(root, ([], []))
+        local[q] = len(qubits)
+        qubits.append(q)
+    for g in gates:
+        if g.kind is not GateKind.BARRIER:
+            relabelled = tuple(local[q] for q in g.qubits)
+            parts[roots[g.qubits[0]]][1].append(GateApp(g.kind, relabelled, g.cbit))
+    return list(parts.values())
 
 
 def simulate(circuit: Circuit, initial: int = 0) -> np.ndarray:
     """Statevector after applying the circuit's gates to basis state ``initial``.
 
     The circuit must contain no measurements and at most MAX_SIM_QUBITS qubits.
+    Each connected component runs on its own 2^k state; the full vector is
+    their outer product, taken in component order.
     """
     n = circuit.n_qubits
     if not 0 <= initial < 2**n:
         raise SimulationError(f"initial basis index {initial} out of range for {n} qubits")
-
-    def basis(dim: int) -> np.ndarray:
-        state = np.zeros(dim, dtype=complex)
-        state[initial] = 1.0
-        return state
-
-    return _run(circuit.gates, n, basis)
+    state = None
+    for qubits, gates in _components(circuit.gates, n):
+        start = sum(((initial >> q) & 1) << i for i, q in enumerate(qubits))
+        part = _run(gates, len(qubits), partial(_basis, start))
+        # ascending qubits keep the component's axes in the global axis order,
+        # so a reshape, not a transpose, places it in the (2,)*n tensor
+        shape = [1] * n
+        for q in qubits:
+            shape[n - 1 - q] = 2
+        part = part.reshape(shape)
+        state = part if state is None else state * part
+    return state.reshape(-1)
 
 
 def unitary_of(obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | None = None) -> np.ndarray:
@@ -250,6 +312,10 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
     keys read as probability 0. Bitstring convention: the lowest measured
     classical index is the rightmost character.
 
+    Each connected component with a measured qubit runs and is normalized on
+    its own; the distribution is the product of their marginals, and a
+    component with no measured qubit is never run.
+
     Measurements may appear mid-circuit; because no gate may touch a qubit
     after it is measured (an IR invariant), deferring them to the end is exact.
     """
@@ -258,26 +324,39 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
         raise SimulationError("circuit has no measurements")
     if len({c for _, c in pairs}) != len(pairs):
         raise SimulationError("a classical bit is measured more than once")
-    n = circuit.n_qubits
-    state = simulate(strip_measures(circuit))
-    probs = np.abs(state) ** 2
-    del state
-    probs = probs.reshape((2,) * n)
-    # order measured qubits so the highest classical bit is the leftmost axis
-    by_cbit = sorted(pairs, key=lambda qc: qc[1], reverse=True)
-    keep_axes = [n - 1 - q for q, _ in by_cbit]
-    drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
-    if drop_axes:
-        probs = probs.sum(axis=drop_axes)
-        keep_axes = [ax - sum(1 for d in drop_axes if d < ax) for ax in keep_axes]
-    marginal = np.transpose(probs, keep_axes).reshape(-1)
-    k = len(pairs)
-    (nonzero,) = np.nonzero(marginal)
-    # fsum gives the exact total with one final rounding, so analytically
-    # clean values (0.5, 2**-n) survive the normalizing division exactly;
-    # naive pairwise accumulation does not guarantee that
-    total = math.fsum(float(marginal[i]) for i in nonzero)
-    return {format(i, f"0{k}b"): float(marginal[i]) / total for i in nonzero}
+    cbit_of = dict(pairs)
+    # a classical bit's place in the key, counted from the right
+    place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}
+    keys = np.zeros(1, dtype=np.int64)
+    probs = np.ones(1)
+    for qubits, gates in _components(strip_measures(circuit).gates, circuit.n_qubits):
+        # measured local qubits, highest classical bit first
+        by_cbit = sorted((cbit_of[q], i) for i, q in enumerate(qubits) if q in cbit_of)[::-1]
+        if not by_cbit:
+            continue
+        n = len(qubits)
+        state = _run(gates, n, partial(_basis, 0))
+        marginal = (np.abs(state) ** 2).reshape((2,) * n)
+        del state
+        keep_axes = [n - 1 - i for _, i in by_cbit]
+        drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
+        if drop_axes:
+            marginal = marginal.sum(axis=drop_axes)
+            keep_axes = [ax - sum(1 for d in drop_axes if d < ax) for ax in keep_axes]
+        marginal = np.transpose(marginal, keep_axes).reshape(-1)
+        (nonzero,) = np.nonzero(marginal)
+        # fsum gives the exact total with one final rounding, so analytically
+        # clean values (0.5, 2**-n) survive the normalizing division exactly;
+        # naive pairwise accumulation does not guarantee that
+        total = math.fsum(float(marginal[i]) for i in nonzero)
+        # scatter each local outcome's bits to their places in the full key
+        offsets = np.zeros(len(nonzero), dtype=np.int64)
+        for bit, (c, _) in enumerate(reversed(by_cbit)):
+            offsets |= ((nonzero >> bit) & 1) << place[c]
+        keys = (keys[:, None] | offsets).reshape(-1)
+        probs = (probs[:, None] * (marginal[nonzero] / total)).reshape(-1)
+    width = len(pairs)
+    return {format(int(keys[i]), f"0{width}b"): float(probs[i]) for i in np.argsort(keys)}
 
 
 def proportional(u: np.ndarray, v: np.ndarray, tol: float = UNITARY_TOL) -> tuple[bool, complex]:

@@ -214,6 +214,16 @@ class TestWrapCommand:
         printed = capsys.readouterr().out
         assert "shroud-0: p=1" in printed and "shroud-1: p=1" in printed
 
+    def test_multi_pair_largest_size(self, tmp_path, capsys):
+        payload = tmp_path / "payload.py"
+        payload.write_text("print('hi')\n")
+        rc = main(["wrap", "--payload", str(payload), "--kind", "multi_pair", "--pairs", "12",
+                   "-o", str(tmp_path / "w.py")])
+        assert rc == 0
+        printed = dict(line.split(": p=") for line in capsys.readouterr().out.splitlines())
+        assert printed["pairs-allones"] == "0.000244140625"
+        assert float(printed["pairs-live"]) == 1 - 2**-12
+
     def test_missing_template_exit_2(self, tmp_path):
         payload = tmp_path / "payload.py"
         payload.write_text("x\n")

@@ -102,6 +102,14 @@ class TestBranch:
             assert set(keyed) == {"11"}
             assert keyed["11"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_marginal_sums_to_exactly_one_for_every_seed(self):
+        # the decoy and core segments are normalized apart, so the decoy's
+        # rounding cannot leak into the (c3, c2) marginal
+        for seed in range(3000):
+            dist = outcome_model(branch_predicate(seed))
+            assert {k[:2] for k in dist} == {"11"}, seed
+            assert math.fsum(dist.values()) == 1.0, seed
+
     def test_core_segment_maps_zero_to_all_ones(self):
         p = branch_predicate(0)
         core = [

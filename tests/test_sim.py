@@ -1,14 +1,21 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qobf.sim
 from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS
+from qobf.predicates import multi_pair_predicate
 from qobf.sim import (
     MAX_UNITARY_QUBITS,
     SimulationError,
+    _basis,
+    _components,
+    _run,
     equivalent,
     gate_matrix,
     measure_distribution,
@@ -345,3 +352,135 @@ class TestEquivalent:
     def test_statevector_cap_fails_before_allocating(self):
         with pytest.raises(SimulationError, match="cap"):
             equivalent(Circuit(40), Circuit(40), "statevector")
+
+
+def _dense_state(circuit: Circuit, initial: int = 0) -> np.ndarray:
+    """The whole circuit on one 2^n state: the unfactored reference path."""
+    return _run(strip_measures(circuit).gates, circuit.n_qubits, lambda dim: _basis(initial, dim))
+
+
+def _dense_distribution(circuit: Circuit) -> dict[str, float]:
+    """Outcome distribution read bit by bit off the dense state."""
+    pairs = sorted(
+        ((g.cbit, g.qubits[0]) for g in circuit.gates if g.kind is K.MEASURE), reverse=True
+    )
+    probs = np.abs(_dense_state(circuit)) ** 2
+    dist: dict[str, float] = {}
+    for index, p in enumerate(probs):
+        key = "".join(str((index >> q) & 1) for _, q in pairs)
+        dist[key] = dist.get(key, 0.0) + float(p)
+    total = sum(dist.values())
+    return {k: p / total for k, p in dist.items()}
+
+
+@st.composite
+def disjoint_unions(draw):
+    """1-3 random sub-circuits on disjoint, scattered qubits, gates interleaved."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    parts = [
+        random_circuit(rng, max_qubits=4, max_gates=10, measure=rng.random() < 0.7, barriers=True)
+        for _ in range(rng.randint(1, 3))
+    ]
+    n = sum(c.n_qubits for c in parts)
+    scatter = rng.sample(range(n), n)
+    queues, q0, c0 = [], 0, 0
+    for c in parts:
+        queues.append([
+            replace(g, qubits=tuple(scatter[q0 + q] for q in g.qubits),
+                    cbit=None if g.cbit is None else c0 + g.cbit)
+            for g in c.gates
+        ])
+        q0, c0 = q0 + c.n_qubits, c0 + c.n_cbits
+    gates = []
+    while any(queues):
+        gates.append(rng.choice([q for q in queues if q]).pop(0))
+    return Circuit(n, c0, tuple(gates))
+
+
+def _pairs(n_pairs: int, measured: bool = False) -> Circuit:
+    gates = []
+    for i in range(n_pairs):
+        gates += [GateApp(K.H, (2 * i,)), GateApp(K.CX, (2 * i, 2 * i + 1))]
+    if measured:
+        gates += [GateApp(K.MEASURE, (q,), cbit=q) for q in range(2 * n_pairs)]
+    return Circuit(2 * n_pairs, 2 * n_pairs if measured else 0, tuple(gates))
+
+
+class TestFactoredSimulation:
+    @given(disjoint_unions(), st.integers(min_value=0, max_value=2**12 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_dense(self, c, initial):
+        initial %= 2**c.n_qubits
+        factored = simulate(strip_measures(c), initial)
+        assert np.max(np.abs(factored - _dense_state(c, initial))) <= 1e-12
+        if c.n_cbits:
+            factored_dist = measure_distribution(c)
+            dense_dist = _dense_distribution(c)
+            assert list(factored_dist) == sorted(factored_dist)  # keys ascend, as emitted in JSON
+            keys = set(factored_dist) | set(dense_dist)
+            assert all(abs(factored_dist.get(k, 0.0) - dense_dist.get(k, 0.0)) <= 1e-12 for k in keys)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_multi_pair_exact(self, n):
+        dist = measure_distribution(multi_pair_predicate(n).circuit)
+        assert len(dist) == 2**n
+        assert all(p == 2.0**-n for p in dist.values())
+
+    def test_multi_pair_amplitudes_bit_identical(self):
+        c = strip_measures(multi_pair_predicate(11).circuit)
+        assert simulate(c).tobytes() == _dense_state(c).tobytes()
+
+    def test_barrier_joins_nothing(self):
+        c = Circuit(4, 0, (
+            GateApp(K.H, (0,)),
+            GateApp(K.CX, (0, 1)),
+            GateApp(K.BARRIER, (0, 1, 2, 3)),
+            GateApp(K.CX, (3, 2)),
+        ))
+        parts = _components(c.gates, c.n_qubits)
+        assert [qubits for qubits, _ in parts] == [[0, 1], [2, 3]]
+        assert all(g.kind is not K.BARRIER for _, gates in parts for g in gates)
+
+    def test_untouched_measured_qubit_reads_zero(self):
+        c = Circuit(3, 2, (
+            GateApp(K.H, (0,)),
+            GateApp(K.MEASURE, (0,), cbit=0),
+            GateApp(K.MEASURE, (2,), cbit=1),
+        ))
+        assert measure_distribution(c) == {"00": 0.5, "01": 0.5}
+
+    def test_keys_ascend_across_components(self):
+        # the first component holds the lowest classical bit, so the product
+        # order of the components' outcomes is not the key order
+        c = Circuit(2, 2, (
+            GateApp(K.H, (0,)),
+            GateApp(K.H, (1,)),
+            GateApp(K.MEASURE, (0,), cbit=0),
+            GateApp(K.MEASURE, (1,), cbit=1),
+        ))
+        assert list(measure_distribution(c)) == ["00", "01", "10", "11"]
+
+    def test_unmeasured_component_never_runs(self, monkeypatch):
+        sizes = []
+
+        def recording_run(gates, n, columns):
+            sizes.append(n)
+            return _run(gates, n, columns)
+
+        monkeypatch.setattr(qobf.sim, "_run", recording_run)
+        ghz = (GateApp(K.H, (2,)), GateApp(K.CX, (2, 3)), GateApp(K.CX, (3, 4)))
+        c = Circuit(5, 2, bell_measured().gates + ghz)
+        assert measure_distribution(c) == {"00": 0.5, "11": 0.5}
+        assert sizes == [2]
+
+    def test_initial_basis_state_per_component(self):
+        # X on q0, CX(q1, q2) from |q2 q1 q0> = |0 1 1>: q0 -> 0, q2 -> 1
+        c = Circuit(3, 0, (GateApp(K.X, (0,)), GateApp(K.CX, (1, 2))))
+        state = simulate(c, initial=0b011)
+        assert state[0b110] == 1 and np.count_nonzero(state) == 1
+
+    def test_cap_holds_for_product_circuits(self):
+        with pytest.raises(SimulationError, match="cap"):
+            simulate(_pairs(13))
+        with pytest.raises(SimulationError, match="cap"):
+            measure_distribution(_pairs(13, measured=True))
