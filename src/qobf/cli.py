@@ -27,7 +27,7 @@ from .passes import (
 )
 from .predicates import PREDICATE_KINDS, make_predicate, outcome_model
 from .qasm import emit, parse
-from .sim import SimulationError, equivalent
+from .sim import SimulationError, _check_cap, equivalent
 from .wrapper import (
     DecoyPolicy,
     REQUIRED_MODE,
@@ -48,6 +48,11 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
 
 
 def _load_circuit(path: str) -> Circuit | None:
+    """Read, parse and validate a QASM file, printing any diagnostics.
+
+    Raises SimulationError for a circuit past the simulator cap before any
+    pass runs, since every command that loads a circuit simulates it.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -63,6 +68,7 @@ def _load_circuit(path: str) -> Circuit | None:
         for diag in problems:
             print(f"{path}: {diag}", file=sys.stderr)
         return None
+    _check_cap(result.circuit.n_qubits)
     return result.circuit
 
 

@@ -18,11 +18,18 @@ GATE is one of: h x y z s sdg t tdg swap cx cz cy ccx. Operands must be fully
 indexed (register broadcast such as ``h q;`` is rejected). ``//`` comments are
 skipped; LF and CRLF input are both accepted and LF is emitted. Registers are
 flattened to contiguous indices in declaration order.
+
+ID is ``[A-Za-z_][A-Za-z0-9_]*`` and INT is ``[0-9]+``: both are ASCII. Any
+other character outside a comment or the include string is an illegal
+character, reported with its span.
 """
 
 from __future__ import annotations
 
+import re
+from contextlib import suppress
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, SourceSpan
 from .ir import ARITY, Circuit, GateApp, GateKind, validate
@@ -35,11 +42,30 @@ GATE_NAMES: dict[str, GateKind] = {
     k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)
 }
 
-_SYMBOLS = frozenset("[];,.(){}=<>-+*")
+_REJECTED = {
+    "gate": "user-defined gate unsupported",
+    "opaque": "opaque declaration unsupported",
+    "if": "classical conditional unsupported",
+    "reset": "reset unsupported",
+    "OPENQASM": "duplicate OPENQASM header",
+}
+
+# Matched against one line at a time, so a string cannot span lines. The
+# line's trailing blanks are stripped first: left in, the blank run would
+# give one back to the ``illegal`` catch-all.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+        (?P<comment>//.*)
+      | (?P<symbol>"[^"]*"|->|[][;,.(){}=<>+*-])
+      | (?P<integer>[0-9]+)
+      | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<illegal>.)
+    )""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "keyword" | "identifier" | "integer" | "symbol"
     lexeme: str
     line: int
@@ -76,72 +102,31 @@ def tokenize(source: str) -> list[Token]:
     character, with a span pointing at it.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == '"':
-            j = source.find('"', i + 1)
-            if j == -1 or "\n" in source[i:j]:
-                raise QasmError(
-                    [Diagnostic("error", "unterminated string literal", SourceSpan(line, col, line, col))]
+    for line, text in enumerate(source.split("\n"), 1):
+        for match in _TOKEN.finditer(text.rstrip(" \t\r")):
+            kind = match.lastgroup
+            if kind == "comment":
+                continue
+            lexeme = match[kind]
+            col = match.start(kind) + 1
+            if kind == "illegal":
+                message = (
+                    "unterminated string literal" if lexeme == '"' else f"illegal character {lexeme!r}"
                 )
-            lexeme = source[i : j + 1]
-            tokens.append(Token("symbol", lexeme, line, start_col))
-            i = j + 1
-            col += len(lexeme)
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == ">":
-            tokens.append(Token("symbol", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("symbol", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("integer", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
-            tokens.append(Token(kind, lexeme, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise QasmError(
-            [Diagnostic("error", f"illegal character {ch!r}", SourceSpan(line, col, line, col))]
-        )
+                raise QasmError([Diagnostic("error", message, SourceSpan(line, col, line, col))])
+            if kind == "identifier" and lexeme in KEYWORDS:
+                kind = "keyword"
+            tokens.append(Token(kind, lexeme, line, col))
     return tokens
 
 
+class _Skip(Exception):
+    """A statement failed: its diagnostic is recorded, the rest is to be skipped."""
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.source = source
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
@@ -155,10 +140,13 @@ class _Parser:
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self) -> Token | None:
+    def at(self, lexeme: str) -> bool:
         tok = self.peek()
-        if tok is not None:
-            self.pos += 1
+        return tok is not None and tok.lexeme == lexeme
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
     def last_span(self) -> SourceSpan:
@@ -170,124 +158,99 @@ class _Parser:
     def error(self, message: str, span: SourceSpan | None = None) -> None:
         self.diags.append(Diagnostic("error", message, span or self.last_span()))
 
-    def expect(self, kind: str, lexeme: str | None = None) -> Token | None:
+    def fail(self, message: str, span: SourceSpan | None = None) -> NoReturn:
+        self.error(message, span)
+        raise _Skip
+
+    def expect(self, kind: str, lexeme: str | None = None) -> Token:
         tok = self.peek()
         if tok is None:
-            self.error(f"unexpected end of input, expected {lexeme or kind}")
-            return None
+            self.fail(f"unexpected end of input, expected {lexeme or kind}")
         if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
-            self.error(f"expected {lexeme or kind}, found {tok.lexeme!r}", tok.span)
-            return None
-        return self.advance()
+            self.fail(f"expected {lexeme or kind}, found {tok.lexeme!r}", tok.span)
+        self.pos += 1
+        return tok
+
+    def statement(self, parse: Callable[[], None]) -> None:
+        """Run one statement's parser; if it fails, skip the rest of the statement."""
+        try:
+            parse()
+        except _Skip:
+            self.skip_statement()
 
     def skip_statement(self) -> None:
         """Error recovery: skip to just past the next ';' (or matching '}')."""
         depth = 0
-        while True:
-            tok = self.advance()
-            if tok is None:
-                return
-            if tok.lexeme == "{":
+        while self.pos < len(self.tokens):
+            lexeme = self.advance().lexeme
+            if lexeme == "{":
                 depth += 1
-            elif tok.lexeme == "}":
+            elif lexeme == "}":
                 if depth <= 1:
                     return
                 depth -= 1
-            elif tok.lexeme == ";" and depth == 0:
+            elif lexeme == ";" and depth == 0:
                 return
 
     # --- grammar -------------------------------------------------------
 
     def parse_program(self) -> None:
-        self.parse_header()
-        tok = self.peek()
-        if tok is not None and tok.lexeme == "include":
-            self.parse_include()
+        self.statement(self.parse_header)
+        if self.at("include"):
+            self.statement(self.parse_include)
         while self.peek() is not None:
-            self.parse_statement()
+            self.statement(self.parse_statement)
         if self.n_qubits == 0 and not any(d.is_error for d in self.diags):
             self.error("no quantum register declared", SourceSpan(1, 1, 1, 1))
 
     def parse_header(self) -> None:
-        tok = self.peek()
-        if tok is None or tok.lexeme != "OPENQASM":
+        if not self.at("OPENQASM"):
             self.error("missing 'OPENQASM 2.0;' header")
             return
         self.advance()
         major = self.peek()
         if major is not None and major.kind == "integer" and major.lexeme != "2":
-            self.error(f"OpenQASM {major.lexeme} unsupported; only 2.0 is accepted", major.span)
-            self.skip_statement()
-            return
-        if (
-            self.expect("integer", "2") is None
-            or self.expect("symbol", ".") is None
-            or self.expect("integer", "0") is None
-            or self.expect("symbol", ";") is None
-        ):
-            self.skip_statement()
+            self.fail(f"OpenQASM {major.lexeme} unsupported; only 2.0 is accepted", major.span)
+        self.expect("integer", "2")
+        self.expect("symbol", ".")
+        self.expect("integer", "0")
+        self.expect("symbol", ";")
 
     def parse_include(self) -> None:
         self.advance()  # 'include'
         tok = self.peek()
-        if tok is None or tok.kind != "symbol" or not tok.lexeme.startswith('"'):
-            self.error("expected a quoted include path")
-            self.skip_statement()
-            return
+        if tok is None or not tok.lexeme.startswith('"'):
+            self.fail("expected a quoted include path")
         if tok.lexeme != '"qelib1.inc"':
             self.error(f"unsupported include {tok.lexeme}", tok.span)
         self.advance()
-        self.expect("symbol", ";")
+        with suppress(_Skip):  # a missing ';' is reported, but nothing is skipped
+            self.expect("symbol", ";")
 
     def parse_statement(self) -> None:
-        tok = self.peek()
-        assert tok is not None
+        tok = self.tokens[self.pos]
         if tok.lexeme in ("qreg", "creg"):
             self.parse_register(tok.lexeme)
         elif tok.lexeme == "measure":
             self.parse_measure()
         elif tok.lexeme == "barrier":
             self.parse_barrier()
-        elif tok.lexeme == "gate":
-            self.error("user-defined gate unsupported", tok.span)
-            self.skip_statement()
-        elif tok.lexeme == "opaque":
-            self.error("opaque declaration unsupported", tok.span)
-            self.skip_statement()
-        elif tok.lexeme == "if":
-            self.error("classical conditional unsupported", tok.span)
-            self.skip_statement()
-        elif tok.lexeme == "reset":
-            self.error("reset unsupported", tok.span)
-            self.skip_statement()
-        elif tok.lexeme == "OPENQASM":
-            self.error("duplicate OPENQASM header", tok.span)
-            self.skip_statement()
+        elif tok.lexeme in _REJECTED:
+            self.fail(_REJECTED[tok.lexeme], tok.span)
         elif tok.kind == "identifier" and tok.lexeme in GATE_NAMES:
             self.parse_gate_app(GATE_NAMES[tok.lexeme])
         elif tok.kind == "identifier":
-            self.error(f"unsupported gate or statement {tok.lexeme!r}", tok.span)
-            self.skip_statement()
+            self.fail(f"unsupported gate or statement {tok.lexeme!r}", tok.span)
         else:
-            self.error(f"unexpected {tok.lexeme!r}", tok.span)
-            self.skip_statement()
+            self.fail(f"unexpected {tok.lexeme!r}", tok.span)
 
     def parse_register(self, which: str) -> None:
         self.advance()
         name_tok = self.expect("identifier")
-        if name_tok is None:
-            self.skip_statement()
-            return
-        if self.expect("symbol", "[") is None:
-            self.skip_statement()
-            return
+        self.expect("symbol", "[")
         size_tok = self.expect("integer")
-        if size_tok is None:
-            self.skip_statement()
-            return
-        if self.expect("symbol", "]") is None or self.expect("symbol", ";") is None:
-            self.skip_statement()
-            return
+        self.expect("symbol", "]")
+        self.expect("symbol", ";")
         size = int(size_tok.lexeme)
         if size < 1:
             self.error(f"register size must be positive, got {size}", size_tok.span)
@@ -303,71 +266,46 @@ class _Parser:
             table[name_tok.lexeme] = (self.n_cbits, size)
             self.n_cbits += size
 
-    def parse_operand(self, classical: bool = False) -> int | None:
+    def parse_operand(self, classical: bool = False) -> int:
         """A fully indexed register reference, flattened to an absolute index."""
         name_tok = self.expect("identifier")
-        if name_tok is None:
-            return None
         table = self.cregs if classical else self.qregs
         regs = "classical" if classical else "quantum"
         if name_tok.lexeme not in table:
             if name_tok.lexeme in (self.qregs | self.cregs):
-                self.error(f"expected a {regs} register, got {name_tok.lexeme!r}", name_tok.span)
-            else:
-                self.error(f"unknown register {name_tok.lexeme!r}", name_tok.span)
-            return None
-        nxt = self.peek()
-        if nxt is None or nxt.lexeme != "[":
-            self.error(
+                self.fail(f"expected a {regs} register, got {name_tok.lexeme!r}", name_tok.span)
+            self.fail(f"unknown register {name_tok.lexeme!r}", name_tok.span)
+        if not self.at("["):
+            self.fail(
                 f"broadcast operand unsupported: {name_tok.lexeme!r} must be indexed",
                 name_tok.span,
             )
-            return None
         self.advance()
         idx_tok = self.expect("integer")
-        if idx_tok is None or self.expect("symbol", "]") is None:
-            return None
+        self.expect("symbol", "]")
         offset, size = table[name_tok.lexeme]
         idx = int(idx_tok.lexeme)
         if idx >= size:
-            self.error(
+            self.fail(
                 f"index {idx} out of range for {name_tok.lexeme}[{size}]", idx_tok.span
             )
-            return None
         return offset + idx
 
-    def parse_operand_list(self) -> list[int] | None:
-        ops = []
-        first = self.parse_operand()
-        if first is None:
-            return None
-        ops.append(first)
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.lexeme == ",":
-                self.advance()
-                nxt = self.parse_operand()
-                if nxt is None:
-                    return None
-                ops.append(nxt)
-            else:
-                return ops
+    def parse_operands(self) -> list[int]:
+        """``operand ("," operand)* ";"``, flattened to absolute qubit indices."""
+        ops = [self.parse_operand()]
+        while self.at(","):
+            self.advance()
+            ops.append(self.parse_operand())
+        self.expect("symbol", ";")
+        return ops
 
     def parse_gate_app(self, kind: GateKind) -> None:
         name_tok = self.advance()
-        assert name_tok is not None
         tok = self.peek()
         if tok is not None and tok.lexeme == "(":
-            self.error(f"parameterized gates unsupported ({name_tok.lexeme})", tok.span)
-            self.skip_statement()
-            return
-        operands = self.parse_operand_list()
-        if operands is None:
-            self.skip_statement()
-            return
-        if self.expect("symbol", ";") is None:
-            self.skip_statement()
-            return
+            self.fail(f"parameterized gates unsupported ({name_tok.lexeme})", tok.span)
+        operands = self.parse_operands()
         arity = ARITY[kind]
         if len(operands) != arity:
             self.error(
@@ -381,34 +319,16 @@ class _Parser:
         self.gates.append(GateApp(kind, tuple(operands)))
 
     def parse_measure(self) -> None:
-        head = self.advance()
-        assert head is not None
+        self.advance()
         qubit = self.parse_operand()
-        if qubit is None:
-            self.skip_statement()
-            return
-        if self.expect("symbol", "->") is None:
-            self.skip_statement()
-            return
+        self.expect("symbol", "->")
         cbit = self.parse_operand(classical=True)
-        if cbit is None:
-            self.skip_statement()
-            return
-        if self.expect("symbol", ";") is None:
-            self.skip_statement()
-            return
+        self.expect("symbol", ";")
         self.gates.append(GateApp(GateKind.MEASURE, (qubit,), cbit=cbit))
 
     def parse_barrier(self) -> None:
         head = self.advance()
-        assert head is not None
-        operands = self.parse_operand_list()
-        if operands is None:
-            self.skip_statement()
-            return
-        if self.expect("symbol", ";") is None:
-            self.skip_statement()
-            return
+        operands = self.parse_operands()
         if len(set(operands)) != len(operands):
             self.error("duplicate qubit operand", head.span)
             return
@@ -418,8 +338,10 @@ class _Parser:
 def parse(source: str) -> ParseResult:
     """Parse QASM text into a Circuit, or into error diagnostics.
 
-    Never raises on bad input: all problems come back as spanned diagnostics
-    in the result, and ``result.circuit`` is None whenever any error occurred.
+    Bad input comes back as spanned diagnostics in the result, and
+    ``result.circuit`` is None whenever any error occurred. One exception is
+    still open: a register size or an index of more than 4300 digits raises
+    Python's ``int`` conversion ``ValueError``.
     Comments (including emitted composite-box markers) are discarded, so
     parse(emit(c)) reproduces flatten(c).
     """
@@ -427,7 +349,7 @@ def parse(source: str) -> ParseResult:
         tokens = tokenize(source)
     except QasmError as exc:
         return ParseResult(None, exc.diagnostics)
-    parser = _Parser(tokens, source)
+    parser = _Parser(tokens)
     parser.parse_program()
     if any(d.is_error for d in parser.diags):
         return ParseResult(None, parser.diags)

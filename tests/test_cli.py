@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ import qobf.cli
 from qobf.cli import main
 from qobf.fixtures import standard_fixtures
 from qobf.ir import ARITY, UNITARY_KINDS, GateApp, GateKind
-from qobf.passes import apply_pass
+from qobf.passes import METHODS, apply_pass
 from qobf.qasm import emit, parse
 from qobf.sim import measure_distribution
 
@@ -33,6 +34,18 @@ class TestObfuscate:
     def test_malformed_input_exit_2(self, qasm_dir):
         rc = main(["obfuscate", "--method", "inverse", str(qasm_dir / "bad.qasm"), "-o", "/dev/null"])
         assert rc == 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_register_past_cap_rejected_before_pass(self, method, tmp_path, capsys):
+        src = tmp_path / "huge.qasm"
+        src.write_text("OPENQASM 2.0;\nqreg q[2000000000];\nh q[0];\n")
+        out = tmp_path / "out.qasm"
+        start = time.perf_counter()
+        rc = main(["obfuscate", "--method", method, str(src), "-o", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert "2000000000 qubits exceeds the 24-qubit simulator cap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corruption_hook_trips_soundness_gate(self, qasm_dir, capsys):
         rc = main(

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qobf.ir import Circuit, GateApp, GateKind, flatten, same_gates
-from qobf.qasm import QasmError, emit, loads, parse, tokenize
+from qobf.qasm import ParseResult, QasmError, emit, loads, parse, tokenize
 from strategies import circuits, random_circuit
 
 K = GateKind
@@ -68,6 +69,13 @@ class TestTokenize:
     def test_crlf_accepted(self):
         toks = tokenize("h q[0];\r\nx q[1];\r\n")
         assert [t.lexeme for t in toks if t.kind == "identifier"][::2] == ["h", "x"]
+
+    def test_non_ascii_identifier_is_illegal(self):
+        with pytest.raises(QasmError) as exc:
+            tokenize("h é[0];")
+        diag = exc.value.diagnostics[0]
+        assert diag.message == "illegal character 'é'"
+        assert (diag.span.start_line, diag.span.start_col) == (1, 3)
 
 
 class TestParse:
@@ -160,6 +168,29 @@ class TestRejection:
     def test_multiple_errors_collected(self):
         result = parse(wrap_src("qreg q[1];\nreset q[0];\nopaque foo a;\n"))
         assert len([d for d in result.diagnostics if d.is_error]) == 2
+
+    @given(st.text())
+    @example("qreg q[²];")
+    @example("qreg q[٣];")
+    @example("qreg é[2];")
+    def test_parse_never_raises(self, body):
+        """Text of the sizes Hypothesis draws; integers of over 4300 digits
+        still raise (see ``parse``)."""
+        for source in (body, wrap_src(body)):
+            result = parse(source)
+            assert isinstance(result, ParseResult)
+            lines = source.split("\n")
+            for span in (d.span for d in result.diagnostics):
+                for line, col in ((span.start_line, span.start_col), (span.end_line, span.end_col)):
+                    assert 1 <= line <= len(lines)
+                    assert 1 <= col <= len(lines[line - 1]) + 1
+            try:
+                tokens = tokenize(source)
+            except QasmError:
+                assert result.circuit is None
+                continue
+            # Identifiers and integers are ASCII; only a quoted string may not be.
+            assert all(t.lexeme.isascii() for t in tokens if not t.lexeme.startswith('"'))
 
     def test_loads_raises(self):
         with pytest.raises(QasmError):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qobf
 from qobf.wrapper import (
     DecoyPolicy,
     END_MARKER,
@@ -122,6 +126,42 @@ ADVERSARIAL_PAYLOADS = [
     "\n\nstarts blank\n",
     "x = 1\r\ny = 2\r\n",
 ]
+
+
+class TestWrappedProgramRuns:
+    """An emitted qobf-inline program prints what its payload prints."""
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("bell", None),
+            ("branch", {"seed": 3}),
+            ("multi_pair", {"n_pairs": 2}),
+            pytest.param(
+                "shroud",
+                None,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="shroud splits the payload by line count into two functions,"
+                    " which cuts the while header from its body",
+                ),
+            ),
+        ],
+    )
+    def test_stdout_matches_payload(self, kind, params, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(qobf.__file__).parents[1])}
+        payload = tmp_path / "payload.py"
+        payload.write_text(PAYLOAD)
+        program = tmp_path / "wrapped.py"
+        program.write_text(wrap(SourceBlock(PAYLOAD), kind, params)[0])
+        want = subprocess.run(
+            [sys.executable, str(payload)], capture_output=True, text=True, timeout=60
+        )
+        got = subprocess.run(
+            [sys.executable, str(program)], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == want.stdout == "4\n"
 
 
 class TestExtraction:
