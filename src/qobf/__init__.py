@@ -9,81 +9,57 @@ The package splits into:
   * :mod:`qobf.wrapper`    - predicate-guarded source wrapping
   * :mod:`qobf.metrics`    - overhead reports
   * :mod:`qobf.cli`        - the ``qobf`` command line tool
+
+The names in ``__all__`` resolve on first use (PEP 562): ``qobf.X`` and
+``from qobf import X`` import only the module that defines ``X``, so a
+wrapped program's ``from qobf import loads, measure_distribution, simulate``
+loads the front end and the simulator, not the passes, wrapper or reports.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .ir import (  # noqa: E402
-    Circuit,
-    GateApp,
-    GateKind,
-    GateSequence,
-    depth,
-    flatten,
-    gate_count,
-    same_gates,
-    validate,
-)
-from .qasm import ParseResult, QasmError, emit, loads, parse, tokenize  # noqa: E402
-from .sim import (  # noqa: E402
-    SimulationError,
-    equivalent,
-    gate_matrix,
-    measure_distribution,
-    simulate,
-    strip_measures,
-    unitary_of,
-)
-from .passes import (  # noqa: E402
-    ObfuscationConfig,
-    apply_pass,
-    cloaked_gates_pass,
-    composite_gates_pass,
-    default_verified_rules,
-    delayed_gates_pass,
-    effective_unitary,
-    inverse_gates_pass,
-    load_ruleset,
-    undo,
-    verify_ruleset,
-)
-from .predicates import (  # noqa: E402
-    PredicateCircuit,
-    bell_predicate,
-    branch_predicate,
-    make_predicate,
-    multi_pair_predicate,
-    outcome_model,
-    shroud_predicate,
-)
-from .wrapper import (  # noqa: E402
-    DecoyPolicy,
-    SourceBlock,
-    WrapManifest,
-    extract_branch_body,
-    extract_payload,
-    generate_decoy,
-    list_templates,
-    resolve_branches,
-    wrap,
-)
-from .metrics import Report, measure_circuit_run, measure_wrap_run, render_report  # noqa: E402
+_EXPORTS = {
+    "ir": (
+        "Circuit", "GateApp", "GateKind", "GateSequence",
+        "depth", "flatten", "gate_count", "same_gates", "validate",
+    ),
+    "qasm": ("ParseResult", "QasmError", "emit", "loads", "parse", "tokenize"),
+    "sim": (
+        "SimulationError", "equivalent", "gate_matrix", "measure_distribution",
+        "simulate", "strip_measures", "unitary_of",
+    ),
+    "passes": (
+        "ObfuscationConfig", "apply_pass", "cloaked_gates_pass",
+        "composite_gates_pass", "default_verified_rules", "delayed_gates_pass",
+        "effective_unitary", "inverse_gates_pass", "load_ruleset", "undo",
+        "verify_ruleset",
+    ),
+    "predicates": (
+        "PredicateCircuit", "bell_predicate", "branch_predicate", "make_predicate",
+        "multi_pair_predicate", "outcome_model", "shroud_predicate",
+    ),
+    "wrapper": (
+        "DecoyPolicy", "SourceBlock", "WrapManifest", "extract_branch_body",
+        "extract_payload", "generate_decoy", "list_templates", "resolve_branches",
+        "wrap",
+    ),
+    "metrics": ("Report", "measure_circuit_run", "measure_wrap_run", "render_report"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Circuit", "GateApp", "GateKind", "GateSequence",
-    "depth", "flatten", "gate_count", "same_gates", "validate",
-    "ParseResult", "QasmError", "emit", "loads", "parse", "tokenize",
-    "SimulationError", "equivalent", "gate_matrix", "measure_distribution",
-    "simulate", "strip_measures", "unitary_of",
-    "ObfuscationConfig", "apply_pass", "cloaked_gates_pass",
-    "composite_gates_pass", "default_verified_rules", "delayed_gates_pass",
-    "effective_unitary", "inverse_gates_pass", "load_ruleset", "undo",
-    "verify_ruleset",
-    "PredicateCircuit", "bell_predicate", "branch_predicate", "make_predicate",
-    "multi_pair_predicate", "outcome_model", "shroud_predicate",
-    "DecoyPolicy", "SourceBlock", "WrapManifest", "extract_branch_body",
-    "extract_payload", "generate_decoy", "list_templates", "resolve_branches",
-    "wrap",
-    "Report", "measure_circuit_run", "measure_wrap_run", "render_report",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

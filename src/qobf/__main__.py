@@ -1,0 +1,6 @@
+"""``python -m qobf``: run the ``qobf`` command line tool."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -1,5 +1,9 @@
 """The ``qobf`` command line tool: file-to-file workflows over all modules.
 
+Each command imports what it runs: the predicates, the wrapper and the
+reports load inside the commands that use them, so ``verify`` and
+``obfuscate`` never load the wrapper.
+
 Exit codes (stable for scripting):
   0 - success
   2 - usage error, unreadable/unparsable input, or qubit mismatch
@@ -10,14 +14,12 @@ Exit codes (stable for scripting):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__
-from .ir import Circuit, GateApp, GateKind, validate
-from .metrics import measure_circuit_run, render_report
+from .ir import PREDICATE_KINDS, Circuit, GateApp, GateKind, validate
 from .passes import (
     METHODS,
     ObfuscationConfig,
@@ -25,17 +27,8 @@ from .passes import (
     load_ruleset,
     verify_ruleset,
 )
-from .predicates import PREDICATE_KINDS, make_predicate, outcome_model
 from .qasm import emit, parse
 from .sim import SimulationError, _check_cap, equivalent
-from .wrapper import (
-    DecoyPolicy,
-    REQUIRED_MODE,
-    SourceBlock,
-    list_templates,
-    resolve_branches,
-    wrap,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -109,6 +102,8 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         )
     Path(args.output).write_text(emit(obfuscated), encoding="utf-8")
     if args.report:
+        from .metrics import measure_circuit_run, render_report
+
         report_obj = measure_circuit_run(
             circuit, obfuscated, args.method, input_id=args.input, seed=args.seed
         )
@@ -141,6 +136,10 @@ def _predicate_params(args: argparse.Namespace) -> dict[str, int]:
 
 
 def cmd_predicate(args: argparse.Namespace) -> int:
+    import json
+
+    from .predicates import make_predicate, outcome_model
+
     try:
         pred = make_predicate(args.kind, _predicate_params(args))
     except ValueError as exc:
@@ -163,6 +162,10 @@ def cmd_predicate(args: argparse.Namespace) -> int:
 
 
 def cmd_wrap(args: argparse.Namespace) -> int:
+    import json
+
+    from .wrapper import REQUIRED_MODE, DecoyPolicy, SourceBlock, resolve_branches, wrap
+
     try:
         payload = Path(args.payload).read_text(encoding="utf-8")
     except OSError as exc:
@@ -194,6 +197,8 @@ def cmd_wrap(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .metrics import measure_circuit_run, render_report
+
     if not args.inputs:
         return _fail("no inputs given")
     methods = args.methods.split(",") if args.methods else list(METHODS)
@@ -222,6 +227,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_templates(args: argparse.Namespace) -> int:
+    from .wrapper import list_templates
+
     for template_id, description in list_templates(args.template_dir):
         print(f"{template_id}: {description}")
     return EXIT_OK
@@ -308,3 +315,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -65,6 +65,10 @@ UNITARY_KINDS = frozenset(
 
 ORIGINS = ("original", "inserted", "substituted")
 
+#: opaque-predicate kinds (see :mod:`qobf.predicates`); defined here, away
+#: from numpy, so the CLI can offer them as ``--kind`` choices cheaply
+PREDICATE_KINDS = ("bell", "multi_pair", "shroud", "branch")
+
 
 @dataclass(frozen=True)
 class GateApp:

@@ -14,13 +14,15 @@ import time
 from dataclasses import KW_ONLY, asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .ir import Circuit, depth, gate_count, validate
 from .qasm import emit
 from .sim import equivalent, simulate, strip_measures
-from .wrapper import SourceBlock
+
+if TYPE_CHECKING:  # an annotation only, so reports do not load the wrapper
+    from .wrapper import SourceBlock
 
 REPORT_SCHEMA = "qobf.report/1"
 TIMING_RUNS = 5

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -403,7 +404,12 @@ def cloaked_gates_pass(
 def _delayed_commit_check(
     wrapper: GateSequence, wrapper_qubits: Sequence[int], block: Sequence[GateApp]
 ) -> bool:
-    """Oracle test: does wrapper . block . wrapper equal block up to global phase?"""
+    """Oracle test: does wrapper . block . wrapper equal block up to global phase?
+
+    The touched qubits are relabelled 0, 1, 2 in first-touch order (block
+    first, then the wrapper's extra qubits), so every placement of the same
+    local pattern shares one cached verdict from ``_commit_verdict``.
+    """
     touched: list[int] = []
     for g in block:
         for q in g.qubits:
@@ -415,11 +421,31 @@ def _delayed_commit_check(
     if len(touched) > 3:
         return False
     local = {q: i for i, q in enumerate(touched)}
-    m = len(touched)
-    block_local = [GateApp(g.kind, tuple(local[q] for q in g.qubits)) for g in block]
+    return _commit_verdict(
+        wrapper,
+        tuple(local[q] for q in wrapper_qubits),
+        tuple((g.kind, tuple(local[q] for q in g.qubits)) for g in block),
+    )
+
+
+@lru_cache(maxsize=2**14)
+def _commit_verdict(
+    wrapper: GateSequence,
+    wrapper_slots: tuple[int, ...],
+    block: tuple[tuple[GateKind, tuple[int, ...]], ...],
+) -> bool:
+    """The delayed commit check on local labels: builds both unitaries once
+    per distinct (wrapper, slot labels, block) key.
+
+    The key space is finite: 1-3 gates of the 13 unitary kinds on at most
+    3 first-touch labels, times the wrappers' slot placements, is 719,130
+    keys at most. The cache keeps the 16,384 most recent (about 6 MB); a
+    pass over an 8-qubit, 1000-gate circuit meets a few hundred.
+    """
+    m = 1 + max(*wrapper_slots, *(q for _, qubits in block for q in qubits))
+    block_local = [GateApp(kind, qubits) for kind, qubits in block]
     wrapper_local = [
-        GateApp(kind, tuple(local[wrapper_qubits[s]] for s in slots))
-        for kind, slots in wrapper.gates
+        GateApp(kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates
     ]
     u_block = unitary_of(block_local, n_qubits=m)
     u_wrap = unitary_of(wrapper_local, n_qubits=m)

@@ -32,10 +32,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .ir import Circuit, GateApp, GateKind
+from .ir import PREDICATE_KINDS, Circuit, GateApp, GateKind  # noqa: F401 (re-exported)
 from .sim import measure_distribution, simulate, strip_measures
-
-PREDICATE_KINDS = ("bell", "multi_pair", "shroud", "branch")
 
 MODEL_TOL = 1e-12
 

@@ -162,6 +162,15 @@ class _Parser:
         self.error(message, span)
         raise _Skip
 
+    def value(self, tok: Token) -> int | None:
+        """An integer token's value, or None and a diagnostic when ``int``
+        refuses it (more digits than ``sys.get_int_max_str_digits()``)."""
+        try:
+            return int(tok.lexeme)
+        except ValueError:
+            self.error(f"integer too large ({len(tok.lexeme)} digits)", tok.span)
+            return None
+
     def expect(self, kind: str, lexeme: str | None = None) -> Token:
         tok = self.peek()
         if tok is None:
@@ -251,7 +260,9 @@ class _Parser:
         size_tok = self.expect("integer")
         self.expect("symbol", "]")
         self.expect("symbol", ";")
-        size = int(size_tok.lexeme)
+        size = self.value(size_tok)
+        if size is None:
+            return
         if size < 1:
             self.error(f"register size must be positive, got {size}", size_tok.span)
             return
@@ -284,7 +295,9 @@ class _Parser:
         idx_tok = self.expect("integer")
         self.expect("symbol", "]")
         offset, size = table[name_tok.lexeme]
-        idx = int(idx_tok.lexeme)
+        idx = self.value(idx_tok)
+        if idx is None:
+            raise _Skip
         if idx >= size:
             self.fail(
                 f"index {idx} out of range for {name_tok.lexeme}[{size}]", idx_tok.span
@@ -339,9 +352,9 @@ def parse(source: str) -> ParseResult:
     """Parse QASM text into a Circuit, or into error diagnostics.
 
     Bad input comes back as spanned diagnostics in the result, and
-    ``result.circuit`` is None whenever any error occurred. One exception is
-    still open: a register size or an index of more than 4300 digits raises
-    Python's ``int`` conversion ``ValueError``.
+    ``result.circuit`` is None whenever any error occurred; this never raises.
+    An integer too long for ``int`` (over 4300 digits by default) is an
+    error on its token.
     Comments (including emitted composite-box markers) are discarded, so
     parse(emit(c)) reproduces flatten(c).
     """

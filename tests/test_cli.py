@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,61 @@ class TestMisc:
         assert main(["templates"]) == 0
         out = capsys.readouterr().out
         assert "qobf-inline" in out
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run this interpreter on the checkout's ``qobf`` package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qobf.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+class TestEntryPoints:
+    def test_python_m_qobf_verify(self, qasm_dir):
+        f = str(qasm_dir / "x.qasm")
+        proc = _run_python("-m", "qobf", "verify", f, f)
+        assert proc.returncode == 0
+        assert "equivalent=True" in proc.stdout
+
+    def test_python_m_qobf_cli_obfuscate_cap(self, tmp_path):
+        src = tmp_path / "huge.qasm"
+        src.write_text("OPENQASM 2.0;\nqreg q[2000000000];\nh q[0];\n")
+        out = tmp_path / "out.qasm"
+        proc = _run_python("-m", "qobf.cli", "obfuscate", "--method", "inverse", str(src), "-o", str(out))
+        assert proc.returncode == 2
+        assert "2000000000 qubits exceeds the 24-qubit simulator cap" in proc.stderr
+        assert not out.exists()
+
+
+class TestImportsPerEntryPoint:
+    """Each entry point loads only the qobf modules it runs."""
+
+    @staticmethod
+    def loaded_after(code: str) -> set[str]:
+        proc = _run_python("-c", f"{code}\nimport sys\nprint(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        return {m for m in proc.stdout.splitlines()[-1].split() if m.startswith("qobf.")}
+
+    def test_wrapped_program_import(self):
+        loaded = self.loaded_after("from qobf import loads, measure_distribution, simulate")
+        assert {"qobf.qasm", "qobf.sim"} <= loaded
+        assert not loaded & {"qobf.passes", "qobf.predicates", "qobf.wrapper", "qobf.metrics", "qobf.cli"}
+
+    def test_cli_import(self):
+        loaded = self.loaded_after("import qobf.cli")
+        assert "qobf.passes" in loaded
+        assert not loaded & {"qobf.wrapper", "qobf.metrics"}
+
+    def test_verify_run(self, qasm_dir):
+        f = str(qasm_dir / "x.qasm")
+        loaded = self.loaded_after(f"from qobf.cli import main\nassert main(['verify', {f!r}, {f!r}]) == 0")
+        assert not loaded & {"qobf.wrapper", "qobf.metrics"}
+
+    def test_predicate_run(self, tmp_path):
+        out = str(tmp_path / "bell.qasm")
+        loaded = self.loaded_after(
+            f"from qobf.cli import main\nassert main(['predicate', '--kind', 'bell', '-o', {out!r}]) == 0"
+        )
+        assert "qobf.predicates" in loaded
+        assert not loaded & {"qobf.wrapper", "qobf.metrics"}

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qobf.ir import Circuit, GateApp, GateKind, flatten, gate_count, same_gates
+import qobf.passes
+from qobf.ir import ARITY, UNITARY_KINDS, Circuit, GateApp, GateKind, flatten, gate_count, same_gates
 from qobf.passes import (
     AUXILIARY_SEQUENCE,
     DELAYED_SEQUENCES,
@@ -15,6 +16,7 @@ from qobf.passes import (
     RESTORE_SEQUENCE,
     RulesetError,
     SubstitutionRule,
+    _commit_verdict,
     _delayed_commit_check,
     apply_pass,
     cloaked_gates_pass,
@@ -28,7 +30,7 @@ from qobf.passes import (
     verify_ruleset,
 )
 from qobf.qasm import emit
-from qobf.sim import equivalent, gate_matrix, unitary_of
+from qobf.sim import equivalent, gate_matrix, proportional, unitary_of
 from strategies import random_circuit
 
 K = GateKind
@@ -273,6 +275,61 @@ class TestDelayedPass:
     def test_empty_circuit_warns(self):
         with pytest.warns(PassWarning, match="no eligible"):
             delayed_gates_pass(Circuit(1), cfg("delayed"))
+
+    def test_cached_verdict_matches_fresh_check(self):
+        """The memoised check agrees with D.B.D ~ B computed on the block's own
+        qubits of a 5-qubit register, without relabelling or cache."""
+        rng = random.Random(11)
+        kinds = sorted(UNITARY_KINDS, key=lambda k: k.value)
+        _commit_verdict.cache_clear()
+        verdicts = []
+        checked = 0
+        for _ in range(400):
+            block = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(kinds)
+                block.append(GateApp(kind, tuple(rng.sample(range(5), ARITY[kind]))))
+            block_qubits = list(dict.fromkeys(q for g in block for q in g.qubits))
+            wrapper = rng.choice(DELAYED_SEQUENCES)
+            extras = [q for q in range(5) if q not in block_qubits]
+            if wrapper.n_slots <= len(block_qubits):
+                wrapper_qubits = rng.sample(block_qubits, wrapper.n_slots)
+            else:
+                wrapper_qubits = block_qubits + rng.sample(extras, wrapper.n_slots - len(block_qubits))
+            u_block = unitary_of(block, n_qubits=5)
+            u_wrap = unitary_of(
+                [GateApp(k, tuple(wrapper_qubits[s] for s in slots)) for k, slots in wrapper.gates],
+                n_qubits=5,
+            )
+            local = len(set(block_qubits) | set(wrapper_qubits)) <= 3
+            want = local and proportional(u_wrap @ u_block @ u_wrap, u_block, tol=1e-9)[0]
+            checked += local
+            for _ in range(2):  # the second call is answered from the cache
+                assert _delayed_commit_check(wrapper, wrapper_qubits, block) == want
+            verdicts.append(want)
+        assert any(verdicts) and not all(verdicts)
+        assert _commit_verdict.cache_info().hits >= checked > 200
+
+    def test_unitaries_built_once_per_distinct_check(self, monkeypatch):
+        calls = {"unitary_of": 0}
+        keys = []
+
+        def counting_unitary_of(*args, **kwargs):
+            calls["unitary_of"] += 1
+            return unitary_of(*args, **kwargs)
+
+        def recording_verdict(*key):
+            keys.append(key)
+            return _commit_verdict(*key)
+
+        monkeypatch.setattr(qobf.passes, "unitary_of", counting_unitary_of)
+        monkeypatch.setattr(qobf.passes, "_commit_verdict", recording_verdict)
+        _commit_verdict.cache_clear()
+        c = random_circuit(random.Random(5), max_qubits=6, max_gates=300)
+        out = delayed_gates_pass(c, cfg("delayed", seed=5))
+        assert gate_count(out).total > gate_count(c).total
+        assert len(keys) > 2 * len(set(keys))
+        assert 0 < calls["unitary_of"] <= 2 * len(set(keys))
 
 
 class TestPassProperties:

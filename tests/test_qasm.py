@@ -173,9 +173,10 @@ class TestRejection:
     @example("qreg q[²];")
     @example("qreg q[٣];")
     @example("qreg é[2];")
+    @example(f"qreg q[{'9' * 5000}];")
+    @example(f"qreg q[2];\nh q[{'9' * 5000}];")
     def test_parse_never_raises(self, body):
-        """Text of the sizes Hypothesis draws; integers of over 4300 digits
-        still raise (see ``parse``)."""
+        """Any text, including integers past ``int``'s 4300-digit limit."""
         for source in (body, wrap_src(body)):
             result = parse(source)
             assert isinstance(result, ParseResult)
@@ -191,6 +192,18 @@ class TestRejection:
                 continue
             # Identifiers and integers are ASCII; only a quoted string may not be.
             assert all(t.lexeme.isascii() for t in tokens if not t.lexeme.startswith('"'))
+
+    @pytest.mark.parametrize(
+        "body, col",
+        [(f"qreg q[{'9' * 5000}];", 8), (f"qreg q[2];\nmeasure q[{'9' * 5000}] -> q[0];", 11)],
+        ids=["register", "index"],
+    )
+    def test_integer_past_int_limit_is_diagnostic(self, body, col):
+        result = parse(wrap_src(body))
+        assert result.circuit is None
+        first = result.diagnostics[0]
+        assert first.message == "integer too large (5000 digits)"
+        assert (first.span.start_col, first.span.end_col) == (col, col + 4999)
 
     def test_loads_raises(self):
         with pytest.raises(QasmError):
