@@ -3,7 +3,8 @@
 The package splits into:
   * :mod:`qobf.qasm`       - OpenQASM 2.0 subset parser and canonical emitter
   * :mod:`qobf.ir`         - the circuit IR, validation, and structural metrics
-  * :mod:`qobf.sim`        - exact statevector simulator and equivalence oracle
+  * :mod:`qobf.sim`        - dense statevector simulator and equivalence oracle
+  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicate models
   * :mod:`qobf.passes`     - the four circuit obfuscation passes
   * :mod:`qobf.predicates` - quantum opaque-predicate generators
   * :mod:`qobf.wrapper`    - predicate-guarded source wrapping
@@ -12,8 +13,11 @@ The package splits into:
 
 The names in ``__all__`` resolve on first use (PEP 562): ``qobf.X`` and
 ``from qobf import X`` import only the module that defines ``X``, so a
-wrapped program's ``from qobf import loads, measure_distribution, simulate``
-loads the front end and the simulator, not the passes, wrapper or reports.
+wrapped program's ``from qobf import exact_amplitudes, exact_distribution,
+loads`` loads the front end and the exact simulator, not numpy, the dense
+simulator, the passes, the wrapper or the reports. numpy loads only with
+:mod:`qobf.sim` and the modules that use it, :mod:`qobf.passes` and
+:mod:`qobf.metrics`.
 """
 
 from importlib import import_module
@@ -22,12 +26,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "ir": (
-        "Circuit", "GateApp", "GateKind", "GateSequence",
+        "Circuit", "GateApp", "GateKind", "GateSequence", "SimulationError",
         "depth", "flatten", "gate_count", "same_gates", "validate",
     ),
     "qasm": ("ParseResult", "QasmError", "emit", "loads", "parse", "tokenize"),
+    "exact": ("exact_amplitudes", "exact_distribution"),
     "sim": (
-        "SimulationError", "equivalent", "gate_matrix", "measure_distribution",
+        "equivalent", "gate_matrix", "measure_distribution",
         "simulate", "strip_measures", "unitary_of",
     ),
     "passes": (

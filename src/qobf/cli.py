@@ -1,8 +1,10 @@
 """The ``qobf`` command line tool: file-to-file workflows over all modules.
 
-Each command imports what it runs: the predicates, the wrapper and the
-reports load inside the commands that use them, so ``verify`` and
-``obfuscate`` never load the wrapper.
+Each command imports what it runs: the passes, the dense simulator, the
+predicates, the wrapper and the reports load inside the commands that use
+them. So ``verify`` and ``obfuscate`` never load the wrapper, ``verify``
+never loads the passes, and ``templates``, ``predicate`` and ``wrap`` never
+load numpy.
 
 Exit codes (stable for scripting):
   0 - success
@@ -16,19 +18,25 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .ir import PREDICATE_KINDS, Circuit, GateApp, GateKind, validate
-from .passes import (
+from .ir import (
     METHODS,
-    ObfuscationConfig,
-    apply_pass,
-    load_ruleset,
-    verify_ruleset,
+    PREDICATE_KINDS,
+    Circuit,
+    GateApp,
+    GateKind,
+    SimulationError,
+    measured_pairs,
+    validate,
 )
 from .qasm import emit, parse
-from .sim import SimulationError, _check_cap, equivalent
+
+if TYPE_CHECKING:
+    from .passes import ObfuscationConfig, SubstitutionRule
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,12 +48,40 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
     return code
 
 
+@contextmanager
+def _warnings_to_stderr():
+    """Print the warnings raised in the block as ``qobf: warning:`` lines."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        print(f"qobf: warning: {w.message}", file=sys.stderr)
+
+
+def apply_pass(
+    method: str,
+    circuit: Circuit,
+    cfg: ObfuscationConfig,
+    ruleset: Sequence[SubstitutionRule] | None = None,
+) -> Circuit:
+    """:func:`qobf.passes.apply_pass`, importing the passes on first call.
+
+    A module attribute, so the soundness gate's fault-injection tests can
+    replace the pass that ``obfuscate`` runs.
+    """
+    from .passes import apply_pass as run_pass
+
+    return run_pass(method, circuit, cfg, ruleset)
+
+
 def _load_circuit(path: str) -> Circuit | None:
     """Read, parse and validate a QASM file, printing any diagnostics.
 
     Raises SimulationError for a circuit past the simulator cap before any
     pass runs, since every command that loads a circuit simulates it.
     """
+    from .sim import _check_cap
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -66,6 +102,9 @@ def _load_circuit(path: str) -> Circuit | None:
 
 
 def cmd_obfuscate(args: argparse.Namespace) -> int:
+    from .passes import ObfuscationConfig, load_ruleset, verify_ruleset
+    from .sim import equivalent
+
     circuit = _load_circuit(args.input)
     if circuit is None:
         return EXIT_INPUT
@@ -85,14 +124,20 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         if not report.accepted:
             print("qobf: warning: no applicable rules; output equals input", file=sys.stderr)
         ruleset = report.accepted
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_to_stderr():
         obfuscated = apply_pass(args.method, circuit, cfg, ruleset)
-    for w in caught:
-        print(f"qobf: warning: {w.message}", file=sys.stderr)
     if args.corrupt_output:  # test-only hook for the soundness gate
         obfuscated = obfuscated.with_gates(
             obfuscated.gates + (GateApp(GateKind.X, (0,), origin="inserted"),)
+        )
+    # the equivalence check strips measurements, so they are checked here
+    problems = [str(d) for d in validate(obfuscated) if d.is_error]
+    if measured_pairs(obfuscated) != measured_pairs(circuit):
+        problems.append("measurements differ from the input's")
+    if problems:
+        return _fail(
+            f"pass broke the circuit ({'; '.join(problems)}); refusing to write output",
+            EXIT_SOUNDNESS,
         )
     ok, fidelity = equivalent(circuit, obfuscated, "statevector")
     if not ok:
@@ -114,6 +159,8 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .sim import equivalent
+
     a = _load_circuit(args.a)
     b = _load_circuit(args.b)
     if a is None or b is None:
@@ -198,6 +245,7 @@ def cmd_wrap(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from .metrics import measure_circuit_run, render_report
+    from .passes import ObfuscationConfig
 
     if not args.inputs:
         return _fail("no inputs given")
@@ -229,7 +277,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_templates(args: argparse.Namespace) -> int:
     from .wrapper import list_templates
 
-    for template_id, description in list_templates(args.template_dir):
+    with _warnings_to_stderr():
+        templates = list_templates(args.template_dir)
+    for template_id, description in templates:
         print(f"{template_id}: {description}")
     return EXIT_OK
 

@@ -17,9 +17,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import Diagnostic
+
+
+class SimulationError(Exception):
+    """Raised for contract violations: size caps, measurement misuse, mismatched circuits."""
 
 
 class GateKind(Enum):
@@ -65,9 +69,11 @@ UNITARY_KINDS = frozenset(
 
 ORIGINS = ("original", "inserted", "substituted")
 
-#: opaque-predicate kinds (see :mod:`qobf.predicates`); defined here, away
-#: from numpy, so the CLI can offer them as ``--kind`` choices cheaply
+#: opaque-predicate kinds (see :mod:`qobf.predicates`) and circuit pass
+#: methods (see :mod:`qobf.passes`); defined here, away from numpy, so the
+#: CLI can offer them as ``--kind`` and ``--method`` choices cheaply
 PREDICATE_KINDS = ("bell", "multi_pair", "shroud", "branch")
+METHODS = ("inverse", "composite", "cloaked", "delayed")
 
 
 @dataclass(frozen=True)
@@ -228,3 +234,55 @@ def same_gates(a: Circuit, b: Circuit) -> bool:
         and len(a.gates) == len(b.gates)
         and all(x.signature == y.signature for x, y in zip(a.gates, b.gates))
     )
+
+
+def measured_pairs(circuit: Circuit) -> list[tuple[int, int]]:
+    """(qubit, classical bit) measurement pairs in circuit order."""
+    return [
+        (g.qubits[0], g.cbit)
+        for g in circuit.gates
+        if g.kind is GateKind.MEASURE and g.cbit is not None
+    ]
+
+
+def _components(gates: Sequence[GateApp], n: int) -> list[tuple[list[int], list[GateApp]]]:
+    """Split a circuit into the connected components of its qubit-interaction graph.
+
+    Two qubits are connected when a gate acts on both; barriers and
+    measurements join nothing. A barrier spanning components is dropped (it
+    is a no-op), and a measurement stays with its qubit's component. Every
+    qubit lies in exactly one component, an untouched qubit in one of its
+    own. Returns (qubits, gates) per component, ordered by lowest qubit,
+    with the qubits ascending and the gates relabelled onto local indices in
+    that order, so a component's state keeps the global bit order. Callers
+    check their own size caps first.
+    """
+    parent = list(range(n))
+
+    def find(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    for g in gates:
+        if len(g.qubits) > 1 and g.kind is not GateKind.BARRIER:
+            root = find(g.qubits[0])
+            for q in g.qubits[1:]:
+                parent[find(q)] = root
+    roots = [find(q) for q in range(n)]
+    if len(set(roots)) == 1:
+        # connected: the relabelling is the identity and a barrier joins
+        # nothing new, so the gates run as given
+        return [(list(range(n)), list(gates))]
+    local = [0] * n
+    parts: dict[int, tuple[list[int], list[GateApp]]] = {}
+    for q, root in enumerate(roots):
+        qubits, _ = parts.setdefault(root, ([], []))
+        local[q] = len(qubits)
+        qubits.append(q)
+    for g in gates:
+        if g.kind is not GateKind.BARRIER:
+            relabelled = tuple(local[q] for q in g.qubits)
+            parts[roots[g.qubits[0]]][1].append(GateApp(g.kind, relabelled, g.cbit))
+    return list(parts.values())

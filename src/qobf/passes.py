@@ -30,6 +30,7 @@ import numpy as np
 
 from .ir import (
     ARITY,
+    METHODS,
     Circuit,
     GateApp,
     GateKind,
@@ -37,8 +38,6 @@ from .ir import (
     UNITARY_KINDS,
 )
 from .sim import proportional, unitary_of
-
-METHODS = ("inverse", "composite", "cloaked", "delayed")
 
 COMMIT_TOL = 1e-9
 RULE_TOL = 1e-10

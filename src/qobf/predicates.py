@@ -6,11 +6,13 @@ restart, or which amplitudes must be present). The model is oracle-checked at
 construction time, so a PredicateCircuit in hand is already proven to behave
 as advertised.
 
-The simulator splits each predicate into the connected components of its
-qubit-interaction graph and simulates and normalizes each component on its
-own (see the README): multi_pair runs as n two-qubit states, whose product
-gives 2**-n exactly, and branch as its two segments, whose core alone gives
-the (c2, c3) key "11" probability exactly 1.
+Models are computed by the exact Clifford+T simulator (:mod:`qobf.exact`),
+which splits each predicate into the connected components of its
+qubit-interaction graph and keeps every probability in Z[√2]/2^k. A dead key
+is checked against exact zero and the keyed total against exact one; each
+reported value is rounded to a float once, so multi_pair's all-ones key is
+exactly 2**-n, bell's live keys are exactly 0.5, and branch's (c2, c3) key
+"11" carries probability exactly 1. The module never imports numpy.
 
 Four kinds:
   * bell       - one entangled pair; keys 00/11 live with probability 1/2
@@ -28,14 +30,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, TypeVar
 
-import numpy as np
-
-from .ir import PREDICATE_KINDS, Circuit, GateApp, GateKind  # noqa: F401 (re-exported)
-from .sim import measure_distribution, simulate, strip_measures
-
-MODEL_TOL = 1e-12
+from .exact import ONE, ZERO, exact_amplitudes, exact_probabilities
+from .ir import (  # noqa: F401 (PREDICATE_KINDS re-exported)
+    PREDICATE_KINDS,
+    Circuit,
+    GateApp,
+    GateKind,
+    measured_pairs,
+)
 
 #: key used in outcome->branch maps for "every other outcome"
 ELSE_KEY = "else"
@@ -58,8 +62,8 @@ class BranchSemantics:
     listed as dead or restart" (an else-branch). Dead keys have probability
     exactly zero; restart keys may have nonzero probability (multi_pair's
     all-ones branch). For ``kind == "amplitude_read"`` the model instead
-    records the expected statevector amplitudes; all amplitude-guarded
-    branches are live.
+    records the expected statevector amplitudes, each part the nearest
+    float to its exact value; all amplitude-guarded branches are live.
     """
 
     kind: str  # "measured" | "amplitude_read"
@@ -78,60 +82,63 @@ class PredicateCircuit:
     params: Mapping[str, int]
 
 
-def key_marginal(dist: dict[str, float], key_cbits: tuple[int, ...],
-                 measured_cbits: tuple[int, ...]) -> dict[str, float]:
+P = TypeVar("P")
+
+
+def key_marginal(dist: Mapping[str, P], key_cbits: tuple[int, ...],
+                 measured_cbits: tuple[int, ...]) -> dict[str, P]:
     """Marginalize a measured distribution onto a subset of classical bits.
 
     Key strings follow the same convention as distributions: the lowest
-    classical index in ``key_cbits`` is the rightmost character.
+    classical index in ``key_cbits`` is the rightmost character. Values may
+    be floats or exact :class:`qobf.exact.Dyadic` probabilities.
     """
     order = sorted(measured_cbits, reverse=True)
     positions = {c: i for i, c in enumerate(order)}
     wanted = sorted(key_cbits, reverse=True)
-    out: dict[str, float] = {}
+    if wanted == order:  # the key is the whole outcome (bell, multi_pair)
+        return dict(dist)
+    out: dict[str, P] = {}
     for outcome, p in dist.items():
         key = "".join(outcome[positions[c]] for c in wanted)
-        out[key] = out.get(key, 0.0) + p
+        out[key] = out[key] + p if key in out else p
     return out
 
 
 def _measured_cbits(circuit: Circuit) -> tuple[int, ...]:
-    return tuple(g.cbit for g in circuit.gates if g.kind is GateKind.MEASURE)
+    return tuple(c for _, c in measured_pairs(circuit))
 
 
 def _check_measured_model(p: PredicateCircuit) -> dict[str, float]:
-    dist = measure_distribution(p.circuit)
+    exact = exact_probabilities(p.circuit)
     sem = p.semantics
-    keyed = key_marginal(dist, sem.key_cbits, _measured_cbits(p.circuit))
+    keyed = key_marginal(exact, sem.key_cbits, _measured_cbits(p.circuit))
     for dead in sem.dead_outcomes:
-        if keyed.get(dead, 0.0) != 0.0:
-            raise ModelMismatchError(f"dead key {dead!r} has probability {keyed[dead]}")
-    live_total = sum(v for k, v in keyed.items() if k not in sem.restart_outcomes)
-    restart_total = sum(keyed.get(k, 0.0) for k in sem.restart_outcomes)
-    if abs(live_total + restart_total - 1.0) > MODEL_TOL:
+        if dead in keyed:
+            raise ModelMismatchError(f"dead key {dead!r} has probability {float(keyed[dead])}")
+    if sum(keyed.values(), ZERO) != ONE:
         raise ModelMismatchError("keyed probabilities do not sum to 1")
     if sem.real_outcomes is not None:
-        covered = sum(keyed.get(k, 0.0) for k in sem.real_outcomes) + restart_total
-        if abs(covered - 1.0) > MODEL_TOL:
+        covered = sum((keyed.get(k, ZERO) for k in sem.real_outcomes | sem.restart_outcomes), ZERO)
+        if covered != ONE:
             raise ModelMismatchError("live keys do not carry all probability")
-    return dist
+    return {key: float(prob) for key, prob in exact.items()}
 
 
 def _check_amplitude_model(p: PredicateCircuit) -> tuple[complex, ...]:
-    state = simulate(strip_measures(p.circuit))
-    expected = p.semantics.amplitudes
-    if expected is None or len(expected) != len(state):
-        raise ModelMismatchError("amplitude model missing or of wrong length")
-    if float(np.max(np.abs(state - np.array(expected)))) > MODEL_TOL:
+    state = exact_amplitudes(p.circuit)
+    if state != p.semantics.amplitudes:
         raise ModelMismatchError("amplitudes disagree with the analytic model")
-    return tuple(state)
+    return state
 
 
 def outcome_model(p: PredicateCircuit) -> dict[str, float] | tuple[complex, ...]:
-    """Recompute the predicate's behavior with the simulator and cross-check
-    it against the stored semantics; any disagreement beyond 1e-12 raises
-    ModelMismatchError. Returns the exact distribution (measured kinds) or the
-    statevector amplitudes (shroud).
+    """Recompute the predicate's behavior with the exact simulator and check
+    it against the stored semantics: dead keys must have probability exactly
+    zero, the keys must carry probability exactly one, and amplitudes must
+    round to the stored ones. Any disagreement raises ModelMismatchError.
+    Returns the distribution (measured kinds) or the statevector amplitudes
+    (shroud), each value the nearest float to the exact one.
     """
     if p.semantics.kind == "measured":
         return _check_measured_model(p)
@@ -198,7 +205,7 @@ def shroud_predicate() -> PredicateCircuit:
     guarded on the presence of the |0> component and code guarded on the |1>
     component both run.
     """
-    amp = 1.0 / math.sqrt(2.0)
+    amp = math.sqrt(0.5)  # correctly rounded, so the nearest float to 1/√2
     circuit = Circuit(n_qubits=1, gates=(GateApp(GateKind.H, (0,)),))
     sem = BranchSemantics(
         kind="amplitude_read",

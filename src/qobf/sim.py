@@ -1,9 +1,11 @@
 """Dense state-vector simulator, unitary builder, and equivalence oracle.
 
-This is the ground truth every transform in the toolkit is checked against:
-exact gate matrices, exact Born-rule outcome distributions (no shot noise),
-and circuit equivalence up to global phase in three modes (statevector,
-unitary, distribution).
+This is the ground truth every circuit pass is checked against: textbook
+gate matrices, Born-rule outcome distributions (no shot noise), and circuit
+equivalence up to global phase in three modes (statevector, unitary,
+distribution). It is the only float simulator and the only one that needs
+numpy; ``obfuscate``, ``verify``, ``report`` and ``simulate`` use it, while
+predicate models use the exact one in :mod:`qobf.exact`.
 
 Index convention (fixed, see README): qubit 0 is the least significant bit of
 a basis-state index, and classical bit 0 is the rightmost character of an
@@ -25,7 +27,10 @@ from .ir import (
     GateApp,
     GateKind,
     GateSequence,
+    SimulationError,
     UNITARY_KINDS,
+    _components,
+    measured_pairs,
 )
 
 MAX_SIM_QUBITS = 24
@@ -37,10 +42,6 @@ SV_TOL = 1e-9
 UNITARY_TOL = 1e-9
 #: total-variation threshold for distribution-mode equivalence
 DIST_TOL = 1e-9
-
-
-class SimulationError(Exception):
-    """Raised for contract violations: size caps, measurement misuse, mismatched circuits."""
 
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -204,50 +205,6 @@ def _basis(index: int, dim: int) -> np.ndarray:
     return state
 
 
-def _components(gates: Sequence[GateApp], n: int) -> list[tuple[list[int], list[GateApp]]]:
-    """Split a circuit into the connected components of its qubit-interaction graph.
-
-    Two qubits are connected when a gate acts on both; barriers and
-    measurements join nothing. A barrier spanning components is dropped (it
-    is a no-op), and a measurement stays with its qubit's component. Every
-    qubit lies in exactly one component, an untouched qubit in one of its
-    own. Returns (qubits, gates) per component, ordered by lowest qubit,
-    with the qubits ascending and the gates relabelled onto local indices in
-    that order, so a component's state keeps the global bit order. The cap
-    holds for the whole circuit, however small its components.
-    """
-    _check_cap(n)
-    parent = list(range(n))
-
-    def find(q: int) -> int:
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    for g in gates:
-        if len(g.qubits) > 1 and g.kind is not GateKind.BARRIER:
-            root = find(g.qubits[0])
-            for q in g.qubits[1:]:
-                parent[find(q)] = root
-    roots = [find(q) for q in range(n)]
-    if len(set(roots)) == 1:
-        # connected: the relabelling is the identity and a barrier joins
-        # nothing new, so the gates run as given
-        return [(list(range(n)), list(gates))]
-    local = [0] * n
-    parts: dict[int, tuple[list[int], list[GateApp]]] = {}
-    for q, root in enumerate(roots):
-        qubits, _ = parts.setdefault(root, ([], []))
-        local[q] = len(qubits)
-        qubits.append(q)
-    for g in gates:
-        if g.kind is not GateKind.BARRIER:
-            relabelled = tuple(local[q] for q in g.qubits)
-            parts[roots[g.qubits[0]]][1].append(GateApp(g.kind, relabelled, g.cbit))
-    return list(parts.values())
-
-
 def simulate(circuit: Circuit, initial: int = 0) -> np.ndarray:
     """Statevector after applying the circuit's gates to basis state ``initial``.
 
@@ -256,6 +213,7 @@ def simulate(circuit: Circuit, initial: int = 0) -> np.ndarray:
     their outer product, taken in component order.
     """
     n = circuit.n_qubits
+    _check_cap(n)
     if not 0 <= initial < 2**n:
         raise SimulationError(f"initial basis index {initial} out of range for {n} qubits")
     state = None
@@ -294,15 +252,6 @@ def strip_measures(circuit: Circuit) -> Circuit:
     return circuit.with_gates(g for g in circuit.gates if g.kind is not GateKind.MEASURE)
 
 
-def measured_pairs(circuit: Circuit) -> list[tuple[int, int]]:
-    """(qubit, classical bit) measurement pairs in circuit order."""
-    return [
-        (g.qubits[0], g.cbit)
-        for g in circuit.gates
-        if g.kind is GateKind.MEASURE and g.cbit is not None
-    ]
-
-
 def measure_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact Born-rule outcome distribution over the measured classical bits.
 
@@ -324,6 +273,7 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
         raise SimulationError("circuit has no measurements")
     if len({c for _, c in pairs}) != len(pairs):
         raise SimulationError("a classical bit is measured more than once")
+    _check_cap(circuit.n_qubits)
     cbit_of = dict(pairs)
     # a classical bit's place in the key, counted from the right
     place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}

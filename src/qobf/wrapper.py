@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .exact import ONE, ZERO, exact_probabilities
 from .predicates import (
     ELSE_KEY,
     PredicateCircuit,
@@ -33,7 +34,6 @@ from .predicates import (
     make_predicate,
 )
 from .qasm import emit
-from .sim import measure_distribution
 
 MANIFEST_SCHEMA = "qobf.wrap-manifest/1"
 TEMPLATE_ENV_VAR = "QOBF_TEMPLATE_DIR"
@@ -477,23 +477,24 @@ def extract_payload(emitted: str, manifest: WrapManifest) -> str:
 def resolve_branches(manifest: WrapManifest) -> dict[str, float]:
     """Exact execution probability of every branch, via the in-process oracle.
 
-    The predicate is rebuilt from the manifest and its exact outcome
-    distribution marginalized onto the branch key; emitted programs are never
-    executed. Shroud branches are always-live and both report 1.0.
+    The predicate is rebuilt from the manifest, its exact outcome
+    distribution marginalized onto the branch key in exact arithmetic, and
+    each branch's probability rounded to a float once; emitted programs are
+    never executed. Shroud branches are always-live and both report 1.0.
     """
     if manifest.predicate_kind == "shroud":
         return {b.id: 1.0 for b in manifest.branches}
     pred = make_predicate(manifest.predicate_kind, manifest.predicate_params)
-    dist = measure_distribution(pred.circuit)
-    keyed = key_marginal(dist, manifest.key_cbits, _measured_cbits(pred.circuit))
+    exact = exact_probabilities(pred.circuit)
+    keyed = key_marginal(exact, manifest.key_cbits, _measured_cbits(pred.circuit))
     out: dict[str, float] = {}
-    explicit_total = 0.0
+    explicit_total = ZERO
     for branch in manifest.branches:
         if branch.outcome != ELSE_KEY:
-            p = keyed.get(branch.outcome, 0.0)
-            out[branch.id] = p
+            p = keyed.get(branch.outcome, ZERO)
+            out[branch.id] = float(p)
             explicit_total += p
     for branch in manifest.branches:
         if branch.outcome == ELSE_KEY:
-            out[branch.id] = 1.0 - explicit_total
+            out[branch.id] = float(ONE - explicit_total)
     return out

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,60 @@ class TestSoundnessGateFaultInjection:
     @pytest.mark.parametrize("fixture", ["bv6", "qaoa_ring4", "period7"])
     def test_stray_gate_refused(self, kind, fixture, qasm_dir, monkeypatch, capsys):
         monkeypatch.setattr(qobf.cli, "apply_pass", _inject_after_pass(kind, seed=STRAY_KINDS.index(kind)))
+        out = qasm_dir / "never.qasm"
+        rc = main(["obfuscate", "--method", "inverse", str(qasm_dir / f"{fixture}.qasm"), "-o", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "refusing to write" in capsys.readouterr().err
+
+
+def _drop_last_measure(gates):
+    last = max(i for i, g in enumerate(gates) if g.kind is GateKind.MEASURE)
+    return gates[:last] + gates[last + 1 :]
+
+
+def _swap_two_cbits(gates):
+    first, second = [i for i, g in enumerate(gates) if g.kind is GateKind.MEASURE][:2]
+    out = list(gates)
+    out[first] = replace(gates[first], cbit=gates[second].cbit)
+    out[second] = replace(gates[second], cbit=gates[first].cbit)
+    return tuple(out)
+
+
+def _measure_before_last_gate(gates):
+    """Move a measurement ahead of the last unitary gate on its qubit."""
+    measure_at = {g.qubits[0]: i for i, g in enumerate(gates) if g.kind is GateKind.MEASURE}
+    last = max(i for i, g in enumerate(gates)
+               if g.kind in UNITARY_KINDS and not measure_at.keys().isdisjoint(g.qubits))
+    m = measure_at[next(q for q in gates[last].qubits if q in measure_at)]
+    rest = gates[:m] + gates[m + 1 :]
+    return rest[:last] + (gates[m],) + rest[last:]
+
+
+MEASUREMENT_FAULTS = {
+    "dropped-measure": _drop_last_measure,
+    "swapped-cbits": _swap_two_cbits,
+    "measure-before-gate": _measure_before_last_gate,
+}
+
+
+class TestMeasurementGateFaultInjection:
+    """The statevector check strips measurements, so a pass that breaks them
+    must be caught by the structural half of the gate."""
+
+    @pytest.mark.parametrize("fault", MEASUREMENT_FAULTS)
+    @pytest.mark.parametrize("fixture", ["bell", "bv6", "period7"])
+    def test_measurement_fault_refused(self, fault, fixture, qasm_dir, monkeypatch, capsys):
+        (qasm_dir / "bell.qasm").write_text(
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n"
+            "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+        )
+
+        def broken(method, circuit, cfg, ruleset=None):
+            out = apply_pass(method, circuit, cfg, ruleset)
+            return out.with_gates(MEASUREMENT_FAULTS[fault](out.gates))
+
+        monkeypatch.setattr(qobf.cli, "apply_pass", broken)
         out = qasm_dir / "never.qasm"
         rc = main(["obfuscate", "--method", "inverse", str(qasm_dir / f"{fixture}.qasm"), "-o", str(out)])
         assert rc == 3
@@ -290,6 +345,13 @@ class TestMisc:
         out = capsys.readouterr().out
         assert "qobf-inline" in out
 
+    def test_missing_template_dir_warns_in_cli_style(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        assert main(["templates", "--template-dir", str(missing)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qobf: warning: template directory {missing} does not exist\n"
+
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     """Run this interpreter on the checkout's ``qobf`` package."""
@@ -317,33 +379,57 @@ class TestEntryPoints:
 
 
 class TestImportsPerEntryPoint:
-    """Each entry point loads only the qobf modules it runs."""
+    """Each entry point loads only the modules it runs: the predicate side
+    (templates, predicate, wrap and wrapped programs) never loads numpy, and
+    verify never loads the passes."""
+
+    DENSE = {"numpy", "qobf.sim", "qobf.passes", "qobf.metrics"}
 
     @staticmethod
     def loaded_after(code: str) -> set[str]:
         proc = _run_python("-c", f"{code}\nimport sys\nprint(*sys.modules)")
         assert proc.returncode == 0, proc.stderr
-        return {m for m in proc.stdout.splitlines()[-1].split() if m.startswith("qobf.")}
+        return {m for m in proc.stdout.splitlines()[-1].split() if m.startswith("qobf.") or m == "numpy"}
 
     def test_wrapped_program_import(self):
-        loaded = self.loaded_after("from qobf import loads, measure_distribution, simulate")
-        assert {"qobf.qasm", "qobf.sim"} <= loaded
-        assert not loaded & {"qobf.passes", "qobf.predicates", "qobf.wrapper", "qobf.metrics", "qobf.cli"}
+        template = Path(qobf.__file__).parent / "data" / "templates" / "qobf-inline.tmpl"
+        line = next(ln for ln in template.read_text().splitlines() if ln.startswith("from qobf import"))
+        loaded = self.loaded_after(line)
+        assert {"qobf.qasm", "qobf.exact"} <= loaded
+        assert not loaded & (self.DENSE | {"qobf.predicates", "qobf.wrapper", "qobf.cli"})
 
     def test_cli_import(self):
         loaded = self.loaded_after("import qobf.cli")
-        assert "qobf.passes" in loaded
-        assert not loaded & {"qobf.wrapper", "qobf.metrics"}
+        assert not loaded & (self.DENSE | {"qobf.wrapper"})
+
+    def test_templates_run(self):
+        loaded = self.loaded_after("from qobf.cli import main\nassert main(['templates']) == 0")
+        assert "qobf.wrapper" in loaded
+        assert not loaded & self.DENSE
 
     def test_verify_run(self, qasm_dir):
         f = str(qasm_dir / "x.qasm")
         loaded = self.loaded_after(f"from qobf.cli import main\nassert main(['verify', {f!r}, {f!r}]) == 0")
-        assert not loaded & {"qobf.wrapper", "qobf.metrics"}
+        assert "qobf.sim" in loaded
+        assert not loaded & {"qobf.passes", "qobf.wrapper", "qobf.metrics"}
 
     def test_predicate_run(self, tmp_path):
         out = str(tmp_path / "bell.qasm")
         loaded = self.loaded_after(
             f"from qobf.cli import main\nassert main(['predicate', '--kind', 'bell', '-o', {out!r}]) == 0"
         )
-        assert "qobf.predicates" in loaded
-        assert not loaded & {"qobf.wrapper", "qobf.metrics"}
+        assert {"qobf.predicates", "qobf.exact"} <= loaded
+        assert not loaded & (self.DENSE | {"qobf.wrapper"})
+
+    def test_wrap_and_wrapped_program_run(self, tmp_path):
+        payload, program = tmp_path / "payload.py", str(tmp_path / "wrapped.py")
+        payload.write_text("print('hi')\n")
+        loaded = self.loaded_after(
+            f"from qobf.cli import main\n"
+            f"assert main(['wrap', '--payload', {str(payload)!r}, '--kind', 'bell', '-o', {program!r}]) == 0"
+        )
+        assert "qobf.wrapper" in loaded
+        assert not loaded & self.DENSE
+        loaded = self.loaded_after(f"import runpy\nrunpy.run_path({program!r}, run_name='__main__')")
+        assert "qobf.exact" in loaded
+        assert not loaded & (self.DENSE | {"qobf.predicates", "qobf.wrapper", "qobf.cli"})

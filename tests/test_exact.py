@@ -1,0 +1,150 @@
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qobf.exact import (
+    MAX_EXACT_QUBITS,
+    ONE,
+    ZERO,
+    Dyadic,
+    exact_amplitudes,
+    exact_distribution,
+    exact_probabilities,
+)
+from qobf.ir import Circuit, GateApp, GateKind, SimulationError
+from qobf.predicates import (
+    bell_predicate,
+    branch_predicate,
+    multi_pair_predicate,
+    outcome_model,
+    shroud_predicate,
+)
+from qobf.sim import measure_distribution, simulate, strip_measures
+
+from strategies import circuits
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q√2, decided in integers."""
+    if p >= 0 and q >= 0:
+        return int(p > 0 or q > 0)
+    if p <= 0 and q <= 0:
+        return -1
+    bigger = p * p - 2 * q * q  # |p| vs |q|√2; never 0 with q != 0
+    return (1 if bigger > 0 else -1) * (1 if p > 0 else -1)
+
+
+def _compare(x: Dyadic, f: Fraction) -> int:
+    """Sign of x - f, for a dyadic rational f."""
+    num, den = f.numerator, f.denominator
+    return _sign(x.p * den - num * (1 << x.k), x.q * den)
+
+
+class TestDyadic:
+    def test_canonical_form(self):
+        assert Dyadic(4, 2, 2) == Dyadic(2, 1, 1)
+        assert Dyadic(2, 0, 1) == ONE
+        assert Dyadic(0, 0, 9) == ZERO
+
+    def test_arithmetic(self):
+        half_root2 = Dyadic(0, 1, 1)
+        assert half_root2 * half_root2 == Dyadic(1, 0, 1)
+        assert ONE - half_root2 + half_root2 == ONE
+        assert float(half_root2) == math.sqrt(0.5)
+
+    @given(st.integers(-2**80, 2**80), st.integers(-2**80, 2**80), st.integers(0, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_float_is_correctly_rounded(self, p, q, k):
+        x = Dyadic(p, q, k)
+        f = float(x)
+        if not x.q:
+            assert f == float(Fraction(x.p, 1 << x.k))
+            return
+        # the exact value lies strictly inside f's rounding interval
+        half_ulp = Fraction(math.ulp(f)) / 2
+        assert _compare(x, Fraction(f) - half_ulp) > 0
+        assert _compare(x, Fraction(f) + half_ulp) < 0
+
+
+def _within_one_ulp(a: float, b: float) -> bool:
+    return a == b or abs(a - b) <= math.ulp(max(abs(a), abs(b)))
+
+
+class TestAgainstDense:
+    @given(circuits(max_qubits=3, max_gates=16))
+    @settings(max_examples=200, deadline=None)
+    def test_random_amplitudes(self, c):
+        dense = simulate(c)
+        assert np.max(np.abs(np.array(exact_amplitudes(c)) - dense)) <= 1e-12
+
+    @given(circuits(max_qubits=3, max_gates=16, measure=True))
+    @settings(max_examples=200, deadline=None)
+    def test_random_distributions(self, c):
+        exact, dense = exact_distribution(c), measure_distribution(c)
+        assert set(exact) <= set(dense)  # dense may keep a rounding residue exact drops
+        assert all(abs(exact.get(k, 0.0) - p) <= 1e-12 for k, p in dense.items())
+
+    def test_bell(self):
+        assert outcome_model(bell_predicate()) == {"00": 0.5, "11": 0.5}
+        assert measure_distribution(bell_predicate().circuit) == {"00": 0.5, "11": 0.5}
+
+    def test_shroud(self):
+        exact = outcome_model(shroud_predicate())
+        assert exact == (complex(math.sqrt(0.5)), complex(math.sqrt(0.5)))
+        dense = simulate(shroud_predicate().circuit)
+        assert all(_within_one_ulp(a.real, b.real) and a.imag == b.imag == 0
+                   for a, b in zip(exact, dense))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_multi_pair(self, n):
+        exact = outcome_model(multi_pair_predicate(n))
+        assert exact == measure_distribution(multi_pair_predicate(n).circuit)
+        assert len(exact) == 2**n and set(exact.values()) == {2.0**-n}
+
+    def test_branch_seeds(self):
+        # the exact values are correctly rounded (see TestDyadic); the dense
+        # path, which normalises float marginals, misses them on four seeds
+        ulps_off = {}
+        for seed in range(3000):
+            p = branch_predicate(seed)
+            exact, dense = outcome_model(p), measure_distribution(p.circuit)
+            assert list(exact) == list(dense), seed
+            worst = max(abs(exact[k] - dense[k]) / math.ulp(exact[k]) for k in exact)
+            if worst:
+                ulps_off[seed] = worst
+        assert ulps_off == {699: 2.0, 706: 1.0, 1915: 1.0, 1929: 1.0}
+
+
+class TestCaps:
+    def test_wide_component_refused(self):
+        n = MAX_EXACT_QUBITS + 1
+        chain = Circuit(n, 1, tuple(GateApp(GateKind.CX, (q, q + 1)) for q in range(n - 1))
+                        + (GateApp(GateKind.MEASURE, (0,), cbit=0),))
+        with pytest.raises(SimulationError, match="exact simulator cap"):
+            exact_distribution(chain)
+        with pytest.raises(SimulationError, match="exact simulator cap"):
+            exact_amplitudes(strip_measures(chain))
+
+    def test_many_narrow_components_run(self):
+        dist = exact_probabilities(multi_pair_predicate(12).circuit)
+        assert dist["1" * 24] == Dyadic(1, 0, 12)
+
+    def test_measurements_rejected_for_amplitudes(self):
+        with pytest.raises(SimulationError, match="measurements"):
+            exact_amplitudes(bell_predicate().circuit)
+
+    def test_unmeasured_rejected_for_distribution(self):
+        with pytest.raises(SimulationError, match="no measurements"):
+            exact_distribution(Circuit(2, 0, (GateApp(GateKind.H, (0,)),)))
+
+
+def test_mid_circuit_measurement_deferred():
+    gates = (GateApp(GateKind.H, (0,)), GateApp(GateKind.MEASURE, (0,), cbit=1),
+             GateApp(GateKind.T, (1,)), GateApp(GateKind.H, (1,)),
+             GateApp(GateKind.MEASURE, (1,), cbit=0))
+    c = Circuit(2, 2, gates)
+    assert exact_distribution(c) == {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}

@@ -196,6 +196,17 @@ class TestOutcomeModel:
         with pytest.raises(ModelMismatchError):
             outcome_model(lying)
 
+    def test_live_dead_key_raises_under_else_branch(self):
+        # with no listed live keys only the exact-zero check can catch it
+        lying = PredicateCircuit(
+            bell_predicate().circuit,
+            "bell",
+            BranchSemantics(kind="measured", key_cbits=(0, 1), dead_outcomes=frozenset({"11"})),
+            {},
+        )
+        with pytest.raises(ModelMismatchError, match="dead key '11' has probability 0.5"):
+            outcome_model(lying)
+
 
 class TestMakePredicate:
     def test_dispatch(self):
