@@ -22,6 +22,7 @@ resolution and wrapped programs use it. The dense float simulator in
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 from .ir import Circuit, GateApp, GateKind, SimulationError, _components, measured_pairs
@@ -196,9 +197,16 @@ def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:
     probability zero are omitted. Each component with a measured qubit runs
     on its own; a component with none never runs. Measurements may appear
     mid-circuit: no gate touches a qubit after it is measured (an IR
-    invariant), so deferring them to the end is exact.
+    invariant), so deferring them to the end is exact. The last few
+    distributions are memoised by gates and width, so a predicate that is
+    checked and then resolved in one process is simulated once.
     """
-    pairs = measured_pairs(circuit)
+    return dict(_probabilities(circuit.gates, circuit.n_qubits))
+
+
+@lru_cache(maxsize=16)
+def _probabilities(gates: tuple[GateApp, ...], n_qubits: int) -> dict[str, Dyadic]:
+    pairs = measured_pairs(Circuit(n_qubits, gates=gates))
     if not pairs:
         raise SimulationError("circuit has no measurements")
     cbit_of = dict(pairs)
@@ -206,13 +214,13 @@ def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:
         raise SimulationError("a classical bit is measured more than once")
     # a classical bit's place in the key, counted from the right
     place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}
-    unitary = [g for g in circuit.gates if g.kind is not GateKind.MEASURE]
+    unitary = [g for g in gates if g.kind is not GateKind.MEASURE]
     dist = {0: ONE}
-    for qubits, gates in _components(unitary, circuit.n_qubits):
+    for qubits, component in _components(unitary, n_qubits):
         measured = [(i, place[cbit_of[q]]) for i, q in enumerate(qubits) if q in cbit_of]
         if not measured:
             continue
-        state, k = _run(gates, len(qubits))
+        state, k = _run(component, len(qubits))
         marginal: dict[int, Dyadic] = {}
         for index, z in enumerate(state):
             if z != _ZERO_AMPLITUDE:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, TypeVar
 
 from .exact import ONE, ZERO, exact_amplitudes, exact_probabilities
@@ -265,14 +266,27 @@ def branch_predicate(seed: int = 0) -> PredicateCircuit:
 
 
 def make_predicate(kind: str, params: Mapping[str, int] | None = None) -> PredicateCircuit:
-    """Build a predicate by kind name (used by the wrapper and the CLI)."""
+    """Build a predicate by kind name (used by the wrapper and the CLI).
+
+    Each kind and parameter is built, and its model checked, once per
+    process; a later call returns the same frozen predicate.
+    """
     params = dict(params or {})
+    if kind == "multi_pair":
+        return _built(kind, int(params.get("n_pairs", 8)))
+    if kind == "branch":
+        return _built(kind, int(params.get("seed", 0)))
+    return _built(kind, 0)
+
+
+@lru_cache(maxsize=32)
+def _built(kind: str, param: int) -> PredicateCircuit:
     if kind == "bell":
         return bell_predicate()
     if kind == "multi_pair":
-        return multi_pair_predicate(int(params.get("n_pairs", 8)))
+        return multi_pair_predicate(param)
     if kind == "shroud":
         return shroud_predicate()
     if kind == "branch":
-        return branch_predicate(int(params.get("seed", 0)))
+        return branch_predicate(param)
     raise PredicateError(f"unknown predicate kind {kind!r}")

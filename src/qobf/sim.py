@@ -371,11 +371,17 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
         fidelity is |tr(U1^dagger U2)| / 2**n.
       * ``distribution`` - total-variation distance of exact outcome
         distributions <= 1e-9; fidelity is 1 - TV.
+
+    ``statevector`` and ``unitary`` strip measurements, so when the sorted
+    (qubit, classical bit) measurement pairs differ, ``distribution`` decides.
     """
     if c1.n_qubits != c2.n_qubits:
         raise SimulationError(
             f"qubit-count mismatch: {c1.n_qubits} vs {c2.n_qubits}"
         )
+    same_measurements = sorted(measured_pairs(c1)) == sorted(measured_pairs(c2))
+    if mode in ("statevector", "unitary") and not same_measurements:
+        mode = "distribution"  # those two modes strip measurements
     if mode == "statevector":
         return _statevector_check(strip_measures(c1), strip_measures(c2))
     if mode == "unitary":

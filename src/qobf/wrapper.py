@@ -1,22 +1,27 @@
 """Source-to-source control-flow wrapping behind quantum opaque predicates.
 
-``wrap`` takes an opaque payload (never parsed as a language) and emits a
-program, built from a data-file template, whose execution path is guarded by
-one of the predicate circuits: the payload lands byte-exact (modulo one
-uniform indent prefix) in the live branch(es), dead branches get generated
-decoys shaped like the payload, and the multi-pair false branch gets restart
-logic. A manifest describes every branch so the whole construction can be
-checked, and branches resolved, without ever executing the emitted program.
+``wrap`` takes a payload and emits a program, built from a data-file
+template, whose execution path is guarded by one of the predicate circuits.
+Each branch body sits directly under its ``if``/``elif``/``else`` guard at
+module scope, so the payload's names bind in the module as they do when it
+runs alone. Live branches carry the payload byte-exact (modulo one uniform
+indent prefix), dead branches get generated decoys shaped like the payload,
+and the multi-pair false branch gets restart logic. A manifest describes
+every branch so the whole construction can be checked, and branches
+resolved, without ever executing the emitted program.
 
-Templates are text files with exactly five placeholders:
-{PREDICATE_CIRCUIT_QASM}, {BRANCH_TABLE}, {PAYLOAD}, {DECOYS}, {INDENT}.
+The payload is handled as text. Only shroud parses it (with :mod:`ast`), to
+cut it at the top-level statement boundary nearest its middle line.
+
+Templates are text files with exactly two placeholders:
+{PREDICATE_CIRCUIT_QASM} and {BRANCH_TABLE}.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import keyword
-import math
 import os
 import random
 import re
@@ -38,12 +43,11 @@ from .qasm import emit
 MANIFEST_SCHEMA = "qobf.wrap-manifest/1"
 TEMPLATE_ENV_VAR = "QOBF_TEMPLATE_DIR"
 INDENT = "    "
-END_MARKER = "# :: end branch"
+#: closes every branch body; a statement, so an empty body still compiles
+END_MARKER = "pass  # :: end branch"
 
-_PLACEHOLDERS = frozenset(
-    {"PREDICATE_CIRCUIT_QASM", "BRANCH_TABLE", "PAYLOAD", "DECOYS", "INDENT"}
-)
-_PLACEHOLDER_RE = re.compile(r"\{(PREDICATE_CIRCUIT_QASM|BRANCH_TABLE|PAYLOAD|DECOYS|INDENT)\}")
+_PLACEHOLDERS = frozenset({"PREDICATE_CIRCUIT_QASM", "BRANCH_TABLE"})
+_PLACEHOLDER_RE = re.compile(r"\{(PREDICATE_CIRCUIT_QASM|BRANCH_TABLE)\}")
 
 #: the decoy-policy mode each predicate kind supports
 REQUIRED_MODE = {
@@ -276,10 +280,6 @@ def generate_decoy(src: SourceBlock, policy: DecoyPolicy) -> str:
 # --------------------------------------------------------------------------
 
 
-def _fn_name(branch_id: str) -> str:
-    return "_branch_" + re.sub(r"[^0-9a-zA-Z]+", "_", branch_id)
-
-
 def _plan_branches(pred: PredicateCircuit) -> list[BranchSpec]:
     kind = pred.kind
     if kind == "bell":
@@ -303,17 +303,11 @@ def _plan_branches(pred: PredicateCircuit) -> list[BranchSpec]:
     raise WrapError(f"unknown predicate kind {kind!r}")
 
 
-def _emit_body(body_text: str, indent: str) -> str:
-    lines = body_text.splitlines(keepends=True)
-    out = "".join(indent + ln for ln in lines)
+def _branch(guard: str, branch: BranchSpec, body_text: str) -> str:
+    body = "".join(INDENT + ln for ln in body_text.splitlines(keepends=True))
     if body_text and not body_text.endswith("\n"):
-        out += "\n"
-    return out
-
-
-def _branch_def(branch: BranchSpec, body_text: str, indent: str) -> str:
-    head = f"def {_fn_name(branch.id)}():  # branch {branch.id} [{branch.role}]\n"
-    return head + _emit_body(body_text, indent) + indent + END_MARKER + "\n"
+        body += "\n"
+    return f"{guard}:  # branch {branch.id} [{branch.role}]\n{body}{INDENT}{END_MARKER}"
 
 
 def _key_expr(key_cbits: tuple[int, ...]) -> str:
@@ -326,23 +320,22 @@ def _key_expr(key_cbits: tuple[int, ...]) -> str:
     )
 
 
-def _branch_table(pred: PredicateCircuit, branches: Sequence[BranchSpec]) -> str:
+def _branch_table(
+    pred: PredicateCircuit, branches: Sequence[BranchSpec], bodies: Mapping[str, str]
+) -> str:
     lines = ["_outcome, _amplitudes = _evaluate_predicate()"]
     if pred.kind == "shroud":
         for i, branch in enumerate(branches):
-            lines.append(f"if abs(_amplitudes[{i}]) > 1e-09:")
-            lines.append(f"{INDENT}{_fn_name(branch.id)}()")
+            lines.append(_branch(f"if abs(_amplitudes[{i}]) > 1e-09", branch, bodies[branch.id]))
         return "\n".join(lines)
     lines.append(_key_expr(pred.semantics.key_cbits))
     explicit = [b for b in branches if b.outcome != ELSE_KEY]
     fallback = [b for b in branches if b.outcome == ELSE_KEY]
     for i, branch in enumerate(explicit):
         guard = "if" if i == 0 else "elif"
-        lines.append(f'{guard} _key == "{branch.outcome}":')
-        lines.append(f"{INDENT}{_fn_name(branch.id)}()")
+        lines.append(_branch(f'{guard} _key == "{branch.outcome}"', branch, bodies[branch.id]))
     for branch in fallback:
-        lines.append("else:")
-        lines.append(f"{INDENT}{_fn_name(branch.id)}()")
+        lines.append(_branch("else", branch, bodies[branch.id]))
     return "\n".join(lines)
 
 
@@ -352,15 +345,30 @@ def _check_marker_collision(text: str, what: str) -> None:
             raise WrapError(f"payload collides with template markers ({what})")
 
 
-def _split_payload(text: str, n_parts: int) -> list[str]:
-    """Split at line boundaries into n_parts consecutive pieces (some may be
-    empty); concatenation is the identity."""
-    lines = text.splitlines(keepends=True)
-    cut = math.ceil(len(lines) / n_parts) if lines else 0
-    parts = []
-    for i in range(n_parts):
-        parts.append("".join(lines[i * cut : (i + 1) * cut]))
-    return parts
+def _shroud_split(text: str) -> tuple[str, str]:
+    """Cut the payload at the top-level statement start nearest its middle
+    line, so both halves are whole statements. A decorated definition starts
+    at its first decorator. A payload that does not parse, or has one
+    statement, stays whole in the first half."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SyntaxWarnings are for the payload's own run
+            body = ast.parse(text).body
+    except (SyntaxError, ValueError):
+        return text, ""
+    # offset of each line as ast counts lines
+    starts = [0] + [m.end() for m in re.finditer(r"\r\n?|\n", text)]
+    cuts = []
+    for prev, stmt in zip(body, body[1:]):
+        line = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
+        # not inside a line, and after "\n", the line end emission keeps
+        if prev.end_lineno < line and text[starts[line - 1] - 1] == "\n":
+            cuts.append(line - 1)
+    if not cuts:
+        return text, ""
+    n_lines = len(text.splitlines())
+    cut = starts[min(cuts, key=lambda c: abs(2 * c - n_lines))]
+    return text[:cut], text[cut:]
 
 
 def wrap(
@@ -373,11 +381,12 @@ def wrap(
 ) -> tuple[str, WrapManifest]:
     """Emit a predicate-guarded program around the payload.
 
-    Live branches carry the payload byte-exact under one uniform indent (for
-    shroud it is split across the two always-live branches: part 1 defines,
-    part 2 activates). Dead branches carry seeded decoys; the multi-pair
-    false branch carries restart logic. Returns the emitted program text and
-    the manifest describing every branch.
+    Every branch body sits under its guard at module scope. Live branches
+    carry the payload byte-exact under one uniform indent (for shroud it is
+    cut at a top-level statement boundary across the two always-live
+    branches). Dead branches carry seeded decoys; the multi-pair false branch
+    carries restart logic. Returns the emitted program text and the manifest
+    describing every branch.
     """
     template = load_template(template_id, template_dir)
     pred = make_predicate(kind, params)
@@ -391,34 +400,25 @@ def wrap(
     branches = _plan_branches(pred)
     live = [b for b in branches if b.role == "live"]
     if kind == "shroud":
-        parts = _split_payload(src.text, len(live))
-        bodies = dict(zip((b.id for b in live), parts))
+        bodies = dict(zip((b.id for b in live), _shroud_split(src.text)))
         payload_split = tuple(b.id for b in live)
     else:
         bodies = {b.id: src.text for b in live}
         payload_split = (live[0].id,)
-    decoy_defs: list[str] = []
-    payload_defs: list[str] = []
     for i, branch in enumerate(branches):
-        if branch.role == "live":
-            payload_defs.append(_branch_def(branch, bodies[branch.id], INDENT))
-        elif branch.role == "restart":
-            decoy_defs.append(_branch_def(branch, "_restart()\n", INDENT))
-        else:
+        if branch.role == "restart":
+            bodies[branch.id] = "_restart()\n"
+        elif branch.role == "dead":
             decoy_policy = DecoyPolicy(
                 mode="dead_decoy",
                 decoy_seed=policy.decoy_seed + i,
                 decoy_statement_count=policy.decoy_statement_count,
             )
-            decoy = generate_decoy(src, decoy_policy)
-            _check_marker_collision(decoy, f"decoy {branch.id}")
-            decoy_defs.append(_branch_def(branch, decoy, INDENT))
+            bodies[branch.id] = generate_decoy(src, decoy_policy)
+            _check_marker_collision(bodies[branch.id], f"decoy {branch.id}")
     fills = {
         "PREDICATE_CIRCUIT_QASM": emit(pred.circuit),
-        "BRANCH_TABLE": _branch_table(pred, branches),
-        "PAYLOAD": "\n".join(payload_defs).rstrip("\n"),
-        "DECOYS": "\n".join(decoy_defs).rstrip("\n"),
-        "INDENT": INDENT,
+        "BRANCH_TABLE": _branch_table(pred, branches, bodies),
     }
     emitted = _PLACEHOLDER_RE.sub(lambda m: fills[m.group(1)], template.text)
     manifest = WrapManifest(
@@ -442,7 +442,7 @@ def wrap(
 
 
 def extract_branch_body(emitted: str, manifest: WrapManifest, branch_id: str) -> str:
-    """Recover one branch's body text: the lines between its def line and its
+    """Recover one branch's body text: the lines between its guard line and its
     end marker, with the uniform indent removed. Exact inverse of emission
     except for the single newline added when a payload did not end with one.
     """

@@ -211,6 +211,16 @@ class TestVerify:
         assert rc == 1
         assert "equivalent=False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["statevector", "unitary"])
+    def test_measurement_map_difference_exit_1(self, tmp_path, capsys, mode):
+        head = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n"
+        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
+        a.write_text(f"{head}measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+        b.write_text(f"{head}measure q[0] -> c[1];\n")
+        rc = main(["verify", str(a), str(b), "--mode", mode])
+        assert rc == 1
+        assert "equivalent=False" in capsys.readouterr().out
+
     def test_qubit_mismatch_exit_2(self, qasm_dir):
         rc = main(["verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "bv6.qasm")])
         assert rc == 2

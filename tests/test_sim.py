@@ -319,6 +319,18 @@ class TestEquivalent:
         ok, fidelity = equivalent(a, flipped, "distribution")
         assert ok and fidelity == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["statevector", "unitary"])
+    def test_measurement_pairs_compared(self, mode):
+        unitary = (GateApp(K.H, (0,)), GateApp(K.CX, (0, 1)))
+        a = bell_measured()
+        retargeted = Circuit(2, 2, unitary + (GateApp(K.MEASURE, (0,), cbit=1),))
+        assert equivalent(a, retargeted, mode) == (False, 0.0)
+        # the pairs differ, but the distributions agree: q0 and q1 always match
+        swapped = Circuit(
+            2, 2, unitary + (GateApp(K.MEASURE, (1,), cbit=0), GateApp(K.MEASURE, (0,), cbit=1))
+        )
+        assert equivalent(a, swapped, mode)[0]
+
     def test_unknown_mode(self):
         with pytest.raises(SimulationError, match="unknown equivalence mode"):
             equivalent(c1(K.X), c1(K.X), "shots")

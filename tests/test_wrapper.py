@@ -103,6 +103,24 @@ class TestWrapShroud:
         emitted, manifest = wrap(SourceBlock("solo = 9\n"), "shroud")
         assert extract_payload(emitted, manifest) == "solo = 9\n"
 
+    @pytest.mark.parametrize(
+        "payload, part0",
+        [
+            # the cut is at the start of a top-level statement, never inside one
+            ("x = (1,\n     2); y = 3\nprint(x, y)\n", "x = (1,\n     2); y = 3\n"),
+            ("a = 1; b = 2\n", "a = 1; b = 2\n"),
+            # and after a "\n": a body is re-terminated with one
+            ("a = 1\rb = 2\n", "a = 1\rb = 2\n"),
+            # a payload that does not parse, or has one statement, stays whole
+            ("if True:\nprint(1)\nprint(2)\n", "if True:\nprint(1)\nprint(2)\n"),
+            ("while False:\n    pass\n\n\n", "while False:\n    pass\n\n\n"),
+        ],
+    )
+    def test_cut_at_statement_boundary(self, payload, part0):
+        emitted, manifest = wrap(SourceBlock(payload), "shroud")
+        assert extract_branch_body(emitted, manifest, "shroud-0") == part0
+        assert part0 + extract_branch_body(emitted, manifest, "shroud-1") == payload
+
 
 class TestWrapBranchKind:
     def test_dead_branches_get_decoys(self):
@@ -128,45 +146,124 @@ ADVERSARIAL_PAYLOADS = [
 ]
 
 
-class TestWrappedProgramRuns:
-    """An emitted qobf-inline program prints what its payload prints."""
+#: payloads whose output a wrapped program must reproduce exactly
+CORPUS = {
+    "demo-loop": (
+        "secret = 0x5eed\n"
+        "for round in range(16):\n"
+        "    secret = (secret * 31 + round) % 65521\n"
+        "print(secret)\n"
+    ),
+    # shroud's first half binds the names its second half reads
+    "split-names": "width = 6\nheight = 7\nprint(width * height)\nprint(width - height)\n",
+    "random-payload": (
+        "def churn(value, k):\n"
+        "    return (value * 22 + k + 26) % 8191\n"
+        "acc = 97\n"
+        "hits = 0\n"
+        "for i in range(32):\n"
+        "    acc = churn(acc, i)\n"
+        "    if acc % 3 == 0:\n"
+        "        hits += 1\n"
+        "        acc += 69\n"
+        "print(acc, hits)\n"
+        "print([acc % (j + 2) for j in range(5)])\n"
+    ),
+    "global": (
+        "count = 0\n"
+        "def bump():\n"
+        "    global count\n"
+        "    count += 1\n"
+        "bump()\n"
+        "bump()\n"
+        "print(count)\n"
+    ),
+    "closure": (
+        "def counter():\n"
+        "    n = 0\n"
+        "    def step():\n"
+        "        nonlocal n\n"
+        "        n += 1\n"
+        "        return n\n"
+        "    return step\n"
+        "tick = counter()\n"
+        "tick()\n"
+        "print(tick())\n"
+    ),
+    "class": (
+        "class Point:\n"
+        "    def __init__(self, x, y):\n"
+        "        self.x, self.y = x, y\n"
+        "    def norm1(self):\n"
+        "        return abs(self.x) + abs(self.y)\n"
+        "p = Point(3, -4)\n"
+        "print(type(p).__name__, p.norm1())\n"
+    ),
+    # the middle line is the def under the decorator; the cut must not fall there
+    "decorator": (
+        "def twice(f):\n"
+        "    return lambda: f() * 2\n"
+        "@twice\n"
+        "def five():\n"
+        "    return 5\n"
+        "print(five())\n"
+        "print(five() + 1)\n"
+    ),
+    "main-guard-stderr": (
+        "import sys\n"
+        "def main():\n"
+        "    print('to stdout')\n"
+        "    print('to stderr', file=sys.stderr)\n"
+        'if __name__ == "__main__":\n'
+        "    main()\n"
+    ),
+    "exit-3": "import sys\nprint('leaving')\nsys.stdout.flush()\nsys.exit(3)\nprint('unreachable')\n",
+    "one-statement": "for i in range(3):\n    square = i * i\n    print(i, square)\n",
+}
 
-    @pytest.mark.parametrize(
-        "kind,params",
-        [
-            ("bell", None),
-            ("branch", {"seed": 3}),
-            ("multi_pair", {"n_pairs": 2}),
-            pytest.param(
-                "shroud",
-                None,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="shroud splits the payload by line count into two functions,"
-                    " which cuts the while header from its body",
-                ),
-            ),
-        ],
+#: every predicate kind, with the parameters the corpus wraps it with
+KINDS = [("bell", None), ("branch", {"seed": 3}), ("multi_pair", {"n_pairs": 2}), ("shroud", None)]
+
+
+def run_python(path: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(qobf.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, str(path)], capture_output=True, text=True, timeout=60, env=env
     )
+
+
+class TestWrappedProgramRuns:
+    """An emitted qobf-inline program behaves as its payload does alone."""
+
+    @pytest.mark.parametrize("kind,params", KINDS)
     def test_stdout_matches_payload(self, kind, params, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(Path(qobf.__file__).parents[1])}
-        payload = tmp_path / "payload.py"
-        payload.write_text(PAYLOAD)
         program = tmp_path / "wrapped.py"
         program.write_text(wrap(SourceBlock(PAYLOAD), kind, params)[0])
-        want = subprocess.run(
-            [sys.executable, str(payload)], capture_output=True, text=True, timeout=60
-        )
-        got = subprocess.run(
-            [sys.executable, str(program)], capture_output=True, text=True, timeout=60, env=env
-        )
+        got = run_python(program)
         assert got.returncode == 0, got.stderr
-        assert got.stdout == want.stdout == "4\n"
+        assert got.stdout == "4\n"
+
+    @pytest.mark.parametrize("kind,params", KINDS, ids=[k for k, _ in KINDS])
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_differential_execution(self, name, kind, params, tmp_path):
+        """Same stdout, stderr and exit code, wrapped or alone. multi_pair's
+        restart branch re-runs the program before the payload, so only the
+        last run's output is seen."""
+        payload, program = tmp_path / "payload.py", tmp_path / "wrapped.py"
+        payload.write_text(CORPUS[name])
+        program.write_text(wrap(SourceBlock(CORPUS[name]), kind, params)[0])
+        want, got = run_python(payload), run_python(program)
+        assert (got.stdout, got.stderr, got.returncode) == (
+            want.stdout,
+            want.stderr,
+            want.returncode,
+        )
+        assert want.stdout
 
 
 class TestExtraction:
     @pytest.mark.parametrize("payload", ADVERSARIAL_PAYLOADS)
-    @pytest.mark.parametrize("kind", ["bell", "shroud", "branch"])
+    @pytest.mark.parametrize("kind", ["bell", "shroud", "branch", "multi_pair"])
     def test_byte_exact_round_trip(self, payload, kind):
         emitted, manifest = wrap(SourceBlock(payload), kind)
         assert extract_payload(emitted, manifest) == payload
@@ -240,6 +337,22 @@ class TestResolveBranches:
         probs = resolve_branches(manifest)
         assert probs["pairs-allones"] == 2.0**-8
         assert probs["pairs-live"] == 1 - 2.0**-8
+
+    def test_model_built_and_checked_once(self, monkeypatch):
+        import qobf.exact
+        import qobf.predicates
+
+        qobf.predicates._built.cache_clear()
+        qobf.exact._probabilities.cache_clear()
+        runs, checks = [], []
+        run, check = qobf.exact._run, qobf.predicates._check_measured_model
+        monkeypatch.setattr(qobf.exact, "_run", lambda *a: runs.append(a) or run(*a))
+        monkeypatch.setattr(
+            qobf.predicates, "_check_measured_model", lambda p: checks.append(p) or check(p)
+        )
+        _, manifest = wrap(SourceBlock(PAYLOAD), "multi_pair", {"n_pairs": 3})
+        assert resolve_branches(manifest)["pairs-allones"] == 2.0**-3
+        assert (len(runs), len(checks)) == (3, 1)  # one run per pair, one model check
 
     def test_shroud_always_live(self):
         _, manifest = wrap(SourceBlock(PAYLOAD), "shroud")
