@@ -185,22 +185,20 @@ def _predicate_params(args: argparse.Namespace) -> dict[str, int]:
 def cmd_predicate(args: argparse.Namespace) -> int:
     import json
 
-    from .predicates import make_predicate, outcome_model
+    from .exact import exact_distribution
+    from .predicates import make_predicate
 
     try:
         pred = make_predicate(args.kind, _predicate_params(args))
     except ValueError as exc:
         return _fail(str(exc))
     Path(args.output).write_text(emit(pred.circuit), encoding="utf-8")
-    model = outcome_model(pred)
-    if isinstance(model, dict):
-        doc = {"kind": pred.kind, "params": dict(pred.params), "distribution": model}
+    # make_predicate has checked the model; its exact distribution is memoised
+    doc = {"kind": pred.kind, "params": dict(pred.params)}
+    if pred.semantics.kind == "measured":
+        doc["distribution"] = exact_distribution(pred.circuit)
     else:
-        doc = {
-            "kind": pred.kind,
-            "params": dict(pred.params),
-            "amplitudes": [[z.real, z.imag] for z in model],
-        }
+        doc["amplitudes"] = [[z.real, z.imag] for z in pred.semantics.amplitudes]
     model_path = args.model or (str(Path(args.output)) + ".model.json")
     Path(model_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     if args.verbose:

@@ -8,7 +8,9 @@ arXiv:1212.0506). A state shares one k among its amplitudes: H adds and
 subtracts pairs of entries and raises k by one, and every other gate permutes
 basis states and multiplies entries by a power of ω, which rotates the four
 integers. A probability is then (p + q√2)/2^k (a :class:`Dyadic`), so a dead
-outcome is exactly zero and a total is exactly one.
+outcome is exactly zero and a total is exactly one. The per-gate permutation
+and powers of ω are the table ``ir._MONOMIAL``, and the classical-bit key
+layout is ``ir._measured_components``: the float simulator reads both too.
 
 Each connected component of the qubit-interaction graph runs on its own
 state, and a component wider than MAX_EXACT_QUBITS raises SimulationError.
@@ -25,7 +27,7 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .ir import Circuit, GateApp, GateKind, SimulationError, _components, measured_pairs
+from .ir import Circuit, GateApp, GateKind, SimulationError, _MONOMIAL, _measured_components
 
 #: widest component simulated; the widest predicate (branch) has five qubits,
 #: so it stays in range even if a pass joins its two segments
@@ -106,38 +108,6 @@ def _times_omega(z: Amplitude, e: int) -> Amplitude:
     return (-a, -b, -c, -d) if e & 4 else (a, b, c, d)
 
 
-#: every gate but H maps basis state |v> of its operands (operand 0 the most
-#: significant bit) to ω^e |w>; these are the (w, e) per v
-_ONE_QUBIT = {
-    GateKind.X: ((1, 0), (0, 0)),
-    GateKind.Y: ((1, 2), (0, 6)),
-    GateKind.Z: ((0, 0), (1, 4)),
-    GateKind.S: ((0, 0), (1, 2)),
-    GateKind.SDG: ((0, 0), (1, 6)),
-    GateKind.T: ((0, 0), (1, 1)),
-    GateKind.TDG: ((0, 0), (1, 7)),
-}
-
-
-def _controlled(n_controls: int, base: GateKind) -> tuple[tuple[int, int], ...]:
-    target = _ONE_QUBIT[base]
-    on = ((1 << n_controls) - 1) << 1
-    return tuple(
-        ((v & on) | target[v & 1][0], target[v & 1][1]) if v & on == on else (v, 0)
-        for v in range(2 << n_controls)
-    )
-
-
-_MONOMIAL = {
-    **_ONE_QUBIT,
-    GateKind.SWAP: ((0, 0), (2, 0), (1, 0), (3, 0)),
-    GateKind.CX: _controlled(1, GateKind.X),
-    GateKind.CY: _controlled(1, GateKind.Y),
-    GateKind.CZ: _controlled(1, GateKind.Z),
-    GateKind.CCX: _controlled(2, GateKind.X),
-}
-
-
 def _run(gates: Sequence[GateApp], n: int) -> tuple[list[Amplitude], int]:
     """Numerators of the state the gates make from |0...0>, and their shared k."""
     if n > MAX_EXACT_QUBITS:
@@ -192,34 +162,24 @@ def _real_part(x: int, y: int, k: int) -> Dyadic:
 def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:
     """Exact Born-rule distribution over the measured classical bits.
 
-    Keys follow :func:`qobf.sim.measure_distribution`: the lowest measured
-    classical index is the rightmost character, keys ascend, and outcomes of
-    probability zero are omitted. Each component with a measured qubit runs
-    on its own; a component with none never runs. Measurements may appear
-    mid-circuit: no gate touches a qubit after it is measured (an IR
-    invariant), so deferring them to the end is exact. The last few
-    distributions are memoised by gates and width, so a predicate that is
-    checked and then resolved in one process is simulated once.
+    Keys are laid out as in :func:`qobf.sim.measure_distribution` (both use
+    ``ir._measured_components``): the lowest measured classical index is the
+    rightmost character, keys ascend, and outcomes of probability zero are
+    omitted. Each component with a measured qubit runs on its own; a
+    component with none never runs. Measurements may appear mid-circuit: no
+    gate touches a qubit after it is measured (an IR invariant), so
+    deferring them to the end is exact. The last few distributions are
+    memoised by gates and width, so a predicate that is checked and then
+    resolved in one process is simulated once.
     """
     return dict(_probabilities(circuit.gates, circuit.n_qubits))
 
 
 @lru_cache(maxsize=16)
 def _probabilities(gates: tuple[GateApp, ...], n_qubits: int) -> dict[str, Dyadic]:
-    pairs = measured_pairs(Circuit(n_qubits, gates=gates))
-    if not pairs:
-        raise SimulationError("circuit has no measurements")
-    cbit_of = dict(pairs)
-    if len(set(cbit_of.values())) != len(pairs):
-        raise SimulationError("a classical bit is measured more than once")
-    # a classical bit's place in the key, counted from the right
-    place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}
-    unitary = [g for g in gates if g.kind is not GateKind.MEASURE]
+    width, parts = _measured_components(Circuit(n_qubits, gates=gates))
     dist = {0: ONE}
-    for qubits, component in _components(unitary, n_qubits):
-        measured = [(i, place[cbit_of[q]]) for i, q in enumerate(qubits) if q in cbit_of]
-        if not measured:
-            continue
+    for qubits, component, measured in parts:
         state, k = _run(component, len(qubits))
         marginal: dict[int, Dyadic] = {}
         for index, z in enumerate(state):
@@ -228,7 +188,6 @@ def _probabilities(gates: tuple[GateApp, ...], n_qubits: int) -> dict[str, Dyadi
                 p = _probability(z, k)
                 marginal[key] = marginal[key] + p if key in marginal else p
         dist = {a | b: pa * pb for a, pa in dist.items() for b, pb in marginal.items()}
-    width = len(pairs)
     return {format(key, f"0{width}b"): dist[key] for key in sorted(dist)}
 
 

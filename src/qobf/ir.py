@@ -10,6 +10,11 @@ Conventions:
   * qubit 0 is the least significant bit of a basis-state index;
   * BARRIER is variadic (any number of distinct qubits) and is not a unitary:
     it forces a layer boundary in ``depth`` and is excluded from gate totals.
+
+The meaning of each gate but H is written down once, in ``_MONOMIAL``, and
+the classical-bit key layout of a measured distribution once, in
+``_measured_components``; the float simulator (:mod:`qobf.sim`) and the exact
+one (:mod:`qobf.exact`) both read them and differ only in their arithmetic.
 """
 
 from __future__ import annotations
@@ -66,6 +71,24 @@ ARITY: dict[GateKind, int | None] = {
 UNITARY_KINDS = frozenset(
     k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)
 )
+
+#: every unitary kind but H maps basis state |v> of its operands (operand 0
+#: the most significant bit) to ω^e |w>, with ω = e^{iπ/4} (Giles & Selinger,
+#: arXiv:1212.0506); these are the (w, e) per v. Each v -> w is an involution.
+_MONOMIAL: dict[GateKind, tuple[tuple[int, int], ...]] = {
+    GateKind.X: ((1, 0), (0, 0)),
+    GateKind.Y: ((1, 2), (0, 6)),
+    GateKind.Z: ((0, 0), (1, 4)),
+    GateKind.S: ((0, 0), (1, 2)),
+    GateKind.SDG: ((0, 0), (1, 6)),
+    GateKind.T: ((0, 0), (1, 1)),
+    GateKind.TDG: ((0, 0), (1, 7)),
+    GateKind.SWAP: ((0, 0), (2, 0), (1, 0), (3, 0)),
+    GateKind.CX: ((0, 0), (1, 0), (3, 0), (2, 0)),
+    GateKind.CZ: ((0, 0), (1, 0), (2, 0), (3, 4)),
+    GateKind.CY: ((0, 0), (1, 0), (3, 2), (2, 6)),
+    GateKind.CCX: ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (7, 0), (6, 0)),
+}
 
 ORIGINS = ("original", "inserted", "substituted")
 
@@ -286,3 +309,37 @@ def _components(gates: Sequence[GateApp], n: int) -> list[tuple[list[int], list[
             relabelled = tuple(local[q] for q in g.qubits)
             parts[roots[g.qubits[0]]][1].append(GateApp(g.kind, relabelled, g.cbit))
     return list(parts.values())
+
+
+def _measured_components(
+    circuit: Circuit,
+) -> tuple[int, list[tuple[list[int], list[GateApp], list[tuple[int, int]]]]]:
+    """The key layout of a measured distribution, per component.
+
+    A key has one character per measured classical bit, the lowest classical
+    index rightmost. Returns the key width and, for each component of the
+    circuit's unmeasured gates (see ``_components``) that has a measured
+    qubit, (qubits, gates, measured): ``measured`` lists (local qubit, key
+    place) pairs by ascending place, a place counted from the right of the
+    key. Raises SimulationError when nothing is measured, or a qubit or a
+    classical bit is measured more than once.
+    """
+    pairs = measured_pairs(circuit)
+    if not pairs:
+        raise SimulationError("circuit has no measurements")
+    for what, seen in zip(("qubit", "classical bit"), zip(*pairs)):
+        twice = [x for x, times in Counter(seen).items() if times > 1]
+        if twice:
+            raise SimulationError(f"{what} {twice[0]} is measured more than once")
+    cbit_of = dict(pairs)
+    place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}
+    unitary = [g for g in circuit.gates if g.kind is not GateKind.MEASURE]
+    parts = []
+    for qubits, gates in _components(unitary, circuit.n_qubits):
+        measured = sorted(
+            ((i, place[cbit_of[q]]) for i, q in enumerate(qubits) if q in cbit_of),
+            key=lambda m: m[1],
+        )
+        if measured:
+            parts.append((qubits, gates, measured))
+    return len(pairs), parts

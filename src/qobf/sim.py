@@ -1,11 +1,15 @@
 """Dense state-vector simulator, unitary builder, and equivalence oracle.
 
-This is the ground truth every circuit pass is checked against: textbook
-gate matrices, Born-rule outcome distributions (no shot noise), and circuit
-equivalence up to global phase in three modes (statevector, unitary,
-distribution). It is the only float simulator and the only one that needs
-numpy; ``obfuscate``, ``verify``, ``report`` and ``simulate`` use it, while
-predicate models use the exact one in :mod:`qobf.exact`.
+This is the ground truth every circuit pass is checked against: Born-rule
+outcome distributions (no shot noise) and circuit equivalence up to global
+phase in three modes (statevector, unitary, distribution). It is the only
+float simulator and the only one that needs numpy; ``obfuscate``, ``verify``,
+``report`` and ``simulate`` use it, while predicate models use the exact one
+in :mod:`qobf.exact`. Both simulators apply gates from one table,
+``ir._MONOMIAL``, and lay out measured keys from one function,
+``ir._measured_components``. The textbook matrices of :func:`gate_matrix`
+are kept apart from that table, as the independent reference the applier
+is tested against.
 
 Index convention (fixed, see README): qubit 0 is the least significant bit of
 a basis-state index, and classical bit 0 is the rightmost character of an
@@ -29,7 +33,9 @@ from .ir import (
     GateSequence,
     SimulationError,
     UNITARY_KINDS,
+    _MONOMIAL,
     _components,
+    _measured_components,
     measured_pairs,
 )
 
@@ -93,58 +99,19 @@ def _as_gate_apps(obj: Circuit | GateSequence | Iterable[GateApp]) -> tuple[tupl
     return gates, implied
 
 
-def _fix(view: np.ndarray, axis: int, value: int) -> np.ndarray:
-    """Length-1 slice along one axis: always a writable view, never a scalar,
-    and no axis is dropped (so axis numbering stays stable under nesting)."""
-    idx: list = [slice(None)] * view.ndim
-    idx[axis] = slice(value, value + 1)
-    return view[tuple(idx)]
+def _view(state: np.ndarray, axes: Sequence[int], v: int) -> np.ndarray:
+    """The slice where the operands on ``axes`` read local basis state ``v``
+    (operand 0 the most significant bit): always a writable view, never a
+    scalar, and no axis is dropped."""
+    idx: list = [slice(None)] * state.ndim
+    for pos, ax in enumerate(axes):
+        bit = (v >> (len(axes) - 1 - pos)) & 1
+        idx[ax] = slice(bit, bit + 1)
+    return state[tuple(idx)]
 
 
-def _apply_1q(view: np.ndarray, axis: int, kind: GateKind) -> None:
-    """In-place single-qubit gate on one tensor axis.
-
-    Deliberately built from elementwise slice arithmetic instead of matrix
-    contraction: permutations and sign/phase flips are exact, and the H
-    combinations (a + b) / (a - b) cancel equal amplitudes to an exact float
-    zero. BLAS-backed contractions fuse multiply-adds and lose that property,
-    which the exact Born distributions rely on.
-    """
-    a = _fix(view, axis, 0)
-    b = _fix(view, axis, 1)
-    if kind is GateKind.Z:
-        b *= -1
-    elif kind is GateKind.S:
-        b *= 1j
-    elif kind is GateKind.SDG:
-        b *= -1j
-    elif kind is GateKind.T:
-        b *= _T_PHASE
-    elif kind is GateKind.TDG:
-        b *= np.conj(_T_PHASE)
-    elif kind is GateKind.X:
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-    elif kind is GateKind.Y:
-        tmp = a.copy()
-        a[...] = -1j * b
-        b[...] = 1j * tmp
-    elif kind is GateKind.H:
-        plus = (a + b) * _SQRT1_2
-        minus = (a - b) * _SQRT1_2
-        a[...] = plus
-        b[...] = minus
-    else:  # pragma: no cover - guarded by the dispatch table
-        raise SimulationError(f"not a single-qubit gate: {kind.value}")
-
-
-_CONTROLLED: dict[GateKind, tuple[int, GateKind]] = {
-    GateKind.CX: (1, GateKind.X),
-    GateKind.CY: (1, GateKind.Y),
-    GateKind.CZ: (1, GateKind.Z),
-    GateKind.CCX: (2, GateKind.X),
-}
+#: ω^e for ω = e^{iπ/4}, indexed by e; the constants the table's phases use
+_OMEGA = (1, _T_PHASE, 1j, 1j * _T_PHASE, -1, -_T_PHASE, -1j, np.conj(_T_PHASE))
 
 
 def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndarray:
@@ -153,6 +120,13 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     Mutates ``state`` in place and returns it. BARRIER is a no-op; MEASURE is
     rejected. Trailing batch axes ride along untouched, which is how the
     full-unitary builder evolves every basis column at once.
+
+    Deliberately built from elementwise slice arithmetic instead of matrix
+    contraction: every gate but H moves slices and multiplies them by a power
+    of ω (the ``_MONOMIAL`` table), which is exact, and the H combinations
+    (a + b) / (a - b) cancel equal amplitudes to an exact float zero.
+    BLAS-backed contractions fuse multiply-adds and lose that property, which
+    the exact Born distributions rely on.
     """
     for g in gates:
         if g.kind is GateKind.BARRIER:
@@ -162,21 +136,31 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
                 "circuit contains measurements; use measure_distribution"
             )
         axes = [n - 1 - q for q in g.qubits]
-        if g.kind is GateKind.SWAP:
-            ax1, ax2 = axes
-            v01 = _fix(_fix(state, ax1, 0), ax2, 1)
-            v10 = _fix(_fix(state, ax1, 1), ax2, 0)
-            tmp = v01.copy()
-            v01[...] = v10
-            v10[...] = tmp
-        elif g.kind in _CONTROLLED:
-            n_ctl, base = _CONTROLLED[g.kind]
-            view = state
-            for ax in axes[:n_ctl]:
-                view = _fix(view, ax, 1)
-            _apply_1q(view, axes[n_ctl], base)
-        else:
-            _apply_1q(state, axes[0], g.kind)
+        if g.kind is GateKind.H:
+            a = _view(state, axes, 0)
+            b = _view(state, axes, 1)
+            plus = (a + b) * _SQRT1_2
+            minus = (a - b) * _SQRT1_2
+            a[...] = plus
+            b[...] = minus
+            continue
+        table = _MONOMIAL[g.kind]
+        for v, (w, e) in enumerate(table):
+            if w == v:
+                if e:
+                    diagonal = _view(state, axes, v)
+                    diagonal *= _OMEGA[e]
+            elif v < w:
+                # every permutation in the table is an involution, so |w>
+                # maps back to |v> and the pair shares one temporary; e = 0
+                # moves a slice unmultiplied, as a product with 1 + 0j can
+                # flip the sign of a zero part
+                a = _view(state, axes, v)
+                b = _view(state, axes, w)
+                back = table[w][1]
+                tmp = a.copy()
+                a[...] = _OMEGA[back] * b if back else b
+                b[...] = _OMEGA[e] * tmp if e else tmp
     return state
 
 
@@ -263,32 +247,24 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
 
     Each connected component with a measured qubit runs and is normalized on
     its own; the distribution is the product of their marginals, and a
-    component with no measured qubit is never run.
+    component with no measured qubit is never run. The key layout is the one
+    :func:`qobf.exact.exact_probabilities` uses (``ir._measured_components``);
+    a qubit or classical bit measured more than once raises SimulationError.
 
     Measurements may appear mid-circuit; because no gate may touch a qubit
     after it is measured (an IR invariant), deferring them to the end is exact.
     """
-    pairs = measured_pairs(circuit)
-    if not pairs:
-        raise SimulationError("circuit has no measurements")
-    if len({c for _, c in pairs}) != len(pairs):
-        raise SimulationError("a classical bit is measured more than once")
+    width, parts = _measured_components(circuit)
     _check_cap(circuit.n_qubits)
-    cbit_of = dict(pairs)
-    # a classical bit's place in the key, counted from the right
-    place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}
     keys = np.zeros(1, dtype=np.int64)
     probs = np.ones(1)
-    for qubits, gates in _components(strip_measures(circuit).gates, circuit.n_qubits):
-        # measured local qubits, highest classical bit first
-        by_cbit = sorted((cbit_of[q], i) for i, q in enumerate(qubits) if q in cbit_of)[::-1]
-        if not by_cbit:
-            continue
+    for qubits, gates, measured in parts:
         n = len(qubits)
         state = _run(gates, n, partial(_basis, 0))
         marginal = (np.abs(state) ** 2).reshape((2,) * n)
         del state
-        keep_axes = [n - 1 - i for _, i in by_cbit]
+        # measured local qubits' axes, highest key place first
+        keep_axes = [n - 1 - i for i, _ in reversed(measured)]
         drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
         if drop_axes:
             marginal = marginal.sum(axis=drop_axes)
@@ -301,11 +277,10 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
         total = math.fsum(float(marginal[i]) for i in nonzero)
         # scatter each local outcome's bits to their places in the full key
         offsets = np.zeros(len(nonzero), dtype=np.int64)
-        for bit, (c, _) in enumerate(reversed(by_cbit)):
-            offsets |= ((nonzero >> bit) & 1) << place[c]
+        for bit, (_, at) in enumerate(measured):
+            offsets |= ((nonzero >> bit) & 1) << at
         keys = (keys[:, None] | offsets).reshape(-1)
         probs = (probs[:, None] * (marginal[nonzero] / total)).reshape(-1)
-    width = len(pairs)
     return {format(int(keys[i]), f"0{width}b"): float(probs[i]) for i in np.argsort(keys)}
 
 

@@ -257,6 +257,24 @@ class TestPredicate:
         rc = main(["predicate", "--kind", "multi_pair", "--pairs", "55", "-o", str(tmp_path / "x.qasm")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags, check",
+        [
+            (["--kind", "multi_pair", "--pairs", "11"], "_check_measured_model"),
+            (["--kind", "branch", "--seed", "3"], "_check_measured_model"),
+            (["--kind", "shroud"], "_check_amplitude_model"),
+        ],
+    )
+    def test_model_checked_once(self, tmp_path, monkeypatch, flags, check):
+        import qobf.predicates
+
+        qobf.predicates._built.cache_clear()
+        calls = []
+        original = getattr(qobf.predicates, check)
+        monkeypatch.setattr(qobf.predicates, check, lambda p: calls.append(p) or original(p))
+        assert main(["predicate", *flags, "-o", str(tmp_path / "p.qasm")]) == 0
+        assert len(calls) == 1
+
 
 class TestWrapCommand:
     @pytest.mark.parametrize(

@@ -141,6 +141,16 @@ class TestCaps:
         with pytest.raises(SimulationError, match="no measurements"):
             exact_distribution(Circuit(2, 0, (GateApp(GateKind.H, (0,)),)))
 
+    @pytest.mark.parametrize(
+        "pairs, named", [(((0, 0), (0, 1)), "qubit 0"), (((0, 1), (1, 1)), "classical bit 1")]
+    )
+    def test_repeated_measurement_refused_by_both(self, pairs, named):
+        measures = tuple(GateApp(GateKind.MEASURE, (q,), cbit=c) for q, c in pairs)
+        c = Circuit(2, 2, (GateApp(GateKind.H, (0,)),) + measures)
+        for distribution in (exact_distribution, measure_distribution):
+            with pytest.raises(SimulationError, match=f"{named} is measured more than once"):
+                distribution(c)
+
 
 def test_mid_circuit_measurement_deferred():
     gates = (GateApp(GateKind.H, (0,)), GateApp(GateKind.MEASURE, (0,), cbit=1),

@@ -193,7 +193,21 @@ class TestUnitaryOf:
             qubits = tuple(rng.sample(range(n), ARITY[kind]))
             via_applier = unitary_of([GateApp(kind, qubits)], n_qubits=n)
             by_hand = self._embed_by_hand(kind, qubits, n)
-            assert np.max(np.abs(via_applier - by_hand)) < 1e-12, (kind, qubits)
+            assert np.array_equal(via_applier, by_hand), (kind, qubits)
+
+    @pytest.mark.parametrize("kind", [K.X, K.SWAP, K.CX, K.CCX])
+    def test_permutation_moves_bits_unchanged(self, kind):
+        # array_equal ignores the sign of a zero part; the bytes do not
+        from qobf.ir import ARITY
+
+        n = 3
+        rng = np.random.default_rng(3)
+        state = np.empty(2**n, dtype=complex)
+        state.real, state.imag = rng.choice([0.0, -0.0, 0.5, -0.5], (2, 2**n))
+        qubits = tuple(range(ARITY[kind]))
+        moved = _run([GateApp(kind, qubits)], n, lambda dim: state.copy())
+        source = np.argmax(np.abs(self._embed_by_hand(kind, qubits, n)), axis=1)
+        assert moved.tobytes() == state[source].tobytes()
 
 
 class TestMeasureDistribution:
