@@ -27,8 +27,6 @@ from .ir import (
     METHODS,
     PREDICATE_KINDS,
     Circuit,
-    GateApp,
-    GateKind,
     SimulationError,
     measured_pairs,
     validate,
@@ -126,10 +124,6 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         ruleset = report.accepted
     with _warnings_to_stderr():
         obfuscated = apply_pass(args.method, circuit, cfg, ruleset)
-    if args.corrupt_output:  # test-only hook for the soundness gate
-        obfuscated = obfuscated.with_gates(
-            obfuscated.gates + (GateApp(GateKind.X, (0,), origin="inserted"),)
-        )
     # the equivalence check strips measurements, so they are checked here
     problems = [str(d) for d in validate(obfuscated) if d.is_error]
     if measured_pairs(obfuscated) != measured_pairs(circuit):
@@ -298,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", type=float, default=1.0)
     p.add_argument("--ruleset", help="substitution-rule file for --method cloaked")
     p.add_argument("--report", help="also write a JSON overhead report here")
-    p.add_argument("--corrupt-output", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_obfuscate)
 

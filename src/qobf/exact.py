@@ -17,8 +17,12 @@ state, and a component wider than MAX_EXACT_QUBITS raises SimulationError.
 Values leave the ring once, at the end, each rounded to the nearest float.
 
 This is the predicate side's simulator: opaque-predicate models, branch
-resolution and wrapped programs use it. The dense float simulator in
-:mod:`qobf.sim` serves the circuit passes and the equivalence oracle.
+resolution and wrapped programs use it. It also decides the circuit passes'
+small equivalences: :func:`identity_phase` tells whether a substitution rule
+or a delayed wrapper with its block acts as the identity up to a global
+phase, by exact equality, with no tolerance. The dense float simulator in
+:mod:`qobf.sim` serves the equivalence oracle, whose states are too large
+for the ring.
 """
 
 from __future__ import annotations
@@ -108,14 +112,15 @@ def _times_omega(z: Amplitude, e: int) -> Amplitude:
     return (-a, -b, -c, -d) if e & 4 else (a, b, c, d)
 
 
-def _run(gates: Sequence[GateApp], n: int) -> tuple[list[Amplitude], int]:
-    """Numerators of the state the gates make from |0...0>, and their shared k."""
+def _run(gates: Sequence[GateApp], n: int, start: int = 0) -> tuple[list[Amplitude], int]:
+    """Numerators of the state the gates make from basis state |start>, and
+    their shared k."""
     if n > MAX_EXACT_QUBITS:
         raise SimulationError(
             f"{n}-qubit component exceeds the {MAX_EXACT_QUBITS}-qubit exact simulator cap"
         )
     state = [_ZERO_AMPLITUDE] * (1 << n)
-    state[0] = (1, 0, 0, 0)
+    state[start] = (1, 0, 0, 0)
     k = 0
     for g in gates:
         if g.kind is GateKind.BARRIER:
@@ -157,6 +162,34 @@ def _real_part(x: int, y: int, k: int) -> Dyadic:
     """(x + y/√2) / √2^k as a Dyadic."""
     j, odd = divmod(k, 2)
     return Dyadic(y, x, j + 1) if odd else Dyadic(2 * x, y, j + 1)
+
+
+def _complex(z: Amplitude, k: int) -> complex:
+    """z/√2^k, each part rounded once to the nearest float."""
+    # a + bω + cω² + dω³ = (a + (b - d)/√2) + i(c + (b + d)/√2)
+    a, b, c, d = z
+    return complex(float(_real_part(a, b - d, k)), float(_real_part(c, b + d, k)))
+
+
+def identity_phase(gates: Sequence[GateApp], n: int) -> complex | None:
+    """c if the unmeasured gates act on n qubits as c·I, else None.
+
+    Runs each basis state |s> and asks that it come back as c·|s>, with one
+    numerator c for every s and no other nonzero entry. Every s shares one k
+    (the number of H gates) and the numerator's four integers are unique, so
+    this is exact equality of unitaries up to a global phase; c then has unit
+    modulus and is a power of ω. It is rounded once, as an amplitude is.
+    """
+    phase = None
+    for s in range(1 << n):
+        state, k = _run(gates, n, s)
+        if phase is None:
+            phase = state[s]
+        column = [_ZERO_AMPLITUDE] * len(state)
+        column[s] = phase
+        if phase == _ZERO_AMPLITUDE or state != column:
+            return None
+    return _complex(phase, k)
 
 
 def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:
@@ -203,8 +236,4 @@ def exact_amplitudes(circuit: Circuit) -> tuple[complex, ...]:
     applies to the circuit's width.
     """
     state, k = _run(circuit.gates, circuit.n_qubits)
-    # a + bω + cω² + dω³ = (a + (b - d)/√2) + i(c + (b + d)/√2)
-    return tuple(
-        complex(float(_real_part(a, b - d, k)), float(_real_part(c, b + d, k)))
-        for a, b, c, d in state
-    )
+    return tuple(_complex(z, k) for z in state)

@@ -90,6 +90,14 @@ _MONOMIAL: dict[GateKind, tuple[tuple[int, int], ...]] = {
     GateKind.CCX: ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (7, 0), (6, 0)),
 }
 
+#: the inverse of each kind that is not its own inverse
+_INVERSE: dict[GateKind, GateKind] = {
+    GateKind.S: GateKind.SDG,
+    GateKind.SDG: GateKind.S,
+    GateKind.T: GateKind.TDG,
+    GateKind.TDG: GateKind.T,
+}
+
 ORIGINS = ("original", "inserted", "substituted")
 
 #: opaque-predicate kinds (see :mod:`qobf.predicates`) and circuit pass

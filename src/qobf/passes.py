@@ -5,11 +5,15 @@ Four transforms, each a seeded deterministic Circuit -> Circuit function:
   * inverse_gates_pass   - insert adjacent (G, G_inverse) pairs at random sites
   * composite_gates_pass - insert an auxiliary/restore block pair (product is
     the identity) as composite boxes, plus decoy boxes around original gates
-  * cloaked_gates_pass   - replace gates with oracle-verified equivalent
+  * cloaked_gates_pass   - replace gates with verified equivalent
     substitution sequences
   * delayed_gates_pass   - wrap a gate block B in a sequence D on both sides;
-    committed only when the oracle confirms D.B.D acts like B up to global
-    phase
+    committed only when D.B.D acts like B up to global phase
+
+Both checks are exact: :func:`qobf.exact.identity_phase` decides, in the
+ring Z[1/√2, i] and with no tolerance, whether a rule's replacement followed
+by the target's inverse, or the miter D.B.D.B⁻¹, is a global phase times the
+identity on its own few qubits.
 
 Insertion sites are chosen by an independent coin per site with probability
 equal to ``intensity``, drawn from a generator seeded by ``seed``, so a given
@@ -28,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .exact import identity_phase
 from .ir import (
     ARITY,
     METHODS,
@@ -36,11 +41,10 @@ from .ir import (
     GateKind,
     GateSequence,
     UNITARY_KINDS,
+    _INVERSE,
 )
-from .sim import proportional, unitary_of
+from .sim import unitary_of
 
-COMMIT_TOL = 1e-9
-RULE_TOL = 1e-10
 MAX_DRAWS = 32
 
 
@@ -149,34 +153,56 @@ class RulesetReport:
         return "\n".join(lines)
 
 
+def _check_slots(seq: GateSequence) -> None:
+    """Refuse a gate that is not unitary or has the wrong number of slots, a
+    negative slot, a slot named twice by one gate, or more than 3 slots in
+    all, before anything is simulated."""
+    for kind, slots in seq.gates:
+        if kind not in UNITARY_KINDS or len(slots) != ARITY[kind]:
+            raise RulesetError(
+                f"sequence {seq.name!r}: {kind.value}{slots} is not a unitary gate on its arity"
+            )
+        if min(slots) < 0 or len(set(slots)) != len(slots):
+            raise RulesetError(
+                f"sequence {seq.name!r}: {kind.value}{slots} needs distinct non-negative slots"
+            )
+    if seq.n_slots > 3:
+        raise RulesetError(f"sequence {seq.name!r} uses {seq.n_slots} slots; at most 3 allowed")
+
+
+def _inverse(gates: Sequence[GateApp]) -> list[GateApp]:
+    """The gates that undo ``gates``: reversed, each kind inverted."""
+    return [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(gates)]
+
+
 def effective_unitary(seq: GateSequence, n_qubits: int | None = None) -> np.ndarray:
     """Matrix of a slot sequence in application order (computed, never trusted),
     on ``n_qubits`` qubits (default: the sequence's own slot count)."""
-    if seq.n_slots > 3:
-        raise RulesetError(f"sequence {seq.name!r} uses {seq.n_slots} slots; at most 3 allowed")
+    _check_slots(seq)
     return unitary_of(seq, n_qubits=n_qubits)
 
 
 def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetReport:
-    """Oracle-check every rule: replacement must equal the target up to a
-    unit-modulus global phase within 1e-10. Rules that fail come back in
-    ``rejected`` together with their computed effective unitary, and are never
-    applied by any pass.
+    """Check every rule exactly: the replacement followed by the target's
+    inverse must be a global phase times the identity
+    (:func:`qobf.exact.identity_phase`), and that phase, a power of ω, is the
+    rule's ``phase_factor``. Rules that fail come back in ``rejected``
+    together with their effective unitary, and are never applied by any pass.
     """
     accepted: list[SubstitutionRule] = []
     rejected: list[RejectedRule] = []
     for target, seq in rules:
         if target not in UNITARY_KINDS:
             raise RulesetError(f"rule target {target.value!r} is not a unitary gate")
+        _check_slots(seq)
         arity = ARITY[target]
         n = max(arity, seq.n_slots)
-        effective = effective_unitary(seq, n_qubits=n)
-        target_u = unitary_of([GateApp(target, tuple(range(arity)))], n_qubits=n)
-        ok, phase = proportional(effective, target_u, tol=RULE_TOL)
-        if ok:
-            accepted.append(SubstitutionRule(target, seq, True, phase))
+        replacement = [GateApp(kind, slots) for kind, slots in seq.gates]
+        phase = identity_phase(replacement + _inverse([GateApp(target, tuple(range(arity)))]), n)
+        if phase is None:
+            rejected.append(RejectedRule(target, seq, effective_unitary(seq, n_qubits=n)))
         else:
-            rejected.append(RejectedRule(target, seq, effective))
+            accepted.append(SubstitutionRule(target, seq, True, phase))
     return RulesetReport(tuple(accepted), tuple(rejected))
 
 
@@ -210,7 +236,10 @@ def load_ruleset(path: str | Path | None = None) -> list[tuple[GateKind, GateSeq
                 raise RulesetError(f"{path}:{lineno}: unknown gate {name!r}")
             kind = names[name]
             if slot_text:
-                slots = tuple(int(s) for s in slot_text.rstrip(")").split(","))
+                try:
+                    slots = tuple(int(s) for s in slot_text.rstrip(")").split(","))
+                except ValueError:
+                    raise RulesetError(f"{path}:{lineno}: {tok}: slots must be integers") from None
             else:
                 slots = tuple(range(ARITY[kind]))
             if len(slots) != ARITY[kind]:
@@ -218,7 +247,12 @@ def load_ruleset(path: str | Path | None = None) -> list[tuple[GateKind, GateSeq
             gates.append((kind, slots))
         if not gates:
             raise RulesetError(f"{path}:{lineno}: empty replacement sequence")
-        rules.append((target, GateSequence("-".join(rhs.split()), tuple(gates))))
+        seq = GateSequence("-".join(rhs.split()), tuple(gates))
+        try:
+            _check_slots(seq)
+        except RulesetError as exc:
+            raise RulesetError(f"{path}:{lineno}: {exc}") from None
+        rules.append((target, seq))
     return rules
 
 
@@ -403,7 +437,7 @@ def cloaked_gates_pass(
 def _delayed_commit_check(
     wrapper: GateSequence, wrapper_qubits: Sequence[int], block: Sequence[GateApp]
 ) -> bool:
-    """Oracle test: does wrapper . block . wrapper equal block up to global phase?
+    """Does wrapper . block . wrapper equal block up to global phase?
 
     The touched qubits are relabelled 0, 1, 2 in first-touch order (block
     first, then the wrapper's extra qubits), so every placement of the same
@@ -433,8 +467,10 @@ def _commit_verdict(
     wrapper_slots: tuple[int, ...],
     block: tuple[tuple[GateKind, tuple[int, ...]], ...],
 ) -> bool:
-    """The delayed commit check on local labels: builds both unitaries once
-    per distinct (wrapper, slot labels, block) key.
+    """The delayed commit check on local labels, decided once per distinct
+    (wrapper, slot labels, block) key: wrapper . block . wrapper equals block
+    up to global phase exactly when the miter wrapper . block . wrapper .
+    block⁻¹ is a global phase times the identity.
 
     The key space is finite: 1-3 gates of the 13 unitary kinds on at most
     3 first-touch labels, times the wrappers' slot placements, is 719,130
@@ -446,11 +482,8 @@ def _commit_verdict(
     wrapper_local = [
         GateApp(kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates
     ]
-    u_block = unitary_of(block_local, n_qubits=m)
-    u_wrap = unitary_of(wrapper_local, n_qubits=m)
-    combined = u_wrap @ u_block @ u_wrap
-    ok, _ = proportional(combined, u_block, tol=COMMIT_TOL)
-    return ok
+    miter = wrapper_local + block_local + wrapper_local + _inverse(block_local)
+    return identity_phase(miter, m) is not None
 
 
 def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
@@ -458,8 +491,8 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
 
     For each candidate block start (coin per original unitary gate), up to
     MAX_DRAWS (wrapper, block, qubit-mapping) combinations are tried; an
-    insertion is committed only when the oracle confirms the wrapped block
-    still acts like the block alone, up to global phase, within 1e-9. Sites
+    insertion is committed only when the wrapped block acts exactly like the
+    block alone, up to global phase (:func:`_commit_verdict`). Sites
     are processed right to left so committed insertions do not shift pending
     candidate positions.
     """

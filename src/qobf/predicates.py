@@ -265,18 +265,30 @@ def branch_predicate(seed: int = 0) -> PredicateCircuit:
     return p
 
 
+#: each kind's generator parameter and its default ("" if it takes none)
+_PARAMETER: dict[str, tuple[str, int]] = {
+    "bell": ("", 0),
+    "multi_pair": ("n_pairs", 8),
+    "shroud": ("", 0),
+    "branch": ("seed", 0),
+}
+
+
 def make_predicate(kind: str, params: Mapping[str, int] | None = None) -> PredicateCircuit:
     """Build a predicate by kind name (used by the wrapper and the CLI).
 
-    Each kind and parameter is built, and its model checked, once per
-    process; a later call returns the same frozen predicate.
+    A parameter name the kind does not take raises PredicateError. Each kind
+    and parameter is built, and its model checked, once per process; a later
+    call returns the same frozen predicate.
     """
+    if kind not in _PARAMETER:
+        raise PredicateError(f"unknown predicate kind {kind!r}")
+    name, default = _PARAMETER[kind]
     params = dict(params or {})
-    if kind == "multi_pair":
-        return _built(kind, int(params.get("n_pairs", 8)))
-    if kind == "branch":
-        return _built(kind, int(params.get("seed", 0)))
-    return _built(kind, 0)
+    for key in params:
+        if key != name:
+            raise PredicateError(f"predicate kind {kind!r} takes no parameter {key!r}")
+    return _built(kind, int(params.get(name, default)))
 
 
 @lru_cache(maxsize=32)
@@ -287,6 +299,4 @@ def _built(kind: str, param: int) -> PredicateCircuit:
         return multi_pair_predicate(param)
     if kind == "shroud":
         return shroud_predicate()
-    if kind == "branch":
-        return branch_predicate(param)
-    raise PredicateError(f"unknown predicate kind {kind!r}")
+    return branch_predicate(param)

@@ -42,10 +42,9 @@ from .ir import (
 MAX_SIM_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
 
-#: max entry deviation of the phase-aligned output states in statevector mode
-SV_TOL = 1e-9
-#: max entry deviation of the phase-aligned unitaries in unitary mode
-UNITARY_TOL = 1e-9
+#: max entry deviation of the phase-aligned output states (statevector mode)
+#: or unitaries (unitary mode)
+PHASE_TOL = 1e-9
 #: total-variation threshold for distribution-mode equivalence
 DIST_TOL = 1e-9
 
@@ -284,7 +283,7 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
     return {format(int(keys[i]), f"0{width}b"): float(probs[i]) for i in np.argsort(keys)}
 
 
-def proportional(u: np.ndarray, v: np.ndarray, tol: float = UNITARY_TOL) -> tuple[bool, complex]:
+def proportional(u: np.ndarray, v: np.ndarray, tol: float = PHASE_TOL) -> tuple[bool, complex]:
     """Is u == phase * v for a unit-modulus scalar phase? Returns (ok, phase).
 
     The phase is read off the largest-modulus entry of ``v``, so it stays well
@@ -314,14 +313,14 @@ def _statevector_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
     n = c1.n_qubits
     out1 = _run(c1.gates, n, _stimulus)
     out2 = _run(c2.gates, n, _stimulus)
-    ok, _ = proportional(out1, out2, tol=SV_TOL)
+    ok, _ = proportional(out1, out2)
     return ok, float(abs(np.vdot(out1, out2)))
 
 
 def _unitary_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
     u1 = unitary_of(c1)
     u2 = unitary_of(c2)
-    ok, _ = proportional(u1, u2, tol=UNITARY_TOL)
+    ok, _ = proportional(u1, u2)
     fidelity = float(abs(np.trace(u1.conj().T @ u2)) / len(u1))
     return ok, fidelity
 

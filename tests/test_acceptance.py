@@ -51,6 +51,7 @@ from qobf.predicates import (
 from qobf.qasm import emit, parse
 from qobf.sim import equivalent, gate_matrix, measure_distribution, simulate, unitary_of
 from qobf.wrapper import SourceBlock, extract_branch_body, extract_payload, resolve_branches, wrap
+import qobf.cli
 from qobf.cli import main as cli_main
 from strategies import random_circuit
 
@@ -311,7 +312,7 @@ def test_criterion_09_overhead_direction():
     _report(9, "overhead direction and report round trip", bool(ok), "; ".join(details) or "strict at intensity 1")
 
 
-def test_criterion_10_cli_end_to_end(tmp_path):
+def test_criterion_10_cli_end_to_end(tmp_path, monkeypatch):
     ok = True
     for name, circuit in standard_fixtures().items():
         src = tmp_path / f"{name}.qasm"
@@ -323,11 +324,17 @@ def test_criterion_10_cli_end_to_end(tmp_path):
             )
             ok &= rc == 0
             ok &= cli_main(["verify", str(src), str(out)]) == 0
+
+    def corrupting_pass(method, circuit, cfg, ruleset=None):
+        out = apply_pass(method, circuit, cfg, ruleset)
+        return out.with_gates(out.gates + (GateApp(GateKind.X, (0,), origin="inserted"),))
+
+    monkeypatch.setattr(qobf.cli, "apply_pass", corrupting_pass)
     rc = cli_main(
         [
-            "obfuscate", "--method", "inverse", "--corrupt-output",
+            "obfuscate", "--method", "inverse",
             str(tmp_path / "bv6.qasm"), "-o", str(tmp_path / "corrupt.qasm"),
         ]
     )
     ok &= rc == 3 and not (tmp_path / "corrupt.qasm").exists()
-    _report(10, "CLI end-to-end with soundness gate", bool(ok), "12 pipelines + corruption hook")
+    _report(10, "CLI end-to-end with soundness gate", bool(ok), "12 pipelines + corrupted pass")

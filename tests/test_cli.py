@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -52,22 +53,6 @@ class TestObfuscate:
         assert "2000000000 qubits exceeds the 24-qubit simulator cap" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_corruption_hook_trips_soundness_gate(self, qasm_dir, capsys):
-        rc = main(
-            [
-                "obfuscate",
-                "--method",
-                "inverse",
-                "--corrupt-output",
-                str(qasm_dir / "qaoa_ring4.qasm"),
-                "-o",
-                str(qasm_dir / "never.qasm"),
-            ]
-        )
-        assert rc == 3
-        assert not (qasm_dir / "never.qasm").exists()
-        assert "refusing to write" in capsys.readouterr().err
-
     def test_failing_ruleset_warns_and_copies(self, qasm_dir, capsys):
         rules = qasm_dir / "failing.rules"
         rules.write_text("x: s y s\nx: h y h\n")
@@ -79,6 +64,17 @@ class TestObfuscate:
         assert rc == 0
         assert "no applicable rules" in capsys.readouterr().err
         assert out.read_text() == src.read_text()
+
+    @pytest.mark.parametrize("rule", ["x: cx(0,0)", "cx: x(-1)", "x: x(0,x)"])
+    def test_malformed_rule_slots_exit_2(self, rule, qasm_dir, capsys):
+        rules = qasm_dir / "malformed.rules"
+        rules.write_text(f"# one bad rule\n{rule}\n")
+        out = qasm_dir / "never.qasm"
+        rc = main(["obfuscate", "--method", "cloaked", "--ruleset", str(rules),
+                   str(qasm_dir / "bv6.qasm"), "-o", str(out)])
+        assert rc == 2
+        assert f"{rules}:2:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_written(self, qasm_dir):
         out = qasm_dir / "obf.qasm"
@@ -101,6 +97,28 @@ class TestObfuscate:
         assert main(args + ["-o", str(a)]) == 0
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+#: sha256 over the 120-file obfuscate corpus below. A change that means to
+#: alter the emitted bytes updates this digest and says so in CHANGES.md.
+CORPUS_SHA256 = "cda305ac7fe9ef8e78a3c42326f05c72ac97325413f0dbf4b38c534f2cb09f0c"
+
+
+def test_obfuscate_corpus_bytes_pinned(qasm_dir):
+    """Output stays byte-identical for a given (input, method, seed, intensity)."""
+    digest = hashlib.sha256()
+    for fixture in ["bv6", "qaoa_ring4", "period7"]:
+        for method in METHODS:
+            for seed in [0, 1, 5, 42, 706]:
+                for intensity in ["1.0", "0.5"]:
+                    out = qasm_dir / "corpus.qasm"
+                    rc = main(["obfuscate", "--method", method, "--seed", str(seed),
+                               "--intensity", intensity, str(qasm_dir / f"{fixture}.qasm"),
+                               "-o", str(out)])
+                    assert rc == 0
+                    digest.update(f"{fixture} {method} {seed} {intensity}\n".encode())
+                    digest.update(out.read_bytes())
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 def _inject_after_pass(kind: GateKind, seed: int):

@@ -14,6 +14,7 @@ from qobf.exact import (
     exact_amplitudes,
     exact_distribution,
     exact_probabilities,
+    identity_phase,
 )
 from qobf.ir import Circuit, GateApp, GateKind, SimulationError
 from qobf.predicates import (
@@ -158,3 +159,44 @@ def test_mid_circuit_measurement_deferred():
              GateApp(GateKind.MEASURE, (1,), cbit=0))
     c = Circuit(2, 2, gates)
     assert exact_distribution(c) == {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}
+
+
+def _gates(*spec):
+    return [GateApp(GateKind(name), qubits) for name, qubits in spec]
+
+
+class TestIdentityPhase:
+    @pytest.mark.parametrize(
+        "gates, n",
+        [
+            (_gates(("x", (0,))), 1),  # a permutation with no fixed point
+            (_gates(("swap", (0, 1))), 2),  # fixes |00> and |11>, moves the rest
+            (_gates(("z", (0,))), 1),  # diagonal, not a scalar
+            (_gates(("cz", (0, 1))), 2),
+            (_gates(("h", (0,))), 1),
+            (_gates(("x", (1,))), 2),  # the identity on qubit 0 only
+        ],
+        ids=["x", "swap", "z", "cz", "h", "x-on-one-of-two"],
+    )
+    def test_not_a_scalar(self, gates, n):
+        assert identity_phase(gates, n) is None
+
+    @pytest.mark.parametrize(
+        "gates, n, phase",
+        [
+            ([], 2, 1),
+            (_gates(("h", (0,)), ("h", (0,))), 1, 1),
+            (_gates(("x", (0,)), ("z", (0,)), ("x", (0,)), ("z", (0,))), 1, -1),
+            (_gates(("s", (0,)), ("h", (0,))) * 3, 1, complex(math.sqrt(0.5), math.sqrt(0.5))),
+            (_gates(("cx", (0, 1)), ("cx", (1, 0)), ("cx", (0, 1)), ("swap", (0, 1))), 2, 1),
+            (_gates(("ccx", (0, 1, 2)), ("barrier", (0, 1, 2)), ("ccx", (0, 1, 2))), 3, 1),
+        ],
+        ids=["empty", "hh", "xzxz", "sh-cubed", "cx3-swap", "ccx-ccx"],
+    )
+    def test_exact_phase(self, gates, n, phase):
+        # == on floats: ω comes back as the correctly rounded √½ in both parts
+        assert identity_phase(gates, n) == phase
+
+    def test_measurement_refused(self):
+        with pytest.raises(SimulationError, match="measurements"):
+            identity_phase([GateApp(GateKind.MEASURE, (0,), cbit=0)], 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import qobf.passes
+from qobf.exact import identity_phase
 from qobf.ir import ARITY, UNITARY_KINDS, Circuit, GateApp, GateKind, flatten, gate_count, same_gates
 from qobf.passes import (
     AUXILIARY_SEQUENCE,
@@ -34,6 +36,17 @@ from qobf.sim import equivalent, gate_matrix, proportional, unitary_of
 from strategies import random_circuit
 
 K = GateKind
+
+
+def _float_verdict(wrapper, wrapper_slots, block) -> bool:
+    """The dense float reference for a commit-verdict key: D.B.D ~ B within 1e-9."""
+    m = 1 + max(*wrapper_slots, *(q for _, qubits in block for q in qubits))
+    u_block = unitary_of([GateApp(kind, qubits) for kind, qubits in block], n_qubits=m)
+    u_wrap = unitary_of(
+        [GateApp(kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates],
+        n_qubits=m,
+    )
+    return proportional(u_wrap @ u_block @ u_wrap, u_block, tol=1e-9)[0]
 
 
 def cfg(method: str, seed: int = 1, intensity: float = 1.0) -> ObfuscationConfig:
@@ -77,9 +90,8 @@ class TestVerifyRuleset:
         rejected = {r.replacement.name for r in report.rejected}
         assert set(accepted) == {"h-z-h", "z-h-z-h-z", "sdg-y-s"}
         assert rejected == {"s-y-s", "h-y-h", "s-z-y-z-s"}
-        assert accepted["h-z-h"] == pytest.approx(1.0, abs=1e-10)
-        assert accepted["z-h-z-h-z"] == pytest.approx(-1.0, abs=1e-10)
-        assert accepted["sdg-y-s"] == pytest.approx(-1.0, abs=1e-10)
+        # decided in the exact ring, so the phases are exact powers of ω
+        assert accepted == {"h-z-h": 1, "z-h-z-h-z": -1, "sdg-y-s": -1}
 
     def test_rejected_carry_effective_unitary(self):
         report = default_verified_rules()
@@ -131,6 +143,40 @@ class TestVerifyRuleset:
         wide = type(INVERSE_PAIRS[0])("wide", ((K.CCX, (0, 1, 2)), (K.X, (3,))))
         with pytest.raises(RulesetError, match="4 slots"):
             verify_ruleset([(K.X, wide)])
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("x: cx(0,0)", r"cx\(0, 0\) needs distinct non-negative slots"),
+            ("cx: x(-1)", r"x\(-1,\) needs distinct non-negative slots"),
+            ("x: x(0,x)", r"x\(0,x\): slots must be integers"),
+        ],
+    )
+    def test_malformed_slots_rejected_with_location(self, rule, message, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(f"h: h h h\n{rule}\n")
+        with pytest.raises(RulesetError, match=f"bad.rules:2: .*{message}"):
+            load_ruleset(bad)
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            ((K.CX, (0, 0)), "distinct non-negative slots"),
+            ((K.CX, (-1, 0)), "distinct non-negative slots"),
+            ((K.CX, (0,)), "not a unitary gate on its arity"),
+            ((K.MEASURE, (0,)), "not a unitary gate on its arity"),
+        ],
+        ids=["repeated", "negative", "short", "measure"],
+    )
+    def test_malformed_slots_rejected_before_simulation(self, gate, message, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated a malformed rule")
+
+        monkeypatch.setattr(qobf.passes, "identity_phase", no_simulation)
+        monkeypatch.setattr(qobf.passes, "unitary_of", no_simulation)
+        seq = type(INVERSE_PAIRS[0])("bad", (gate,))
+        with pytest.raises(RulesetError, match=message):
+            verify_ruleset([(K.CX, seq)])
 
 
 class TestInversePass:
@@ -310,26 +356,41 @@ class TestDelayedPass:
         assert any(verdicts) and not all(verdicts)
         assert _commit_verdict.cache_info().hits >= checked > 200
 
-    def test_unitaries_built_once_per_distinct_check(self, monkeypatch):
-        calls = {"unitary_of": 0}
+    def test_identity_checked_once_per_distinct_key(self, monkeypatch):
+        calls = {"identity_phase": 0}
         keys = []
 
-        def counting_unitary_of(*args, **kwargs):
-            calls["unitary_of"] += 1
-            return unitary_of(*args, **kwargs)
+        def counting_identity_phase(*args):
+            calls["identity_phase"] += 1
+            return identity_phase(*args)
 
         def recording_verdict(*key):
             keys.append(key)
             return _commit_verdict(*key)
 
-        monkeypatch.setattr(qobf.passes, "unitary_of", counting_unitary_of)
+        monkeypatch.setattr(qobf.passes, "identity_phase", counting_identity_phase)
         monkeypatch.setattr(qobf.passes, "_commit_verdict", recording_verdict)
         _commit_verdict.cache_clear()
         c = random_circuit(random.Random(5), max_qubits=6, max_gates=300)
         out = delayed_gates_pass(c, cfg("delayed", seed=5))
         assert gate_count(out).total > gate_count(c).total
         assert len(keys) > 2 * len(set(keys))
-        assert 0 < calls["unitary_of"] <= 2 * len(set(keys))
+        assert 0 < calls["identity_phase"] <= len(set(keys))
+
+    def test_every_one_gate_key_matches_float_reference(self):
+        """Every (wrapper, slot labels, one-gate block) key the relabelling can
+        produce, and a few it cannot, gets the dense float verdict."""
+        accepted = checked = 0
+        for kind in sorted(UNITARY_KINDS, key=lambda k: k.value):
+            block = ((kind, tuple(range(ARITY[kind]))),)
+            for wrapper in DELAYED_SEQUENCES:
+                width = max(ARITY[kind], wrapper.n_slots)
+                for slots in itertools.permutations(range(width), wrapper.n_slots):
+                    verdict = _commit_verdict(wrapper, slots, block)
+                    assert verdict == _float_verdict(wrapper, slots, block), (kind, wrapper.name, slots)
+                    accepted += verdict
+                    checked += 1
+        assert checked == 182 and 0 < accepted < checked
 
 
 class TestPassProperties:

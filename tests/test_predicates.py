@@ -18,6 +18,7 @@ from qobf.predicates import (
     shroud_predicate,
 )
 from qobf.sim import measure_distribution, simulate, strip_measures
+from qobf.wrapper import SourceBlock, wrap
 
 S2 = 1 / math.sqrt(2)
 
@@ -218,3 +219,15 @@ class TestMakePredicate:
     def test_unknown_kind(self):
         with pytest.raises(PredicateError):
             make_predicate("chsh")
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("multi_pair", {"pairs": 3}), ("branch", {"n_pairs": 2}), ("bell", {"seed": 1}),
+         ("shroud", {"n_pairs": 2})],
+    )
+    def test_parameter_the_kind_does_not_take(self, kind, params):
+        (name,) = params
+        with pytest.raises(PredicateError, match=f"{kind!r} takes no parameter {name!r}"):
+            make_predicate(kind, params)
+        with pytest.raises(PredicateError, match=f"takes no parameter {name!r}"):
+            wrap(SourceBlock("print(1)\n"), kind, params)
