@@ -168,12 +168,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _predicate_params(args: argparse.Namespace) -> dict[str, int]:
-    """Generator parameters of ``--kind``, taken from ``--pairs`` or ``--seed``."""
-    if args.kind == "multi_pair":
-        return {"n_pairs": args.pairs}
-    if args.kind == "branch":
-        return {"seed": args.seed}
-    return {}
+    """``--kind``'s own parameter from ``--pairs`` or ``--seed``, if given (else
+    ``make_predicate`` applies its default); other kinds' flags are ignored."""
+    from .predicates import KINDS
+
+    name = KINDS[args.kind].parameter
+    value = getattr(args, name, None)
+    return {} if value is None else {name: value}
 
 
 def cmd_predicate(args: argparse.Namespace) -> int:
@@ -304,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predicate", help="generate an opaque-predicate circuit")
     p.add_argument("--kind", choices=PREDICATE_KINDS, required=True)
-    p.add_argument("--pairs", type=int, default=8, help="pair count for multi_pair")
-    p.add_argument("--seed", type=int, default=0, help="decoy-segment seed for branch")
+    p.add_argument("--pairs", type=int, dest="n_pairs", metavar="PAIRS",
+                   help="pair count for multi_pair")
+    p.add_argument("--seed", type=int, help="decoy-segment seed for branch")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--model", help="outcome-model JSON path (default: <output>.model.json)")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -316,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=PREDICATE_KINDS, required=True)
     p.add_argument("--mode", choices=("duplicate_payload", "dead_decoy", "restart"),
                    help="decoy policy (defaults to the kind's canonical mode)")
-    p.add_argument("--pairs", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=int, dest="n_pairs", metavar="PAIRS")
+    p.add_argument("--seed", type=int)
     p.add_argument("--decoy-seed", type=int, default=0)
     p.add_argument("--decoy-statements", type=int, default=2)
     p.add_argument("--template", default="qobf-inline")

@@ -24,6 +24,7 @@ on a qubit after that qubit has been measured.
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -206,11 +207,18 @@ def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetRep
     return RulesetReport(tuple(accepted), tuple(rejected))
 
 
+#: one replacement gate: a name, or a name and a bracketed slot list
+_GATE_TOKEN = re.compile(r"(\w+)(?:\(([^()]*)\))?")
+#: a slot list with a space inside, which would split it into two tokens
+_SPACED_SLOTS = re.compile(r"\w*\([^()]*\s[^()]*\)")
+
+
 def load_ruleset(path: str | Path | None = None) -> list[tuple[GateKind, GateSequence]]:
     """Read substitution rules from a text file: one rule per line,
     ``target: gate gate ...``. Multi-qubit gates in a replacement take an
-    explicit slot list, e.g. ``cx(0,1)``; a bare name means slots 0..arity-1.
-    ``#`` starts a comment. Passing None loads the shipped default file.
+    explicit slot list without spaces, e.g. ``cx(0,1)``; a bare name means
+    slots 0..arity-1. ``#`` starts a comment. Passing None loads the shipped
+    default file. Errors name the line as ``path:lineno``.
     """
     if path is None:
         path = Path(__file__).parent / "data" / "rules" / "default_cloaked.rules"
@@ -228,16 +236,21 @@ def load_ruleset(path: str | Path | None = None) -> list[tuple[GateKind, GateSeq
         if target_name not in names or names[target_name] not in UNITARY_KINDS:
             raise RulesetError(f"{path}:{lineno}: unknown target gate {target_name!r}")
         target = names[target_name]
+        spaced = _SPACED_SLOTS.search(rhs)
+        if spaced:
+            raise RulesetError(f"{path}:{lineno}: {spaced.group(0)}: space inside a slot list")
         gates: list[tuple[GateKind, tuple[int, ...]]] = []
         for tok in rhs.split():
-            name, _, slot_text = tok.partition("(")
-            name = name.strip().lower()
+            match = _GATE_TOKEN.fullmatch(tok)
+            if match is None:
+                raise RulesetError(f"{path}:{lineno}: {tok}: expected 'gate' or 'gate(slot,...)'")
+            name, slot_text = match.group(1).lower(), match.group(2)
             if name not in names or names[name] not in UNITARY_KINDS:
                 raise RulesetError(f"{path}:{lineno}: unknown gate {name!r}")
             kind = names[name]
-            if slot_text:
+            if slot_text is not None:
                 try:
-                    slots = tuple(int(s) for s in slot_text.rstrip(")").split(","))
+                    slots = tuple(int(s) for s in slot_text.split(","))
                 except ValueError:
                     raise RulesetError(f"{path}:{lineno}: {tok}: slots must be integers") from None
             else:

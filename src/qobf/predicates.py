@@ -1,16 +1,18 @@
 """Quantum opaque-predicate generators.
 
 Each generator returns a PredicateCircuit: the circuit itself plus an
-analytic outcome model (which measurement keys are live, dead, or trigger a
-restart, or which amplitudes must be present). The model is oracle-checked at
-construction time, so a PredicateCircuit in hand is already proven to behave
-as advertised.
+analytic outcome model that declares the branch rows a wrapped program emits
+(id, role live/dead/restart, and the key or amplitude index selecting each)
+and, for shroud, the amplitudes that must be present. The model is
+oracle-checked at construction time, so a PredicateCircuit in hand is
+already proven to behave as advertised. ``KINDS`` gives each kind its
+generator, its parameter and default, and the decoy mode ``wrap`` requires.
 
 Models are computed by the exact Clifford+T simulator (:mod:`qobf.exact`),
 which splits each predicate into the connected components of its
-qubit-interaction graph and keeps every probability in Z[√2]/2^k. A dead key
-is checked against exact zero and the keyed total against exact one; each
-reported value is rounded to a float once, so multi_pair's all-ones key is
+qubit-interaction graph and keeps every probability in Z[√2]/2^k. A dead row
+is checked against exact zero and the other rows together against exact one;
+each reported value is rounded to a float once, so multi_pair's all-ones key is
 exactly 2**-n, bell's live keys are exactly 0.5, and branch's (c2, c3) key
 "11" carries probability exactly 1. The module never imports numpy.
 
@@ -31,9 +33,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
-from .exact import ONE, ZERO, exact_amplitudes, exact_probabilities
+from .exact import ONE, ZERO, Dyadic, exact_amplitudes, exact_probabilities
 from .ir import (  # noqa: F401 (PREDICATE_KINDS re-exported)
     PREDICATE_KINDS,
     Circuit,
@@ -55,23 +57,31 @@ class ModelMismatchError(AssertionError):
 
 
 @dataclass(frozen=True)
-class BranchSemantics:
-    """Analytic outcome model of a predicate.
+class BranchSpec:
+    """One branch of a wrapped program."""
 
-    For ``kind == "measured"``, keys are bitstrings over ``key_cbits`` (lowest
-    classical index rightmost). ``real_outcomes`` of None means "every key not
-    listed as dead or restart" (an else-branch). Dead keys have probability
-    exactly zero; restart keys may have nonzero probability (multi_pair's
-    all-ones branch). For ``kind == "amplitude_read"`` the model instead
-    records the expected statevector amplitudes, each part the nearest
-    float to its exact value; all amplitude-guarded branches are live.
+    id: str
+    role: str  # live | dead | restart
+    outcome: str  # key bitstring, ELSE_KEY, or amplitude index for shroud
+
+
+@dataclass(frozen=True)
+class BranchSemantics:
+    """Analytic outcome model of a predicate: its branch rows, in emission order.
+
+    For ``kind == "measured"``, each row's outcome is a bitstring over
+    ``key_cbits`` (lowest classical index rightmost) or ``ELSE_KEY``, "every
+    key no other row names". Dead rows have probability exactly zero, and
+    the live and restart rows together carry probability exactly one (a
+    restart row may carry some: multi_pair's all-ones branch). For
+    ``kind == "amplitude_read"`` each row's outcome is an amplitude index,
+    every row is live, and the model records the expected statevector
+    amplitudes, each part the nearest float to its exact value.
     """
 
     kind: str  # "measured" | "amplitude_read"
+    branches: tuple[BranchSpec, ...]
     key_cbits: tuple[int, ...] = ()
-    real_outcomes: frozenset[str] | None = None
-    dead_outcomes: frozenset[str] = frozenset()
-    restart_outcomes: frozenset[str] = frozenset()
     amplitudes: tuple[complex, ...] | None = None
 
 
@@ -106,23 +116,30 @@ def key_marginal(dist: Mapping[str, P], key_cbits: tuple[int, ...],
     return out
 
 
-def _measured_cbits(circuit: Circuit) -> tuple[int, ...]:
-    return tuple(c for _, c in measured_pairs(circuit))
+def _branch_probabilities(circuit: Circuit, key_cbits: tuple[int, ...],
+                          branches: tuple[BranchSpec, ...]) -> dict[str, Dyadic]:
+    """Exact probability of each measured branch row, by id: the keyed
+    marginal of its key, or for the ELSE_KEY row one minus the other rows.
+    Rows with an explicit key come first, as the emitted guards test them."""
+    measured_cbits = tuple(c for _, c in measured_pairs(circuit))
+    keyed = key_marginal(exact_probabilities(circuit), key_cbits, measured_cbits)
+    out = {b.id: keyed.get(b.outcome, ZERO) for b in branches if b.outcome != ELSE_KEY}
+    rest = ONE - sum(out.values(), ZERO)
+    out.update((b.id, rest) for b in branches if b.outcome == ELSE_KEY)
+    return out
 
 
 def _check_measured_model(p: PredicateCircuit) -> dict[str, float]:
     exact = exact_probabilities(p.circuit)
+    if sum(exact.values(), ZERO) != ONE:
+        raise ModelMismatchError("outcome probabilities do not sum to 1")
     sem = p.semantics
-    keyed = key_marginal(exact, sem.key_cbits, _measured_cbits(p.circuit))
-    for dead in sem.dead_outcomes:
-        if dead in keyed:
-            raise ModelMismatchError(f"dead key {dead!r} has probability {float(keyed[dead])}")
-    if sum(keyed.values(), ZERO) != ONE:
-        raise ModelMismatchError("keyed probabilities do not sum to 1")
-    if sem.real_outcomes is not None:
-        covered = sum((keyed.get(k, ZERO) for k in sem.real_outcomes | sem.restart_outcomes), ZERO)
-        if covered != ONE:
-            raise ModelMismatchError("live keys do not carry all probability")
+    probs = _branch_probabilities(p.circuit, sem.key_cbits, sem.branches)
+    for b in sem.branches:
+        if b.role == "dead" and probs[b.id] != ZERO:
+            raise ModelMismatchError(f"dead key {b.outcome!r} has probability {float(probs[b.id])}")
+    if sum((probs[b.id] for b in sem.branches if b.role != "dead"), ZERO) != ONE:
+        raise ModelMismatchError("live keys do not carry all probability")
     return {key: float(prob) for key, prob in exact.items()}
 
 
@@ -160,9 +177,11 @@ def bell_predicate() -> PredicateCircuit:
     )
     sem = BranchSemantics(
         kind="measured",
+        branches=tuple(
+            BranchSpec(f"bell-{key}", "live" if key in ("00", "11") else "dead", key)
+            for key in ("00", "01", "10", "11")
+        ),
         key_cbits=(0, 1),
-        real_outcomes=frozenset({"00", "11"}),
-        dead_outcomes=frozenset({"01", "10"}),
     )
     p = PredicateCircuit(circuit, "bell", sem, {})
     outcome_model(p)
@@ -187,9 +206,11 @@ def multi_pair_predicate(n_pairs: int) -> PredicateCircuit:
     circuit = Circuit(n_qubits=2 * n_pairs, n_cbits=2 * n_pairs, gates=tuple(gates))
     sem = BranchSemantics(
         kind="measured",
+        branches=(
+            BranchSpec("pairs-allones", "restart", "1" * (2 * n_pairs)),
+            BranchSpec("pairs-live", "live", ELSE_KEY),  # anything not all ones
+        ),
         key_cbits=tuple(range(2 * n_pairs)),
-        real_outcomes=None,  # else-branch: anything that is not all ones
-        restart_outcomes=frozenset({"1" * (2 * n_pairs)}),
     )
     p = PredicateCircuit(circuit, "multi_pair", sem, {"n_pairs": n_pairs})
     dist = outcome_model(p)
@@ -210,7 +231,7 @@ def shroud_predicate() -> PredicateCircuit:
     circuit = Circuit(n_qubits=1, gates=(GateApp(GateKind.H, (0,)),))
     sem = BranchSemantics(
         kind="amplitude_read",
-        real_outcomes=frozenset({"0", "1"}),
+        branches=(BranchSpec("shroud-0", "live", "0"), BranchSpec("shroud-1", "live", "1")),
         amplitudes=(complex(amp), complex(amp)),
     )
     p = PredicateCircuit(circuit, "shroud", sem, {})
@@ -256,34 +277,47 @@ def branch_predicate(seed: int = 0) -> PredicateCircuit:
     circuit = Circuit(n_qubits=5, n_cbits=4, gates=tuple(gates))
     sem = BranchSemantics(
         kind="measured",
+        branches=tuple(
+            BranchSpec(f"superpos-{key}", "live" if key == "11" else "dead", key)
+            for key in ("00", "01", "10", "11")
+        ),
         key_cbits=(2, 3),
-        real_outcomes=frozenset({"11"}),
-        dead_outcomes=frozenset({"00", "01", "10"}),
     )
     p = PredicateCircuit(circuit, "branch", sem, {"seed": seed})
     outcome_model(p)
     return p
 
 
-#: each kind's generator parameter and its default ("" if it takes none)
-_PARAMETER: dict[str, tuple[str, int]] = {
-    "bell": ("", 0),
-    "multi_pair": ("n_pairs", 8),
-    "shroud": ("", 0),
-    "branch": ("seed", 0),
+class _Kind(NamedTuple):
+    generator: Callable[..., PredicateCircuit]
+    parameter: str  # the generator's one parameter, "" if it takes none
+    default: int
+    mode: str  # the decoy-policy mode wrap requires
+
+
+#: every predicate kind, in ``ir.PREDICATE_KINDS`` order
+KINDS: dict[str, _Kind] = {
+    "bell": _Kind(bell_predicate, "", 0, "duplicate_payload"),
+    "multi_pair": _Kind(multi_pair_predicate, "n_pairs", 8, "restart"),
+    "shroud": _Kind(shroud_predicate, "", 0, "dead_decoy"),
+    "branch": _Kind(branch_predicate, "seed", 0, "dead_decoy"),
 }
+
+#: the decoy-policy mode each predicate kind supports
+REQUIRED_MODE = {kind: spec.mode for kind, spec in KINDS.items()}
 
 
 def make_predicate(kind: str, params: Mapping[str, int] | None = None) -> PredicateCircuit:
     """Build a predicate by kind name (used by the wrapper and the CLI).
 
-    A parameter name the kind does not take raises PredicateError. Each kind
-    and parameter is built, and its model checked, once per process; a later
-    call returns the same frozen predicate.
+    An omitted parameter takes the kind's default; a name the kind does not
+    take raises PredicateError. Each kind and parameter is built, and its
+    model checked, once per process; a later call returns the same frozen
+    predicate.
     """
-    if kind not in _PARAMETER:
+    if kind not in KINDS:
         raise PredicateError(f"unknown predicate kind {kind!r}")
-    name, default = _PARAMETER[kind]
+    _, name, default, _ = KINDS[kind]
     params = dict(params or {})
     for key in params:
         if key != name:
@@ -293,10 +327,5 @@ def make_predicate(kind: str, params: Mapping[str, int] | None = None) -> Predic
 
 @lru_cache(maxsize=32)
 def _built(kind: str, param: int) -> PredicateCircuit:
-    if kind == "bell":
-        return bell_predicate()
-    if kind == "multi_pair":
-        return multi_pair_predicate(param)
-    if kind == "shroud":
-        return shroud_predicate()
-    return branch_predicate(param)
+    spec = KINDS[kind]
+    return spec.generator(param) if spec.parameter else spec.generator()

@@ -4,11 +4,12 @@
 template, whose execution path is guarded by one of the predicate circuits.
 Each branch body sits directly under its ``if``/``elif``/``else`` guard at
 module scope, so the payload's names bind in the module as they do when it
-runs alone. Live branches carry the payload byte-exact (modulo one uniform
-indent prefix), dead branches get generated decoys shaped like the payload,
-and the multi-pair false branch gets restart logic. A manifest describes
-every branch so the whole construction can be checked, and branches
-resolved, without ever executing the emitted program.
+runs alone. The branches are the rows the predicate's generator declares,
+and nothing here names a predicate kind. Live branches carry the payload
+byte-exact (modulo one uniform indent prefix), dead branches get generated
+decoys shaped like the payload, and restart branches get restart logic. A
+manifest describes every branch so the whole construction can be checked,
+and branches resolved, without ever executing the emitted program.
 
 The payload is handled as text. Only shroud parses it (with :mod:`ast`), to
 cut it at the top-level statement boundary nearest its middle line.
@@ -28,14 +29,14 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .exact import ONE, ZERO, exact_probabilities
 from .predicates import (
     ELSE_KEY,
-    PredicateCircuit,
-    _measured_cbits,
-    key_marginal,
+    REQUIRED_MODE,
+    BranchSemantics,
+    BranchSpec,
+    _branch_probabilities,
     make_predicate,
 )
 from .qasm import emit
@@ -48,14 +49,6 @@ END_MARKER = "pass  # :: end branch"
 
 _PLACEHOLDERS = frozenset({"PREDICATE_CIRCUIT_QASM", "BRANCH_TABLE"})
 _PLACEHOLDER_RE = re.compile(r"\{(PREDICATE_CIRCUIT_QASM|BRANCH_TABLE)\}")
-
-#: the decoy-policy mode each predicate kind supports
-REQUIRED_MODE = {
-    "bell": "duplicate_payload",
-    "multi_pair": "restart",
-    "branch": "dead_decoy",
-    "shroud": "dead_decoy",
-}
 
 
 class WrapError(ValueError):
@@ -95,6 +88,8 @@ class DecoyPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("duplicate_payload", "dead_decoy", "restart"):
             raise WrapError(f"unknown decoy mode {self.mode!r}")
+        if self.decoy_seed < 0:
+            raise WrapError("decoy_seed must be non-negative")
         if self.decoy_statement_count < 0:
             raise WrapError("decoy_statement_count must be non-negative")
 
@@ -104,13 +99,6 @@ class Template:
     id: str
     text: str
     description: str
-
-
-@dataclass(frozen=True)
-class BranchSpec:
-    id: str
-    role: str  # live | dead | restart
-    outcome: str  # key bitstring, ELSE_KEY, or amplitude index for shroud
 
 
 @dataclass(frozen=True)
@@ -276,31 +264,8 @@ def generate_decoy(src: SourceBlock, policy: DecoyPolicy) -> str:
 
 
 # --------------------------------------------------------------------------
-# branch planning and emission
+# emission
 # --------------------------------------------------------------------------
-
-
-def _plan_branches(pred: PredicateCircuit) -> list[BranchSpec]:
-    kind = pred.kind
-    if kind == "bell":
-        return [
-            BranchSpec(f"bell-{key}", "live" if key in ("00", "11") else "dead", key)
-            for key in ("00", "01", "10", "11")
-        ]
-    if kind == "branch":
-        return [
-            BranchSpec(f"superpos-{key}", "live" if key == "11" else "dead", key)
-            for key in ("00", "01", "10", "11")
-        ]
-    if kind == "multi_pair":
-        all_ones = "1" * (2 * pred.params["n_pairs"])
-        return [
-            BranchSpec("pairs-allones", "restart", all_ones),
-            BranchSpec("pairs-live", "live", ELSE_KEY),
-        ]
-    if kind == "shroud":
-        return [BranchSpec("shroud-0", "live", "0"), BranchSpec("shroud-1", "live", "1")]
-    raise WrapError(f"unknown predicate kind {kind!r}")
 
 
 def _branch(guard: str, branch: BranchSpec, body_text: str) -> str:
@@ -320,17 +285,15 @@ def _key_expr(key_cbits: tuple[int, ...]) -> str:
     )
 
 
-def _branch_table(
-    pred: PredicateCircuit, branches: Sequence[BranchSpec], bodies: Mapping[str, str]
-) -> str:
+def _branch_table(sem: BranchSemantics, bodies: Mapping[str, str]) -> str:
     lines = ["_outcome, _amplitudes = _evaluate_predicate()"]
-    if pred.kind == "shroud":
-        for i, branch in enumerate(branches):
+    if sem.kind == "amplitude_read":
+        for i, branch in enumerate(sem.branches):
             lines.append(_branch(f"if abs(_amplitudes[{i}]) > 1e-09", branch, bodies[branch.id]))
         return "\n".join(lines)
-    lines.append(_key_expr(pred.semantics.key_cbits))
-    explicit = [b for b in branches if b.outcome != ELSE_KEY]
-    fallback = [b for b in branches if b.outcome == ELSE_KEY]
+    lines.append(_key_expr(sem.key_cbits))
+    explicit = [b for b in sem.branches if b.outcome != ELSE_KEY]
+    fallback = [b for b in sem.branches if b.outcome == ELSE_KEY]
     for i, branch in enumerate(explicit):
         guard = "if" if i == 0 else "elif"
         lines.append(_branch(f'{guard} _key == "{branch.outcome}"', branch, bodies[branch.id]))
@@ -340,7 +303,7 @@ def _branch_table(
 
 
 def _check_marker_collision(text: str, what: str) -> None:
-    for line in text.split("\n"):
+    for line in text.splitlines():
         if line == END_MARKER:
             raise WrapError(f"payload collides with template markers ({what})")
 
@@ -384,9 +347,9 @@ def wrap(
     Every branch body sits under its guard at module scope. Live branches
     carry the payload byte-exact under one uniform indent (for shroud it is
     cut at a top-level statement boundary across the two always-live
-    branches). Dead branches carry seeded decoys; the multi-pair false branch
-    carries restart logic. Returns the emitted program text and the manifest
-    describing every branch.
+    branches). Dead branches carry seeded decoys; restart branches (the
+    multi-pair false branch) carry restart logic. Returns the emitted
+    program text and the manifest describing every branch.
     """
     template = load_template(template_id, template_dir)
     pred = make_predicate(kind, params)
@@ -397,15 +360,15 @@ def wrap(
             f" (expected {REQUIRED_MODE[kind]!r})"
         )
     _check_marker_collision(src.text, "payload")
-    branches = _plan_branches(pred)
-    live = [b for b in branches if b.role == "live"]
-    if kind == "shroud":
+    sem = pred.semantics
+    live = [b for b in sem.branches if b.role == "live"]
+    if sem.kind == "amplitude_read":
         bodies = dict(zip((b.id for b in live), _shroud_split(src.text)))
         payload_split = tuple(b.id for b in live)
     else:
         bodies = {b.id: src.text for b in live}
         payload_split = (live[0].id,)
-    for i, branch in enumerate(branches):
+    for i, branch in enumerate(sem.branches):
         if branch.role == "restart":
             bodies[branch.id] = "_restart()\n"
         elif branch.role == "dead":
@@ -418,7 +381,7 @@ def wrap(
             _check_marker_collision(bodies[branch.id], f"decoy {branch.id}")
     fills = {
         "PREDICATE_CIRCUIT_QASM": emit(pred.circuit),
-        "BRANCH_TABLE": _branch_table(pred, branches, bodies),
+        "BRANCH_TABLE": _branch_table(sem, bodies),
     }
     emitted = _PLACEHOLDER_RE.sub(lambda m: fills[m.group(1)], template.text)
     manifest = WrapManifest(
@@ -429,9 +392,9 @@ def wrap(
         payload_newline_terminated=src.text.endswith("\n"),
         payload_split=payload_split,
         indent=INDENT,
-        key_cbits=tuple(pred.semantics.key_cbits),
+        key_cbits=sem.key_cbits,
         policy=policy,
-        branches=tuple(branches),
+        branches=sem.branches,
     )
     return emitted, manifest
 
@@ -482,19 +445,8 @@ def resolve_branches(manifest: WrapManifest) -> dict[str, float]:
     each branch's probability rounded to a float once; emitted programs are
     never executed. Shroud branches are always-live and both report 1.0.
     """
-    if manifest.predicate_kind == "shroud":
-        return {b.id: 1.0 for b in manifest.branches}
     pred = make_predicate(manifest.predicate_kind, manifest.predicate_params)
-    exact = exact_probabilities(pred.circuit)
-    keyed = key_marginal(exact, manifest.key_cbits, _measured_cbits(pred.circuit))
-    out: dict[str, float] = {}
-    explicit_total = ZERO
-    for branch in manifest.branches:
-        if branch.outcome != ELSE_KEY:
-            p = keyed.get(branch.outcome, ZERO)
-            out[branch.id] = float(p)
-            explicit_total += p
-    for branch in manifest.branches:
-        if branch.outcome == ELSE_KEY:
-            out[branch.id] = float(ONE - explicit_total)
-    return out
+    if pred.semantics.kind == "amplitude_read":
+        return {b.id: 1.0 for b in manifest.branches}
+    probs = _branch_probabilities(pred.circuit, manifest.key_cbits, manifest.branches)
+    return {branch_id: float(p) for branch_id, p in probs.items()}

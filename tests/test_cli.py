@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import qobf.cli
@@ -65,7 +66,7 @@ class TestObfuscate:
         assert "no applicable rules" in capsys.readouterr().err
         assert out.read_text() == src.read_text()
 
-    @pytest.mark.parametrize("rule", ["x: cx(0,0)", "cx: x(-1)", "x: x(0,x)"])
+    @pytest.mark.parametrize("rule", ["x: cx(0,0)", "cx: x(-1)", "x: x(0,x)", "x: h z h(0"])
     def test_malformed_rule_slots_exit_2(self, rule, qasm_dir, capsys):
         rules = qasm_dir / "malformed.rules"
         rules.write_text(f"# one bad rule\n{rule}\n")
@@ -119,6 +120,70 @@ def test_obfuscate_corpus_bytes_pinned(qasm_dir):
                     digest.update(f"{fixture} {method} {seed} {intensity}\n".encode())
                     digest.update(out.read_bytes())
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+#: sha256 over the predicate and wrap corpus below: every written file,
+#: stdout and stderr, with no paths. A change that means to alter the
+#: emitted bytes updates this digest and says so in CHANGES.md.
+PREDICATE_WRAP_SHA256 = "58ebb6bff3af38458dedb6a74dbe1e3e14cea1d0e020d6081ac353582cde5f92"
+
+PREDICATE_FLAGS = [
+    ["--kind", "bell"],
+    ["--kind", "shroud"],
+    ["--kind", "multi_pair"],
+    *(["--kind", "multi_pair", "--pairs", str(n)] for n in [1, 2, 8, 11, 12]),
+    ["--kind", "branch"],
+    *(["--kind", "branch", "--seed", str(seed)] for seed in range(0, 300, 7)),
+]
+WRAP_FLAGS = [
+    ["--kind", "bell"],
+    ["--kind", "shroud"],
+    ["--kind", "branch", "--seed", "3"],
+    ["--kind", "branch", "--seed", "706"],
+    ["--kind", "multi_pair", "--pairs", "1"],
+    ["--kind", "multi_pair", "--pairs", "11"],
+    ["--kind", "multi_pair"],
+]
+WRAP_PAYLOADS = {
+    "area.py": "import math\n\n\ndef area(r):\n    return math.pi * r * r\n\n\nprint(area(2.5))\n",
+    "bare.py": "total = 41\nfor step in range(3):\n    total += step\nprint(total)",
+}
+
+
+def test_predicate_and_wrap_corpus_bytes_pinned(tmp_path, capsys):
+    """Predicate circuits, models, wrapped programs, manifests and printed
+    branch probabilities stay byte-identical for given flags, and every
+    manifest written validates against the manifest schema."""
+    schema_path = Path(qobf.__file__).parent / "data" / "schemas" / "wrap_manifest.schema.json"
+    schema = json.loads(schema_path.read_text(encoding="utf-8"))
+    manifest = tmp_path / "w.py.manifest.json"
+    digest = hashlib.sha256()
+
+    def run(label, argv, *written):
+        for path in written:
+            path.unlink(missing_ok=True)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 0, (label, captured.err)
+        digest.update(f"{label} rc={rc}\n".encode())
+        for path in written:
+            digest.update(path.read_bytes())
+        digest.update(captured.out.encode() + b"\0" + captured.err.encode() + b"\0")
+
+    out = tmp_path / "p.qasm"
+    for flags in PREDICATE_FLAGS:
+        run(" ".join(["predicate", *flags]), ["predicate", *flags, "-o", str(out)],
+            out, tmp_path / "p.qasm.model.json")
+    program = tmp_path / "w.py"
+    for name, text in WRAP_PAYLOADS.items():
+        payload = tmp_path / name
+        payload.write_text(text, encoding="utf-8")
+        for flags in WRAP_FLAGS:
+            for decoy_seed in ["0", "7"]:
+                argv = ["wrap", "--payload", str(payload), *flags, "--decoy-seed", decoy_seed]
+                run(" ".join([name, *argv[3:]]), [*argv, "-o", str(program)], program, manifest)
+                jsonschema.validate(json.loads(manifest.read_text(encoding="utf-8")), schema)
+    assert digest.hexdigest() == PREDICATE_WRAP_SHA256
 
 
 def _inject_after_pass(kind: GateKind, seed: int):
@@ -352,6 +417,16 @@ class TestWrapCommand:
             ]
         )
         assert rc == 2
+
+    def test_negative_decoy_seed_exit_2(self, tmp_path, capsys):
+        payload = tmp_path / "payload.py"
+        payload.write_text("print('hi')\n")
+        out = tmp_path / "w.py"
+        rc = main(["wrap", "--payload", str(payload), "--kind", "branch", "--decoy-seed", "-3",
+                   "-o", str(out)])
+        assert rc == 2
+        assert "decoy_seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_payload_exit_2(self, tmp_path):
         rc = main(

@@ -159,6 +159,21 @@ class TestVerifyRuleset:
             load_ruleset(bad)
 
     @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("x: h z h(0", r"h\(0: expected 'gate' or 'gate\(slot,...\)'"),
+            ("swap: cx(0,1))) cx(1,0) cx(0,1)", r"cx\(0,1\)\)\): expected"),
+            ("cx: cx(0, 1)", r"cx\(0, 1\): space inside a slot list"),
+        ],
+        ids=["unclosed", "over-closed", "spaced"],
+    )
+    def test_malformed_slot_lists_rejected_with_location(self, rule, message, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(f"h: h h h\n{rule}\n")
+        with pytest.raises(RulesetError, match=f"bad.rules:2: {message}"):
+            load_ruleset(bad)
+
+    @pytest.mark.parametrize(
         "gate, message",
         [
             ((K.CX, (0, 0)), "distinct non-negative slots"),

@@ -5,7 +5,9 @@ import pytest
 
 from qobf.ir import GateKind
 from qobf.predicates import (
+    ELSE_KEY,
     BranchSemantics,
+    BranchSpec,
     ModelMismatchError,
     PredicateCircuit,
     PredicateError,
@@ -38,9 +40,8 @@ class TestBell:
 
     def test_semantics(self):
         sem = bell_predicate().semantics
-        assert sem.real_outcomes == {"00", "11"}
-        assert sem.dead_outcomes == {"01", "10"}
-        assert not sem.real_outcomes & sem.dead_outcomes
+        assert [(b.outcome, b.role) for b in sem.branches] == [
+            ("00", "live"), ("01", "dead"), ("10", "dead"), ("11", "live")]
 
 
 class TestMultiPair:
@@ -83,8 +84,7 @@ class TestShroud:
     def test_both_branches_live(self):
         sem = shroud_predicate().semantics
         assert sem.kind == "amplitude_read"
-        assert sem.real_outcomes == {"0", "1"}
-        assert not sem.dead_outcomes
+        assert [(b.outcome, b.role) for b in sem.branches] == [("0", "live"), ("1", "live")]
 
     def test_without_h_one_branch_dies(self):
         # plain |0>: the |1>-amplitude guard would evaluate false
@@ -188,9 +188,11 @@ class TestOutcomeModel:
             "bell",
             BranchSemantics(
                 kind="measured",
+                branches=(
+                    BranchSpec("a", "live", "00"),
+                    BranchSpec("b", "dead", "11"),  # wrong: 11 is live
+                ),
                 key_cbits=(0, 1),
-                real_outcomes=frozenset({"00"}),
-                dead_outcomes=frozenset({"11"}),  # wrong: 11 is live
             ),
             {},
         )
@@ -198,14 +200,34 @@ class TestOutcomeModel:
             outcome_model(lying)
 
     def test_live_dead_key_raises_under_else_branch(self):
-        # with no listed live keys only the exact-zero check can catch it
+        # with an else row carrying the rest only the exact-zero check can catch it
         lying = PredicateCircuit(
             bell_predicate().circuit,
             "bell",
-            BranchSemantics(kind="measured", key_cbits=(0, 1), dead_outcomes=frozenset({"11"})),
+            BranchSemantics(
+                kind="measured",
+                branches=(BranchSpec("a", "dead", "11"), BranchSpec("b", "live", ELSE_KEY)),
+                key_cbits=(0, 1),
+            ),
             {},
         )
         with pytest.raises(ModelMismatchError, match="dead key '11' has probability 0.5"):
+            outcome_model(lying)
+
+
+    def test_uncovered_live_key_raises(self):
+        # no row names "11" and there is no else row, so the rows miss half the probability
+        lying = PredicateCircuit(
+            bell_predicate().circuit,
+            "bell",
+            BranchSemantics(
+                kind="measured",
+                branches=(BranchSpec("a", "live", "00"), BranchSpec("b", "dead", "01")),
+                key_cbits=(0, 1),
+            ),
+            {},
+        )
+        with pytest.raises(ModelMismatchError, match="live keys do not carry all probability"):
             outcome_model(lying)
 
 

@@ -8,6 +8,9 @@ import jsonschema
 import pytest
 
 import qobf
+from qobf.ir import PREDICATE_KINDS
+import qobf.predicates
+from qobf.predicates import make_predicate
 from qobf.wrapper import (
     DecoyPolicy,
     END_MARKER,
@@ -277,6 +280,12 @@ class TestExtraction:
         with pytest.raises(WrapError, match="collides with template markers"):
             wrap(SourceBlock(f"ok\n{END_MARKER}\n"), "bell")
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_marker_collision_rejected_after_any_line_ending(self, newline):
+        # emission and extraction split lines with splitlines(), so the check must too
+        with pytest.raises(WrapError, match="collides with template markers"):
+            wrap(SourceBlock(f"a = 1{newline}{END_MARKER}"), "bell")
+
     def test_branch_ids_appear_exactly_once(self):
         for kind in ("bell", "multi_pair", "shroud", "branch"):
             emitted, manifest = wrap(SourceBlock(PAYLOAD), kind)
@@ -300,6 +309,23 @@ class TestManifest:
             jsonschema.validate(data, schema)
             again = WrapManifest.from_dict(json.loads(json.dumps(data)))
             assert again == manifest
+
+    @pytest.mark.parametrize("kind", PREDICATE_KINDS)
+    def test_branches_are_the_generator_rows(self, kind):
+        _, manifest = wrap(SourceBlock(PAYLOAD), kind)
+        rows = make_predicate(kind).semantics.branches
+        assert manifest.branches == rows
+        assert manifest.to_dict()["branches"] == [
+            {"id": b.id, "role": b.role, "outcome": b.outcome} for b in rows
+        ]
+
+    def test_kind_lists_agree(self):
+        schema = manifest_schema()["properties"]
+        table = qobf.predicates.KINDS
+        assert tuple(table) == PREDICATE_KINDS
+        assert schema["predicate"]["properties"]["kind"]["enum"] == list(PREDICATE_KINDS)
+        modes = schema["policy"]["properties"]["mode"]["enum"]
+        assert {spec.mode for spec in table.values()} <= set(modes)
 
     def test_payload_digest(self):
         _, manifest = wrap(SourceBlock(PAYLOAD), "bell")
@@ -395,6 +421,11 @@ class TestDecoys:
     def test_wrong_mode_rejected(self):
         with pytest.raises(WrapError, match="dead_decoy"):
             generate_decoy(SourceBlock("x = 1\n"), DecoyPolicy(mode="restart"))
+
+    def test_negative_seed_rejected(self):
+        # the manifest schema requires decoy_seed >= 0
+        with pytest.raises(WrapError, match="decoy_seed must be non-negative"):
+            DecoyPolicy(mode="dead_decoy", decoy_seed=-3)
 
     def test_no_identifier_payload_still_differs(self):
         src = SourceBlock("...\n")
