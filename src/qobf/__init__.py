@@ -4,7 +4,7 @@ The package splits into:
   * :mod:`qobf.qasm`       - OpenQASM 2.0 subset parser and canonical emitter
   * :mod:`qobf.ir`         - the circuit IR, validation, and structural metrics
   * :mod:`qobf.sim`        - dense statevector simulator and equivalence oracle
-  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicate models
+  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicates and windows
   * :mod:`qobf.passes`     - the four circuit obfuscation passes
   * :mod:`qobf.predicates` - quantum opaque-predicate generators
   * :mod:`qobf.wrapper`    - predicate-guarded source wrapping
@@ -16,8 +16,9 @@ The names in ``__all__`` resolve on first use (PEP 562): ``qobf.X`` and
 wrapped program's ``from qobf import exact_amplitudes, exact_distribution,
 loads`` loads the front end and the exact simulator, not numpy, the dense
 simulator, the passes, the wrapper or the reports. numpy loads only with
-:mod:`qobf.sim` and the modules that use it, :mod:`qobf.passes` and
-:mod:`qobf.metrics`.
+:mod:`qobf.sim` and the module that uses it, :mod:`qobf.metrics`;
+:mod:`qobf.passes` loads the dense simulator only to build a matrix on
+request.
 """
 
 from importlib import import_module

@@ -18,11 +18,12 @@ Values leave the ring once, at the end, each rounded to the nearest float.
 
 This is the predicate side's simulator: opaque-predicate models, branch
 resolution and wrapped programs use it. It also decides the circuit passes'
-small equivalences: :func:`identity_phase` tells whether a substitution rule
-or a delayed wrapper with its block acts as the identity up to a global
+small equivalences: :func:`identity_phase` tells whether a substitution rule,
+a delayed wrapper with its block, or any window ``obfuscate`` checks
+(:func:`qobf.passes.check_translation`) acts as the identity up to a global
 phase, by exact equality, with no tolerance. The dense float simulator in
-:mod:`qobf.sim` serves the equivalence oracle, whose states are too large
-for the ring.
+:mod:`qobf.sim` serves ``verify``, the reports and the tests' cross-check,
+whose whole-circuit states are too large for the ring.
 """
 
 from __future__ import annotations

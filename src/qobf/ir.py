@@ -2,9 +2,11 @@
 
 A Circuit is an immutable ordered list of gate applications over flat qubit
 and classical-bit index spaces (registers are flattened on parse). Provenance
-tags (original / inserted / substituted), composite-box ids and substitution
-groups are internal metadata: they never survive QASM emission, and exist so
-tests can check that transforms only touch what they claim to touch.
+tags (original / inserted / substituted), composite-box ids, substitution
+groups and insertion windows are internal metadata: they never survive QASM
+emission. They record how a pass derived its output, so that
+:func:`qobf.passes.check_translation` can check it window by window and tests
+can check that transforms only touch what they claim to touch.
 
 Conventions:
   * qubit 0 is the least significant bit of a basis-state index;
@@ -29,6 +31,15 @@ from .diagnostics import Diagnostic
 
 class SimulationError(Exception):
     """Raised for contract violations: size caps, measurement misuse, mismatched circuits."""
+
+
+#: widest register the dense simulator runs, and so the widest any command loads
+MAX_SIM_QUBITS = 24
+
+
+def _check_cap(n: int) -> None:
+    if n > MAX_SIM_QUBITS:
+        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
 
 
 class GateKind(Enum):
@@ -113,7 +124,9 @@ class GateApp:
 
     ``cbit`` is set only for MEASURE. ``box`` groups gates into a composite
     box (emitted as comment markers); ``group`` ties substituted gates back to
-    the original gate they replaced (see Circuit.subst_originals).
+    the original gate they replaced (see Circuit.subst_originals); ``window``
+    ties inserted gates to the insertion they belong to: an inverse pair, an
+    auxiliary/restore box pair, or both copies of a delayed wrapper.
     """
 
     kind: GateKind
@@ -122,6 +135,7 @@ class GateApp:
     origin: str = "original"
     box: int | None = None
     group: int | None = None
+    window: int | None = None
 
     @property
     def signature(self) -> tuple:

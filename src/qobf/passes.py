@@ -1,4 +1,4 @@
-"""Circuit-level obfuscation passes, all proven equivalence-preserving.
+"""Circuit-level obfuscation passes, and the exact check of what they write.
 
 Four transforms, each a seeded deterministic Circuit -> Circuit function:
 
@@ -15,6 +15,13 @@ ring Z[1/√2, i] and with no tolerance, whether a rule's replacement followed
 by the target's inverse, or the miter D.B.D.B⁻¹, is a global phase times the
 identity on its own few qubits.
 
+Every insertion carries a window id and every substitution a group id, so
+:func:`check_translation` can check a pass's output against its input window
+by window, exactly and in time linear in the gates, with no dense simulation
+(translation validation). This module does not load numpy: only
+``RejectedRule.effective`` and :func:`effective_unitary` build matrices, and
+they import the dense simulator when called.
+
 Insertion sites are chosen by an independent coin per site with probability
 equal to ``intensity``, drawn from a generator seeded by ``seed``, so a given
 (input, config) always produces byte-identical output. Gates are never placed
@@ -29,9 +36,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import identity_phase
 from .ir import (
@@ -43,8 +48,11 @@ from .ir import (
     GateSequence,
     UNITARY_KINDS,
     _INVERSE,
+    same_gates,
 )
-from .sim import unitary_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_DRAWS = 32
 
@@ -131,7 +139,12 @@ class SubstitutionRule:
 class RejectedRule:
     target: GateKind
     replacement: GateSequence
-    effective: np.ndarray  # the computed unitary that failed the check
+
+    @property
+    def effective(self) -> np.ndarray:
+        """The computed unitary that failed the check, built on access."""
+        n = max(ARITY[self.target], self.replacement.n_slots)
+        return effective_unitary(self.replacement, n_qubits=n)
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,7 @@ class RulesetReport:
         for rej in self.rejected:
             lines.append(
                 f"rejected {rej.target.value} <- {rej.replacement.name}:"
-                f" effective unitary {np.round(rej.effective, 6).tolist()}"
+                f" effective unitary {rej.effective.round(6).tolist()}"
             )
         return "\n".join(lines)
 
@@ -176,6 +189,15 @@ def _inverse(gates: Sequence[GateApp]) -> list[GateApp]:
     return [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(gates)]
 
 
+def unitary_of(
+    obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | None = None
+) -> np.ndarray:
+    """:func:`qobf.sim.unitary_of`, importing the dense simulator on first call."""
+    from .sim import unitary_of as dense_unitary_of
+
+    return dense_unitary_of(obj, n_qubits=n_qubits)
+
+
 def effective_unitary(seq: GateSequence, n_qubits: int | None = None) -> np.ndarray:
     """Matrix of a slot sequence in application order (computed, never trusted),
     on ``n_qubits`` qubits (default: the sequence's own slot count)."""
@@ -187,8 +209,9 @@ def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetRep
     """Check every rule exactly: the replacement followed by the target's
     inverse must be a global phase times the identity
     (:func:`qobf.exact.identity_phase`), and that phase, a power of ω, is the
-    rule's ``phase_factor``. Rules that fail come back in ``rejected``
-    together with their effective unitary, and are never applied by any pass.
+    rule's ``phase_factor``. Rules that fail come back in ``rejected``,
+    whose ``effective`` unitary is built on access, and are never applied by
+    any pass.
     """
     accepted: list[SubstitutionRule] = []
     rejected: list[RejectedRule] = []
@@ -201,7 +224,7 @@ def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetRep
         replacement = [GateApp(kind, slots) for kind, slots in seq.gates]
         phase = identity_phase(replacement + _inverse([GateApp(target, tuple(range(arity)))]), n)
         if phase is None:
-            rejected.append(RejectedRule(target, seq, effective_unitary(seq, n_qubits=n)))
+            rejected.append(RejectedRule(target, seq))
         else:
             accepted.append(SubstitutionRule(target, seq, True, phase))
     return RulesetReport(tuple(accepted), tuple(rejected))
@@ -290,10 +313,11 @@ def _measured_before(circuit: Circuit) -> list[set[int]]:
     return sites
 
 
-def _instantiate(seq: GateSequence, qubits: Sequence[int], origin: str,
-                 box: int | None = None, group: int | None = None) -> list[GateApp]:
+def _instantiate(seq: GateSequence, qubits: Sequence[int], origin: str, box: int | None = None,
+                 group: int | None = None, window: int | None = None) -> list[GateApp]:
     return [
-        GateApp(kind, tuple(qubits[s] for s in slots), origin=origin, box=box, group=group)
+        GateApp(kind, tuple(qubits[s] for s in slots), origin=origin, box=box, group=group,
+                window=window)
         for kind, slots in seq.gates
     ]
 
@@ -304,6 +328,10 @@ def _next_box_id(circuit: Circuit) -> int:
 
 def _next_group_id(circuit: Circuit) -> int:
     return 1 + max(circuit.subst_originals.keys(), default=-1)
+
+
+def _next_window_id(circuit: Circuit) -> int:
+    return 1 + max((g.window for g in circuit.gates if g.window is not None), default=-1)
 
 
 def inverse_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
@@ -323,6 +351,7 @@ def inverse_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
         warnings.warn("inverse pass: no eligible insertion site", PassWarning)
         return circuit
     out: list[GateApp] = []
+    window = _next_window_id(circuit)
     for site in range(n_sites):
         if rng.random() < cfg.intensity:
             available = [q for q in range(circuit.n_qubits) if q not in measured[site]]
@@ -332,7 +361,8 @@ def inverse_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
                     if pair.n_slots > len(available):
                         continue  # redraw: no qubits of the required arity here
                     qubits = rng.sample(available, pair.n_slots)
-                    out.extend(_instantiate(pair, qubits, origin="inserted"))
+                    out.extend(_instantiate(pair, qubits, origin="inserted", window=window))
+                    window += 1
                     break
         if site < len(circuit.gates):
             out.append(circuit.gates[site])
@@ -357,6 +387,7 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
         return circuit
     boxes = dict(circuit.boxes)
     next_box = _next_box_id(circuit)
+    window = _next_window_id(circuit)
 
     # decoy boxes first, over runs of 2-4 consecutive box-free original gates,
     # so identity insertions afterwards cannot break the runs apart
@@ -400,8 +431,11 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
                 next_box += 2
                 boxes[aux_box] = f"grp{aux_box}"
                 boxes[restore_box] = f"grp{restore_box}"
-                out.extend(_instantiate(AUXILIARY_SEQUENCE, [q], "inserted", box=aux_box))
-                out.extend(_instantiate(RESTORE_SEQUENCE, [q], "inserted", box=restore_box))
+                out.extend(_instantiate(AUXILIARY_SEQUENCE, [q], "inserted", aux_box, window=window))
+                out.extend(
+                    _instantiate(RESTORE_SEQUENCE, [q], "inserted", restore_box, window=window)
+                )
+                window += 1
         if site < len(grouped):
             out.append(grouped[site])
     return circuit.with_gates(out, boxes=boxes)
@@ -490,13 +524,10 @@ def _commit_verdict(
     keys at most. The cache keeps the 16,384 most recent (about 6 MB); a
     pass over an 8-qubit, 1000-gate circuit meets a few hundred.
     """
-    m = 1 + max(*wrapper_slots, *(q for _, qubits in block for q in qubits))
-    block_local = [GateApp(kind, qubits) for kind, qubits in block]
-    wrapper_local = [
-        GateApp(kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates
-    ]
-    miter = wrapper_local + block_local + wrapper_local + _inverse(block_local)
-    return identity_phase(miter, m) is not None
+    wrapper_local = tuple(
+        (kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates
+    )
+    return _span_verdict(wrapper_local + block + wrapper_local, block)
 
 
 def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
@@ -518,6 +549,7 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     # work[:start] is always circuit.gates[:start]
     measured = _measured_before(circuit)
     committed = 0
+    window = _next_window_id(circuit)
     for start in range(len(work) - 1, -1, -1):
         g = work[start]
         if g.origin != "original" or g.kind not in UNITARY_KINDS:
@@ -550,11 +582,13 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
                 wrapper_qubits = block_qubits + rng.sample(extras, need - len(block_qubits))
             if not _delayed_commit_check(wrapper, wrapper_qubits, block):
                 continue
-            before = _instantiate(wrapper, wrapper_qubits, origin="inserted")
-            after = _instantiate(wrapper, wrapper_qubits, origin="inserted")
+            # both copies of the wrapper, and the block between them, form one window
+            before = _instantiate(wrapper, wrapper_qubits, origin="inserted", window=window)
+            after = _instantiate(wrapper, wrapper_qubits, origin="inserted", window=window)
             work[start:start] = before
             work[start + len(before) + len(block) : start + len(before) + len(block)] = after
             committed += 1
+            window += 1
             break
     if committed == 0:
         warnings.warn("delayed pass: no committable insertion found", PassWarning)
@@ -606,3 +640,124 @@ def undo(circuit: Circuit) -> Circuit:
         gid: g for gid, g in circuit.subst_originals.items() if gid not in seen_groups
     }
     return circuit.with_gates(out, boxes={}, subst_originals=remaining)
+
+
+# --------------------------------------------------------------------------
+# translation validation: the exact check of a pass's output
+# --------------------------------------------------------------------------
+
+
+def _span_of(g: GateApp) -> tuple[str, int] | None | bool:
+    """The span a gate belongs to: None for an original gate standing alone,
+    ("window", id) for an inserted gate, ("group", id) for a substituted one,
+    or False when its provenance tags do not fit together."""
+    if g.origin == "original" and g.window is None and g.group is None:
+        return None
+    if g.origin == "inserted" and g.window is not None and g.group is None:
+        return ("window", g.window)
+    if g.origin == "substituted" and g.group is not None and g.window is None:
+        return ("group", g.group)
+    return False
+
+
+def _span_problem(span: Sequence[GateApp], originals: Sequence[GateApp]) -> str | None:
+    """Why ``span`` does not act as ``originals`` up to a global phase, or None.
+
+    The qubits are relabelled 0, 1, 2 in first-touch order, so every placement
+    of the same local pattern shares one cached verdict from ``_span_verdict``.
+    """
+    touched: list[int] = []
+    for g in (*span, *originals):
+        if g.kind not in UNITARY_KINDS:
+            return f"holds a {g.kind.value}"
+        for q in g.qubits:
+            if q not in touched:
+                touched.append(q)
+    if len(touched) > 3:
+        return f"touches {len(touched)} qubits; at most 3 allowed"
+    local = {q: i for i, q in enumerate(touched)}
+
+    def pattern(gates: Sequence[GateApp]) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
+        return tuple((g.kind, tuple(local[q] for q in g.qubits)) for g in gates)
+
+    if not _span_verdict(pattern(span), pattern(originals)):
+        return "does not act as its original gates up to a global phase"
+    return None
+
+
+@lru_cache(maxsize=2**14)
+def _span_verdict(
+    span: tuple[tuple[GateKind, tuple[int, ...]], ...],
+    originals: tuple[tuple[GateKind, tuple[int, ...]], ...],
+) -> bool:
+    """Does ``span`` act as ``originals`` up to global phase, on local labels?
+    Decided exactly, once per distinct key: span . originals⁻¹ must be a
+    global phase times the identity."""
+    m = 1 + max(q for _, qubits in (*span, *originals) for q in qubits)
+    span_gates = [GateApp(kind, qubits) for kind, qubits in span]
+    original_gates = [GateApp(kind, qubits) for kind, qubits in originals]
+    return identity_phase(span_gates + _inverse(original_gates), m) is not None
+
+
+def check_translation(source: Circuit, output: Circuit) -> str | None:
+    """Why ``output`` is not a sound rewrite of ``source`` by one pass, or None.
+
+    Translation validation (Pnueli, Siegel & Singerman, TACAS 1998): the check
+    uses how the pass derived its output instead of simulating it. The output
+    must split into contiguous spans of three shapes:
+
+      * an original gate standing alone;
+      * a window: the inserted gates that carry one window id, from the first
+        to the last, with nothing but original gates between them (a delayed
+        wrapper's block);
+      * a substitution group: the gates that carry one group id, with nothing
+        between them.
+
+    Each window and group touches at most 3 qubits and must act as its
+    originals (the window's original gates, or the group's recorded original
+    gate) up to a global phase, decided exactly by
+    :func:`qobf.exact.identity_phase`. Then ``undo(output)`` must equal
+    ``source`` gate for gate, measurements included. Replacing each span by
+    its originals changes the circuit only by a global phase, and what is
+    left is ``source``, so the two are equivalent. Whatever the check cannot
+    place fails closed; that includes a ``source`` that already carries a
+    pass's provenance, since undo rolls back every pass at once.
+    """
+    gates = output.gates
+    spans = []
+    last: dict[tuple[str, int], int] = {}
+    for pos, g in enumerate(gates):
+        key = _span_of(g)
+        if key is False:
+            return (f"gate {pos} ({g.kind.value}, {g.origin}, window {g.window},"
+                    f" group {g.group}) fits no window or group")
+        spans.append(key)
+        if key is not None:
+            last[key] = pos
+    pos = 0
+    while pos < len(gates):
+        key = spans[pos]
+        if key is None:
+            pos += 1
+            continue
+        end = last[key]
+        what = f"{key[0]} {key[1]}"
+        for inner in range(pos, end + 1):
+            # a window holds its block's original gates; nothing else may sit inside
+            if spans[inner] != key and (spans[inner] is not None or key[0] == "group"):
+                return f"{what} appears in two separate runs, split by gate {inner}"
+        span = gates[pos : end + 1]
+        if key[0] == "window":
+            originals = [g for g in span if g.origin == "original"]
+        else:
+            recorded = output.subst_originals.get(key[1])
+            if recorded is None or recorded.origin != "original":
+                return f"{what} replaces no recorded original gate"
+            originals = [recorded]
+        problem = _span_problem(span, originals)
+        if problem:
+            return f"{what} (gates {pos}-{end}) {problem}"
+        pos = end + 1
+    if not same_gates(undo(output), source):
+        return "undoing the pass does not give back the input"
+    return None

@@ -3,9 +3,10 @@
 This is the ground truth every circuit pass is checked against: Born-rule
 outcome distributions (no shot noise) and circuit equivalence up to global
 phase in three modes (statevector, unitary, distribution). It is the only
-float simulator and the only one that needs numpy; ``obfuscate``, ``verify``,
-``report`` and ``simulate`` use it, while predicate models use the exact one
-in :mod:`qobf.exact`. Both simulators apply gates from one table,
+float simulator and the only one that needs numpy; ``verify``, ``report``,
+``obfuscate --report`` and ``simulate`` use it, while ``obfuscate`` checks its
+output window by window and predicate models use the exact one in
+:mod:`qobf.exact`. Both simulators apply gates from one table,
 ``ir._MONOMIAL``, and lay out measured keys from one function,
 ``ir._measured_components``. The textbook matrices of :func:`gate_matrix`
 are kept apart from that table, as the independent reference the applier
@@ -26,7 +27,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ir import (
+from .ir import (  # MAX_SIM_QUBITS and _check_cap are re-exported
+    MAX_SIM_QUBITS,
     Circuit,
     GateApp,
     GateKind,
@@ -34,12 +36,12 @@ from .ir import (
     SimulationError,
     UNITARY_KINDS,
     _MONOMIAL,
+    _check_cap,
     _components,
     _measured_components,
     measured_pairs,
 )
 
-MAX_SIM_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
 
 #: max entry deviation of the phase-aligned output states (statevector mode)
@@ -161,11 +163,6 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
                 a[...] = _OMEGA[back] * b if back else b
                 b[...] = _OMEGA[e] * tmp if e else tmp
     return state
-
-
-def _check_cap(n: int) -> None:
-    if n > MAX_SIM_QUBITS:
-        raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
 
 
 def _run(gates: Sequence[GateApp], n: int,

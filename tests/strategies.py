@@ -15,11 +15,13 @@ def random_circuit(
     max_gates: int = 12,
     measure: bool = False,
     barriers: bool = False,
+    min_qubits: int = 1,
+    min_gates: int = 0,
 ) -> Circuit:
     """A structurally valid random circuit from a seeded generator."""
-    n = rng.randint(1, max_qubits)
+    n = rng.randint(min_qubits, max_qubits)
     gates: list[GateApp] = []
-    for _ in range(rng.randint(0, max_gates)):
+    for _ in range(rng.randint(min_gates, max_gates)):
         if barriers and rng.random() < 0.1:
             count = rng.randint(1, n)
             gates.append(GateApp(GateKind.BARRIER, tuple(rng.sample(range(n), count))))

@@ -12,12 +12,15 @@ import jsonschema
 import pytest
 
 import qobf.cli
+import qobf.sim
 from qobf.cli import main
+from qobf.exact import identity_phase
 from qobf.fixtures import standard_fixtures
-from qobf.ir import ARITY, UNITARY_KINDS, GateApp, GateKind
+from qobf.ir import _INVERSE, ARITY, UNITARY_KINDS, GateApp, GateKind
 from qobf.passes import METHODS, apply_pass
 from qobf.qasm import emit, parse
-from qobf.sim import measure_distribution
+from qobf.sim import equivalent, measure_distribution
+from strategies import random_circuit
 
 
 @pytest.fixture
@@ -98,6 +101,36 @@ class TestObfuscate:
         assert main(args + ["-o", str(a)]) == 0
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+    def test_ruleset_without_cloaked_warns(self, qasm_dir, capsys):
+        out = qasm_dir / "x_obf.qasm"
+        rc = main(["obfuscate", "--method", "inverse", "--ruleset", "nonexist.rules",
+                   str(qasm_dir / "x.qasm"), "-o", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "qobf: warning: --ruleset is ignored unless --method cloaked\n"
+        )
+        assert out.exists()
+
+    def test_verbose_counts_windows(self, qasm_dir, capsys):
+        # both sites of a one-gate circuit take an inverse pair at intensity 1
+        out = qasm_dir / "x_obf.qasm"
+        assert main(["obfuscate", "--method", "inverse", "-v", str(qasm_dir / "x.qasm"),
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (2 windows checked exactly)\n"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_wide_circuit_checked_without_dense_run(self, method, tmp_path, monkeypatch):
+        def no_dense_run(*args):
+            raise AssertionError("obfuscate ran the dense simulator")
+
+        monkeypatch.setattr(qobf.sim, "_run", no_dense_run)
+        circuit = random_circuit(random.Random(22), min_qubits=22, max_qubits=22,
+                                 min_gates=300, max_gates=300, measure=True)
+        src, out = tmp_path / "wide.qasm", tmp_path / "wide_obf.qasm"
+        src.write_text(emit(circuit), encoding="utf-8")
+        assert main(["obfuscate", "--method", method, str(src), "-o", str(out)]) == 0
+        assert out.exists()
 
 
 #: sha256 over the 120-file obfuscate corpus below. A change that means to
@@ -216,6 +249,114 @@ class TestSoundnessGateFaultInjection:
         assert rc == 3
         assert not out.exists()
         assert "refusing to write" in capsys.readouterr().err
+
+
+def _windows(gates) -> list[list[int]]:
+    """The positions of each window's gates, windows in order of first gate."""
+    positions: dict[int, list[int]] = {}
+    for i, g in enumerate(gates):
+        if g.window is not None:
+            positions.setdefault(g.window, []).append(i)
+    return list(positions.values())
+
+
+def _other_kind(kind: GateKind) -> GateKind:
+    """The first gate kind of ``kind``'s arity that is not ``kind``."""
+    return next(k for k in STRAY_KINDS if ARITY[k] == ARITY[kind] and k is not kind)
+
+
+def _inverted(g: GateApp) -> GateApp:
+    return GateApp(_INVERSE.get(g.kind, g.kind), g.qubits)
+
+
+def _commute(a: GateApp, b: GateApp) -> bool:
+    """Do two gates commute up to global phase? Decided exactly on the qubits they touch."""
+    local = {q: i for i, q in enumerate(sorted({*a.qubits, *b.qubits}))}
+    a, b = (GateApp(g.kind, tuple(local[q] for q in g.qubits)) for g in (a, b))
+    return identity_phase([a, b, _inverted(a), _inverted(b)], len(local)) is not None
+
+
+def _change_pair_kind(gates):
+    """Turn the second gate of the first inverse pair on fewer than 3 qubits
+    into a kind that does not undo the first; its window id stays."""
+    i, j = next(w for w in _windows(gates) if ARITY[gates[w[0]].kind] < 3)
+    kind = _other_kind(_INVERSE.get(gates[i].kind, gates[i].kind))
+    return gates[:j] + (replace(gates[j], kind=kind),) + gates[j + 1 :]
+
+
+def _move_pair_half_out(gates):
+    """Move the second gate of an inverse pair past the original gate after
+    it, the first time the two do not commute; its window id stays."""
+    for i, j in _windows(gates):
+        after = gates[j + 1] if j + 1 < len(gates) else None
+        if after and after.origin == "original" and after.kind in UNITARY_KINDS:
+            if not _commute(gates[j], after):
+                return gates[:j] + (after, gates[j]) + gates[j + 2 :]
+    raise AssertionError("no pair followed by a gate it does not commute with")
+
+
+def _retag_stray_original(gates):
+    """Put a stray T gate on qubit 0 first, tagged as an original gate."""
+    return (GateApp(GateKind.T, (0,)), *gates)
+
+
+def _change_group_gate(gates):
+    """Change the kind of the middle gate of the first substitution group."""
+    first = next(g.group for g in gates if g.group is not None)
+    members = [i for i, g in enumerate(gates) if g.group == first]
+    k = members[len(members) // 2]
+    return gates[:k] + (replace(gates[k], kind=_other_kind(gates[k].kind)),) + gates[k + 1 :]
+
+
+def _reuse_window_id(gates):
+    """Copy the first window's first gate, with its window id, to just after
+    the second window: one window id in two separate runs."""
+    first, second = _windows(gates)[:2]
+    at = second[-1] + 1
+    return gates[:at] + (gates[first[0]],) + gates[at:]
+
+
+def _drop_wrapper_gate(gates):
+    """Drop the last gate of the first delayed wrapper's second copy."""
+    last = _windows(gates)[0][-1]
+    return gates[:last] + gates[last + 1 :]
+
+
+#: fault name -> (method, fault, what the refusal says)
+WINDOW_FAULTS = {
+    "pair-kind-changed": ("inverse", _change_pair_kind, "does not act as its original gates"),
+    "pair-half-moved-out": ("inverse", _move_pair_half_out, "does not act as its original gates"),
+    "stray-tagged-original": ("inverse", _retag_stray_original, "does not give back the input"),
+    "group-gate-changed": ("cloaked", _change_group_gate, "does not act as its original gates"),
+    "window-id-reused": ("inverse", _reuse_window_id, "appears in two separate runs"),
+    "wrapper-gate-dropped": ("delayed", _drop_wrapper_gate, "does not act as its original gates"),
+}
+
+
+class TestWindowGateFaultInjection:
+    """Faults inside what a pass inserted: the window check refuses each one,
+    and the dense oracle agrees that each output is not equivalent."""
+
+    @pytest.mark.parametrize("fault", WINDOW_FAULTS)
+    @pytest.mark.parametrize("fixture", ["bv6", "qaoa_ring4", "period7"])
+    def test_window_fault_refused(self, fault, fixture, qasm_dir, monkeypatch, capsys):
+        method, inject, reason = WINDOW_FAULTS[fault]
+        made = []
+
+        def broken(method, circuit, cfg, ruleset=None):
+            out = apply_pass(method, circuit, cfg, ruleset)
+            made.append((circuit, out.with_gates(inject(out.gates))))
+            return made[-1][1]
+
+        monkeypatch.setattr(qobf.cli, "apply_pass", broken)
+        out = qasm_dir / "never.qasm"
+        rc = main(["obfuscate", "--method", method, str(qasm_dir / f"{fixture}.qasm"), "-o", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "refusing to write" in err and reason in err
+        [(circuit, faulty)] = made
+        assert equivalent(circuit, faulty)[0] is False
 
 
 def _drop_last_measure(gates):
@@ -501,8 +642,8 @@ class TestEntryPoints:
 
 class TestImportsPerEntryPoint:
     """Each entry point loads only the modules it runs: the predicate side
-    (templates, predicate, wrap and wrapped programs) never loads numpy, and
-    verify never loads the passes."""
+    (templates, predicate, wrap and wrapped programs) and obfuscate without
+    --report never load numpy, and verify never loads the passes."""
 
     DENSE = {"numpy", "qobf.sim", "qobf.passes", "qobf.metrics"}
 
@@ -527,6 +668,24 @@ class TestImportsPerEntryPoint:
         loaded = self.loaded_after("from qobf.cli import main\nassert main(['templates']) == 0")
         assert "qobf.wrapper" in loaded
         assert not loaded & self.DENSE
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_obfuscate_run(self, method, qasm_dir):
+        src, out = str(qasm_dir / "bv6.qasm"), str(qasm_dir / "out.qasm")
+        loaded = self.loaded_after(
+            f"from qobf.cli import main\n"
+            f"assert main(['obfuscate', '--method', {method!r}, {src!r}, '-o', {out!r}]) == 0"
+        )
+        assert {"qobf.passes", "qobf.exact"} <= loaded
+        assert not loaded & {"numpy", "qobf.sim", "qobf.metrics", "qobf.wrapper"}
+
+    def test_obfuscate_report_run(self, qasm_dir):
+        src, out, report = (str(qasm_dir / name) for name in ("bv6.qasm", "out.qasm", "r.json"))
+        loaded = self.loaded_after(
+            f"from qobf.cli import main\nassert main(['obfuscate', '--method', 'cloaked',"
+            f" {src!r}, '-o', {out!r}, '--report', {report!r}]) == 0"
+        )
+        assert {"numpy", "qobf.sim", "qobf.metrics"} <= loaded
 
     def test_verify_run(self, qasm_dir):
         f = str(qasm_dir / "x.qasm")

@@ -21,6 +21,7 @@ from qobf.passes import (
     _commit_verdict,
     _delayed_commit_check,
     apply_pass,
+    check_translation,
     cloaked_gates_pass,
     composite_gates_pass,
     default_verified_rules,
@@ -460,6 +461,54 @@ class TestPassProperties:
         )
         assert same_gates(undo(step3), bv6)
         assert equivalent(bv6, step3)[0]
+
+
+class TestCheckTranslation:
+    """The exact window check accepts what the passes write, and the dense
+    oracle agrees on each output; what it cannot place, it refuses."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fixture", ["bv6", "qaoa_ring4", "period7"])
+    def test_accepts_every_fixture_output(self, method, fixture, fixtures):
+        c = fixtures[fixture]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PassWarning)
+            for seed in range(50):
+                for intensity in (1.0, 0.5):
+                    out = apply_pass(method, c, cfg(method, seed=seed, intensity=intensity))
+                    assert check_translation(c, out) is None, (seed, intensity)
+                    assert equivalent(c, out)[0], (seed, intensity)
+
+    def test_accepts_random_circuit_outputs(self):
+        rng = random.Random(2021)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PassWarning)
+            for _ in range(200):
+                c = random_circuit(rng, max_qubits=10, max_gates=40,
+                                   measure=rng.random() < 0.5, barriers=True)
+                for method in METHODS:
+                    out = apply_pass(method, c, cfg(method, seed=rng.randrange(1000)))
+                    assert check_translation(c, out) is None, (emit(c), method)
+                    assert equivalent(c, out)[0], (emit(c), method)
+
+    def test_refuses_a_source_with_pass_provenance(self, bv6):
+        step1 = inverse_gates_pass(bv6, cfg("inverse", seed=1, intensity=0.6))
+        step2 = inverse_gates_pass(step1, cfg("inverse", seed=2, intensity=0.6))
+        assert equivalent(step1, step2)[0]
+        # the second pass splits the first's windows, and undo rolls back both
+        assert check_translation(step1, step2) is not None
+        assert check_translation(bv6, step2) is not None
+
+    def test_refuses_a_window_past_three_qubits(self):
+        # two inverse pairs under one window id: the identity, but on 4 qubits
+        pair = [GateApp(K.CX, (0, 1), origin="inserted", window=0),
+                GateApp(K.CX, (2, 3), origin="inserted", window=0)] * 2
+        problem = check_translation(Circuit(4), Circuit(4, 0, tuple(pair)))
+        assert problem == "window 0 (gates 0-3) touches 4 qubits; at most 3 allowed"
+
+    def test_refuses_a_group_with_no_recorded_original(self):
+        out = Circuit(1, 0, (GateApp(K.X, (0,), origin="substituted", group=0),))
+        assert check_translation(single_x(), out) == "group 0 replaces no recorded original gate"
 
 
 class TestConfig:
