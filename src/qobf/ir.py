@@ -109,8 +109,6 @@ _INVERSE: dict[GateKind, GateKind] = {
     GateKind.TDG: GateKind.T,
 }
 
-ORIGINS = ("original", "inserted", "substituted")
-
 #: opaque-predicate kinds (see :mod:`qobf.predicates`) and circuit pass
 #: methods (see :mod:`qobf.passes`); defined here, away from numpy, so the
 #: CLI can offer them as ``--kind`` and ``--method`` choices cheaply

@@ -1,13 +1,13 @@
 """Dense state-vector simulator, unitary builder, and equivalence oracle.
 
-This is the ground truth every circuit pass is checked against: Born-rule
-outcome distributions (no shot noise) and circuit equivalence up to global
-phase in three modes (statevector, unitary, distribution). It is the only
+It gives Born-rule outcome distributions (no shot noise) and decides
+circuit equivalence up to global phase in three modes (statevector, unitary,
+distribution), as an independent check of whole circuits. It is the only
 float simulator and the only one that needs numpy; ``verify``, ``report``,
-``obfuscate --report`` and ``simulate`` use it, while ``obfuscate`` checks its
-output window by window and predicate models use the exact one in
-:mod:`qobf.exact`. Both simulators apply gates from one table,
-``ir._MONOMIAL``, and lay out measured keys from one function,
+``obfuscate --report``, ``simulate`` and the tests use it. ``obfuscate``
+itself checks its output window by window, and predicate models use the
+exact simulator in :mod:`qobf.exact`. Both simulators apply gates from one
+table, ``ir._MONOMIAL``, and lay out measured keys from one function,
 ``ir._measured_components``. The textbook matrices of :func:`gate_matrix`
 are kept apart from that table, as the independent reference the applier
 is tested against.
@@ -304,22 +304,21 @@ def _stimulus(dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _statevector_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
-    # U1 psi == phase * U2 psi is the miter test U2^dagger U1 psi == phase * psi;
-    # a dense psi has weight on every basis state, so relative phases show up
-    n = c1.n_qubits
-    out1 = _run(c1.gates, n, _stimulus)
-    out2 = _run(c2.gates, n, _stimulus)
+def _miter_check(c1: Circuit, c2: Circuit,
+                 run: Callable[[Circuit], np.ndarray]) -> tuple[bool, float]:
+    """Run both circuits, measurements stripped, on the same columns X: equal
+    when U1 X == phase * U2 X.
+
+    ``run`` evolves either one dense random state psi (statevector mode) or
+    every basis column at once (unitary mode, where the outputs are U1 and U2).
+    A dense psi has weight on every basis state, so relative phases show up.
+    Fidelity is |<U1 X, U2 X>| over the number of columns, which for the
+    identity's columns is |tr(U1^dagger U2)| / 2**n.
+    """
+    out1 = run(strip_measures(c1))
+    out2 = run(strip_measures(c2))
     ok, _ = proportional(out1, out2)
-    return ok, float(abs(np.vdot(out1, out2)))
-
-
-def _unitary_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
-    u1 = unitary_of(c1)
-    u2 = unitary_of(c2)
-    ok, _ = proportional(u1, u2)
-    fidelity = float(abs(np.trace(u1.conj().T @ u2)) / len(u1))
-    return ok, fidelity
+    return ok, float(abs(np.vdot(out1, out2)) / (out1.size // len(out1)))
 
 
 def _distribution_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
@@ -354,9 +353,9 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
     if mode in ("statevector", "unitary") and not same_measurements:
         mode = "distribution"  # those two modes strip measurements
     if mode == "statevector":
-        return _statevector_check(strip_measures(c1), strip_measures(c2))
+        return _miter_check(c1, c2, lambda c: _run(c.gates, c.n_qubits, _stimulus))
     if mode == "unitary":
-        return _unitary_check(strip_measures(c1), strip_measures(c2))
+        return _miter_check(c1, c2, unitary_of)
     if mode == "distribution":
         return _distribution_check(c1, c2)
     raise SimulationError(f"unknown equivalence mode {mode!r}")

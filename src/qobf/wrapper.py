@@ -259,8 +259,10 @@ def generate_decoy(src: SourceBlock, policy: DecoyPolicy) -> str:
             lines[0] = filler
         out = "\n".join(lines)
     # never let a decoy line collide with the branch end marker
-    out = "\n".join(ln + " _" if ln == END_MARKER else ln for ln in out.split("\n"))
-    return out
+    return "".join(
+        END_MARKER + " _" + ln[len(END_MARKER):] if _is_end_marker(ln) else ln
+        for ln in out.splitlines(keepends=True)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -302,10 +304,15 @@ def _branch_table(sem: BranchSemantics, bodies: Mapping[str, str]) -> str:
     return "\n".join(lines)
 
 
+def _is_end_marker(line: str) -> bool:
+    """Is ``line``, with or without its ending (``str.splitlines`` ends lines,
+    as emission and extraction do), the branch end marker?"""
+    return line.splitlines() == [END_MARKER]
+
+
 def _check_marker_collision(text: str, what: str) -> None:
-    for line in text.splitlines():
-        if line == END_MARKER:
-            raise WrapError(f"payload collides with template markers ({what})")
+    if any(_is_end_marker(line) for line in text.splitlines()):
+        raise WrapError(f"payload collides with template markers ({what})")
 
 
 def _shroud_split(text: str) -> tuple[str, str]:
@@ -417,10 +424,10 @@ def extract_branch_body(emitted: str, manifest: WrapManifest, branch_id: str) ->
         raise WrapError(f"branch {branch_id!r} appears {len(starts)} times in emitted text")
     body: list[str] = []
     for ln in lines[starts[0] + 1 :]:
-        if ln.rstrip("\n") == indent + END_MARKER:
-            return "".join(body)
         if not ln.startswith(indent):
             raise WrapError(f"branch {branch_id!r} body line lost its indent: {ln!r}")
+        if _is_end_marker(ln[len(indent) :]):
+            return "".join(body)
         body.append(ln[len(indent) :])
     raise WrapError(f"branch {branch_id!r} has no end marker")
 

@@ -219,6 +219,44 @@ def test_predicate_and_wrap_corpus_bytes_pinned(tmp_path, capsys):
     assert digest.hexdigest() == PREDICATE_WRAP_SHA256
 
 
+#: sha256 over the verify corpus below: each run's label, exit code and stdout.
+#: A change to the dense check that alters a verdict or a printed fidelity
+#: updates this digest and says so in CHANGES.md.
+VERIFY_SHA256 = "c0a763c0fcc723021f0ae37af4728fbff51d7920722ac1098b56505ae0228170"
+
+
+def test_verify_corpus_stdout_pinned(qasm_dir, capsys):
+    """``verify`` prints the same verdict and fidelity, in every mode, for
+    pass outputs and for the same outputs with one stray T gate."""
+    inputs = ["bv6", "qaoa_ring4", "period7"]
+    for seed in range(4):
+        circuit = random_circuit(random.Random(seed), min_qubits=7, max_qubits=7,
+                                 min_gates=20, max_gates=30, measure=True)
+        (qasm_dir / f"random{seed}.qasm").write_text(emit(circuit), encoding="utf-8")
+        inputs.append(f"random{seed}")
+    digest = hashlib.sha256()
+    out, stray = qasm_dir / "v_out.qasm", qasm_dir / "v_stray.qasm"
+    for name in inputs:
+        source = qasm_dir / f"{name}.qasm"
+        for method in METHODS:
+            for seed in [0, 1, 5]:
+                assert main(["obfuscate", "--method", method, "--seed", str(seed),
+                             str(source), "-o", str(out)]) == 0
+                obfuscated = parse(out.read_text(encoding="utf-8")).circuit
+                gates = obfuscated.gates
+                at = next((i for i, g in enumerate(gates) if g.kind is GateKind.MEASURE), len(gates)) // 2
+                stray_gate = GateApp(GateKind.T, (0,))
+                stray.write_text(emit(obfuscated.with_gates(gates[:at] + (stray_gate,) + gates[at:])),
+                                 encoding="utf-8")
+                capsys.readouterr()
+                for candidate in (out, stray):
+                    for mode in ["statevector", "unitary", "distribution"]:
+                        rc = main(["verify", str(source), str(candidate), "--mode", mode])
+                        label = f"{name} {method} {seed} {candidate.stem} {mode} rc={rc}\n"
+                        digest.update(label.encode() + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == VERIFY_SHA256
+
+
 def _inject_after_pass(kind: GateKind, seed: int):
     """A stand-in for apply_pass that runs the real pass, then inserts one
     ``kind`` gate at a seeded position before the first measurement."""

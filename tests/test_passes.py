@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qobf.passes
+import qobf.sim
 from qobf.exact import identity_phase
 from qobf.ir import ARITY, UNITARY_KINDS, Circuit, GateApp, GateKind, flatten, gate_count, same_gates
 from qobf.passes import (
@@ -189,7 +190,7 @@ class TestVerifyRuleset:
             raise AssertionError("simulated a malformed rule")
 
         monkeypatch.setattr(qobf.passes, "identity_phase", no_simulation)
-        monkeypatch.setattr(qobf.passes, "unitary_of", no_simulation)
+        monkeypatch.setattr(qobf.sim, "unitary_of", no_simulation)
         seq = type(INVERSE_PAIRS[0])("bad", (gate,))
         with pytest.raises(RulesetError, match=message):
             verify_ruleset([(K.CX, seq)])
@@ -462,6 +463,11 @@ class TestPassProperties:
         assert same_gates(undo(step3), bv6)
         assert equivalent(bv6, step3)[0]
 
+    def test_undo_names_a_group_with_no_recorded_original(self):
+        out = Circuit(1, 0, (GateApp(K.X, (0,), origin="substituted", group=0),))
+        with pytest.raises(ValueError, match="gate 0: group 0 has no recorded original"):
+            undo(out)
+
 
 class TestCheckTranslation:
     """The exact window check accepts what the passes write, and the dense
@@ -509,6 +515,23 @@ class TestCheckTranslation:
     def test_refuses_a_group_with_no_recorded_original(self):
         out = Circuit(1, 0, (GateApp(K.X, (0,), origin="substituted", group=0),))
         assert check_translation(single_x(), out) == "group 0 replaces no recorded original gate"
+
+    def test_rule_verdicts_serve_cloaked_groups(self, period7, monkeypatch):
+        # verify_ruleset decides each rule through the same cached miter that
+        # check_translation consults for a substitution group
+        qobf.passes._span_verdict.cache_clear()
+        rules = verify_ruleset(load_ruleset()).accepted
+        calls = []
+
+        def counting(gates, n):
+            calls.append(n)
+            return identity_phase(gates, n)
+
+        monkeypatch.setattr(qobf.passes, "identity_phase", counting)
+        out = cloaked_gates_pass(period7, cfg("cloaked", seed=3), rules)
+        assert any(g.group is not None for g in out.gates)
+        assert check_translation(period7, out) is None
+        assert calls == []
 
 
 class TestConfig:

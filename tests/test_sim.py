@@ -375,6 +375,15 @@ class TestEquivalent:
         assert not ok
         assert math.cos(math.pi / 8) <= fidelity < 1
 
+    def test_unitary_fidelity_is_normalised_trace(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            a = random_circuit(rng, min_qubits=2, max_qubits=5, max_gates=15)
+            b = random_circuit(rng, min_qubits=a.n_qubits, max_qubits=a.n_qubits, max_gates=15)
+            u_a, u_b = unitary_of(a), unitary_of(b)
+            want = abs(np.trace(u_a.conj().T @ u_b)) / len(u_a)
+            assert equivalent(a, b, "unitary")[1] == pytest.approx(want, abs=1e-12)
+
     def test_statevector_cap_fails_before_allocating(self):
         with pytest.raises(SimulationError, match="cap"):
             equivalent(Circuit(40), Circuit(40), "statevector")

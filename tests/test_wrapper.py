@@ -286,6 +286,15 @@ class TestExtraction:
         with pytest.raises(WrapError, match="collides with template markers"):
             wrap(SourceBlock(f"a = 1{newline}{END_MARKER}"), "bell")
 
+    def test_decoys_pass_the_payload_check(self):
+        # a bare "\r" ends a line for the check; renaming can turn the text
+        # after it into the end marker, which the decoy guard must then see
+        payload = "end = 1\nbranch = 2\nx = end\rpass  # :: branch end\nprint(x, branch)\n"
+        for seed in range(40):
+            policy = DecoyPolicy("dead_decoy", decoy_seed=seed)
+            emitted, manifest = wrap(SourceBlock(payload), "branch", {"seed": 3}, policy)
+            assert extract_payload(emitted, manifest) == payload
+
     def test_branch_ids_appear_exactly_once(self):
         for kind in ("bell", "multi_pair", "shroud", "branch"):
             emitted, manifest = wrap(SourceBlock(PAYLOAD), kind)
