@@ -5,6 +5,8 @@ The package splits into:
   * :mod:`qobf.ir`         - the circuit IR, validation, and structural metrics
   * :mod:`qobf.sim`        - dense statevector simulator and equivalence oracle
   * :mod:`qobf.exact`      - exact Clifford+T simulator for predicates and windows
+  * :mod:`qobf._kernel`    - its standard-library ring kernel, which wrapped
+    programs embed
   * :mod:`qobf.passes`     - the four circuit obfuscation passes
   * :mod:`qobf.predicates` - quantum opaque-predicate generators
   * :mod:`qobf.wrapper`    - predicate-guarded source wrapping
@@ -12,11 +14,11 @@ The package splits into:
   * :mod:`qobf.cli`        - the ``qobf`` command line tool
 
 The names in ``__all__`` resolve on first use (PEP 562): ``qobf.X`` and
-``from qobf import X`` import only the module that defines ``X``, so a
-wrapped program's ``from qobf import exact_amplitudes, exact_distribution,
-loads`` loads the front end and the exact simulator, not numpy, the dense
-simulator, the passes, the wrapper or the reports. numpy loads only with
-:mod:`qobf.sim` and the module that uses it, :mod:`qobf.metrics`;
+``from qobf import X`` import only the module that defines ``X``, so
+``from qobf import exact_distribution, loads`` loads the front end and the
+exact simulator, not numpy, the dense simulator, the passes, the wrapper or
+the reports; wrapped programs import no part of the package. numpy loads
+only with :mod:`qobf.sim` and the module that uses it, :mod:`qobf.metrics`;
 :mod:`qobf.passes` loads the dense simulator only to build a matrix on
 request.
 """

@@ -13,10 +13,13 @@ Conventions:
   * BARRIER is variadic (any number of distinct qubits) and is not a unitary:
     it forces a layer boundary in ``depth`` and is excluded from gate totals.
 
-The meaning of each gate but H is written down once, in ``_MONOMIAL``, and
-the classical-bit key layout of a measured distribution once, in
-``_measured_components``; the float simulator (:mod:`qobf.sim`) and the exact
-one (:mod:`qobf.exact`) both read them and differ only in their arithmetic.
+The meaning of each gate but H is written down once, in the gate table of
+:mod:`qobf._kernel`, and so are the component split and the classical-bit key
+layout of a measured distribution. ``_MONOMIAL`` is the table by GateKind,
+and ``_components`` and ``_measured_components`` run the split and the layout
+on GateApps for the float simulator (:mod:`qobf.sim`); the exact one
+(:mod:`qobf.exact`) hands the kernel its own gate pairs. Both take the
+measured pairs from ``_key_pairs`` and differ only in their arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from . import _kernel
 from .diagnostics import Diagnostic
 
 
@@ -83,22 +87,10 @@ UNITARY_KINDS = frozenset(
     k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)
 )
 
-#: every unitary kind but H maps basis state |v> of its operands (operand 0
-#: the most significant bit) to ω^e |w>, with ω = e^{iπ/4} (Giles & Selinger,
-#: arXiv:1212.0506); these are the (w, e) per v. Each v -> w is an involution.
+#: the kernel's gate table (``_kernel._GATES``) keyed by kind, H left out:
+#: each kind's (w, e) per basis state v of its operands
 _MONOMIAL: dict[GateKind, tuple[tuple[int, int], ...]] = {
-    GateKind.X: ((1, 0), (0, 0)),
-    GateKind.Y: ((1, 2), (0, 6)),
-    GateKind.Z: ((0, 0), (1, 4)),
-    GateKind.S: ((0, 0), (1, 2)),
-    GateKind.SDG: ((0, 0), (1, 6)),
-    GateKind.T: ((0, 0), (1, 1)),
-    GateKind.TDG: ((0, 0), (1, 7)),
-    GateKind.SWAP: ((0, 0), (2, 0), (1, 0), (3, 0)),
-    GateKind.CX: ((0, 0), (1, 0), (3, 0), (2, 0)),
-    GateKind.CZ: ((0, 0), (1, 0), (2, 0), (3, 4)),
-    GateKind.CY: ((0, 0), (1, 0), (3, 2), (2, 6)),
-    GateKind.CCX: ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (7, 0), (6, 0)),
+    GateKind(name): table for name, table in _kernel._GATES.items() if table is not None
 }
 
 #: the inverse of each kind that is not its own inverse
@@ -288,47 +280,39 @@ def measured_pairs(circuit: Circuit) -> list[tuple[int, int]]:
     ]
 
 
+def _relabelled(part: Sequence[tuple[GateApp, tuple[int, ...]]]) -> list[GateApp]:
+    """A kernel component's (gate, local qubits) pairs as gates on the local qubits."""
+    return [g if local == g.qubits else GateApp(g.kind, local, g.cbit) for g, local in part]
+
+
 def _components(gates: Sequence[GateApp], n: int) -> list[tuple[list[int], list[GateApp]]]:
     """Split a circuit into the connected components of its qubit-interaction graph.
 
     Two qubits are connected when a gate acts on both; barriers and
-    measurements join nothing. A barrier spanning components is dropped (it
-    is a no-op), and a measurement stays with its qubit's component. Every
-    qubit lies in exactly one component, an untouched qubit in one of its
-    own. Returns (qubits, gates) per component, ordered by lowest qubit,
-    with the qubits ascending and the gates relabelled onto local indices in
-    that order, so a component's state keeps the global bit order. Callers
-    check their own size caps first.
+    measurements join nothing. Barriers are dropped (they are no-ops), and a
+    measurement stays with its qubit's component. Every qubit lies in exactly
+    one component, an untouched qubit in one of its own. Returns (qubits,
+    gates) per component, ordered by lowest qubit, with the qubits ascending
+    and the gates relabelled onto local indices in that order, so a
+    component's state keeps the global bit order (``_kernel._components``).
+    Callers check their own size caps first.
     """
-    parent = list(range(n))
+    pairs = [(g, g.qubits) for g in gates if g.kind is not GateKind.BARRIER]
+    return [(qubits, _relabelled(part)) for qubits, part in _kernel._components(pairs, n)]
 
-    def find(q: int) -> int:
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
 
-    for g in gates:
-        if len(g.qubits) > 1 and g.kind is not GateKind.BARRIER:
-            root = find(g.qubits[0])
-            for q in g.qubits[1:]:
-                parent[find(q)] = root
-    roots = [find(q) for q in range(n)]
-    if len(set(roots)) == 1:
-        # connected: the relabelling is the identity and a barrier joins
-        # nothing new, so the gates run as given
-        return [(list(range(n)), list(gates))]
-    local = [0] * n
-    parts: dict[int, tuple[list[int], list[GateApp]]] = {}
-    for q, root in enumerate(roots):
-        qubits, _ = parts.setdefault(root, ([], []))
-        local[q] = len(qubits)
-        qubits.append(q)
-    for g in gates:
-        if g.kind is not GateKind.BARRIER:
-            relabelled = tuple(local[q] for q in g.qubits)
-            parts[roots[g.qubits[0]]][1].append(GateApp(g.kind, relabelled, g.cbit))
-    return list(parts.values())
+def _key_pairs(circuit: Circuit) -> list[tuple[int, int]]:
+    """The (qubit, classical bit) pairs that lay out the keys of a measured
+    distribution. Raises SimulationError when nothing is measured, or a
+    qubit or a classical bit is measured more than once."""
+    pairs = measured_pairs(circuit)
+    if not pairs:
+        raise SimulationError("circuit has no measurements")
+    for what, seen in zip(("qubit", "classical bit"), zip(*pairs)):
+        twice = [x for x, times in Counter(seen).items() if times > 1]
+        if twice:
+            raise SimulationError(f"{what} {twice[0]} is measured more than once")
+    return pairs
 
 
 def _measured_components(
@@ -338,28 +322,12 @@ def _measured_components(
 
     A key has one character per measured classical bit, the lowest classical
     index rightmost. Returns the key width and, for each component of the
-    circuit's unmeasured gates (see ``_components``) that has a measured
-    qubit, (qubits, gates, measured): ``measured`` lists (local qubit, key
-    place) pairs by ascending place, a place counted from the right of the
-    key. Raises SimulationError when nothing is measured, or a qubit or a
-    classical bit is measured more than once.
+    circuit's unitary gates (see ``_components``) that has a measured qubit,
+    (qubits, gates, measured): ``measured`` lists (local qubit, key place)
+    pairs by ascending place, a place counted from the right of the key
+    (``_kernel._measured_parts`` over ``_key_pairs``).
     """
-    pairs = measured_pairs(circuit)
-    if not pairs:
-        raise SimulationError("circuit has no measurements")
-    for what, seen in zip(("qubit", "classical bit"), zip(*pairs)):
-        twice = [x for x, times in Counter(seen).items() if times > 1]
-        if twice:
-            raise SimulationError(f"{what} {twice[0]} is measured more than once")
-    cbit_of = dict(pairs)
-    place = {c: i for i, c in enumerate(sorted(cbit_of.values()))}
-    unitary = [g for g in circuit.gates if g.kind is not GateKind.MEASURE]
-    parts = []
-    for qubits, gates in _components(unitary, circuit.n_qubits):
-        measured = sorted(
-            ((i, place[cbit_of[q]]) for i, q in enumerate(qubits) if q in cbit_of),
-            key=lambda m: m[1],
-        )
-        if measured:
-            parts.append((qubits, gates, measured))
-    return len(pairs), parts
+    unitary = [(g, g.qubits) for g in circuit.gates
+               if g.kind is not GateKind.MEASURE and g.kind is not GateKind.BARRIER]
+    width, parts = _kernel._measured_parts(unitary, _key_pairs(circuit), circuit.n_qubits)
+    return width, [(qubits, _relabelled(part), places) for qubits, part, places in parts]

@@ -251,8 +251,12 @@ def branch_predicate(seed: int = 0) -> PredicateCircuit:
     ancilla q4 between Hadamard walls; interference cancels every outcome
     except q2 = q3 = 1, so the (c2, c3) key is "11" with probability one. The
     decoy segment on q0, q1 is 4-8 seeded random gates, measured but ignored
-    (never touching q2, q3 or q4). The ancilla q4 stays unmeasured.
+    (never touching q2, q3 or q4). The ancilla q4 stays unmeasured. A
+    negative seed raises PredicateError: ``random.Random`` takes the absolute
+    value, so -s would silently write seed s's circuit.
     """
+    if seed < 0:
+        raise PredicateError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     gates: list[GateApp] = []
     for _ in range(rng.randint(4, 8)):

@@ -7,10 +7,11 @@ float simulator and the only one that needs numpy; ``verify``, ``report``,
 ``obfuscate --report``, ``simulate`` and the tests use it. ``obfuscate``
 itself checks its output window by window, and predicate models use the
 exact simulator in :mod:`qobf.exact`. Both simulators apply gates from one
-table, ``ir._MONOMIAL``, and lay out measured keys from one function,
-``ir._measured_components``. The textbook matrices of :func:`gate_matrix`
-are kept apart from that table, as the independent reference the applier
-is tested against.
+table, the gate table of :mod:`qobf._kernel` (``ir._MONOMIAL`` is its view by
+GateKind), and split components and lay out measured keys with the kernel's
+functions, through ``ir._components`` and ``ir._measured_components``. The
+textbook matrices of :func:`gate_matrix` are kept apart from that table, as
+the independent reference the applier is tested against.
 
 Index convention (fixed, see README): qubit 0 is the least significant bit of
 a basis-state index, and classical bit 0 is the rightmost character of an
@@ -244,7 +245,7 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
     Each connected component with a measured qubit runs and is normalized on
     its own; the distribution is the product of their marginals, and a
     component with no measured qubit is never run. The key layout is the one
-    :func:`qobf.exact.exact_probabilities` uses (``ir._measured_components``);
+    :func:`qobf.exact.exact_probabilities` uses (``_kernel._measured_parts``);
     a qubit or classical bit measured more than once raises SimulationError.
 
     Measurements may appear mid-circuit; because no gate may touch a qubit

@@ -14,8 +14,11 @@ and branches resolved, without ever executing the emitted program.
 The payload is handled as text. Only shroud parses it (with :mod:`ast`), to
 cut it at the top-level statement boundary nearest its middle line.
 
-Templates are text files with exactly two placeholders:
-{PREDICATE_CIRCUIT_QASM} and {BRANCH_TABLE}.
+Templates are text files with two required placeholders,
+{PREDICATE_CIRCUIT_QASM} and {BRANCH_TABLE}, and one optional one,
+{EVALUATOR}, which receives the source of :mod:`qobf._kernel` byte for byte:
+a template that has it evaluates its predicate with the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ INDENT = "    "
 END_MARKER = "pass  # :: end branch"
 
 _PLACEHOLDERS = frozenset({"PREDICATE_CIRCUIT_QASM", "BRANCH_TABLE"})
-_PLACEHOLDER_RE = re.compile(r"\{(PREDICATE_CIRCUIT_QASM|BRANCH_TABLE)\}")
+_PLACEHOLDER_RE = re.compile(r"\{(PREDICATE_CIRCUIT_QASM|BRANCH_TABLE|EVALUATOR)\}")
+#: the exact kernel a template's {EVALUATOR} placeholder receives
+_KERNEL = Path(__file__).with_name("_kernel.py")
 
 
 class WrapError(ValueError):
@@ -203,7 +208,7 @@ def load_template(template_id: str, template_dir: str | Path | None = None) -> T
     if not path.is_file():
         raise WrapError(f"unknown template {template_id!r} (no file {path})")
     text = path.read_text(encoding="utf-8")
-    found = set(_PLACEHOLDER_RE.findall(text))
+    found = set(_PLACEHOLDER_RE.findall(text)) - {"EVALUATOR"}
     if found != _PLACEHOLDERS:
         missing = sorted(_PLACEHOLDERS - found)
         raise WrapError(f"template {template_id!r} placeholder set wrong; missing {missing}")
@@ -389,6 +394,7 @@ def wrap(
     fills = {
         "PREDICATE_CIRCUIT_QASM": emit(pred.circuit),
         "BRANCH_TABLE": _branch_table(sem, bodies),
+        "EVALUATOR": _KERNEL.read_text(encoding="utf-8"),
     }
     emitted = _PLACEHOLDER_RE.sub(lambda m: fills[m.group(1)], template.text)
     manifest = WrapManifest(

@@ -242,6 +242,14 @@ class TestMakePredicate:
         with pytest.raises(PredicateError):
             make_predicate("chsh")
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_branch_seed(self, seed):
+        # Random(-s) is Random(s): the seed would alias another's circuit
+        with pytest.raises(PredicateError, match=f"seed must be non-negative, got {seed}"):
+            make_predicate("branch", {"seed": seed})
+        with pytest.raises(PredicateError, match="seed must be non-negative"):
+            branch_predicate(seed)
+
     @pytest.mark.parametrize(
         "kind, params",
         [("multi_pair", {"pairs": 3}), ("branch", {"n_pairs": 2}), ("bell", {"seed": 1}),

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import qobf
+from qobf.cli import main
 from qobf.ir import PREDICATE_KINDS
 import qobf.predicates
 from qobf.predicates import make_predicate
@@ -55,6 +56,19 @@ class TestTemplates:
         (tmp_path / "broken.tmpl").write_text("{PAYLOAD} only\n")
         with pytest.raises(WrapError, match="placeholder set"):
             load_template("broken", tmp_path)
+
+    def test_template_without_evaluator(self, tmp_path):
+        # {EVALUATOR} is optional: a template without it gets no kernel
+        text = ('q = """{PREDICATE_CIRCUIT_QASM}"""\n'
+                '_evaluate_predicate = lambda: ("11", None)\n{BRANCH_TABLE}\n')
+        (tmp_path / "plain.tmpl").write_text("# description: plain\n" + text)
+        assert load_template("plain", tmp_path).description == "plain"
+        emitted, _ = wrap(SourceBlock(PAYLOAD), "bell", template_id="plain", template_dir=tmp_path)
+        assert emitted.startswith("# description: plain\nq = \"\"\"OPENQASM 2.0;\n")
+        assert "_basis_run" not in emitted
+        namespace: dict = {}
+        exec(emitted, namespace)
+        assert namespace["x"] == 4
 
     def test_unknown_template(self):
         with pytest.raises(WrapError, match="unknown template"):
@@ -222,6 +236,18 @@ CORPUS = {
     ),
     "exit-3": "import sys\nprint('leaving')\nsys.stdout.flush()\nsys.exit(3)\nprint('unreachable')\n",
     "one-statement": "for i in range(3):\n    square = i * i\n    print(i, square)\n",
+    # the pasted kernel imports math, and qobf.exact has a _run; a wrapped
+    # program binds neither
+    "unbound-names": (
+        "import sys\n"
+        "print('looking up')\n"
+        "for name in ('math', '_run'):\n"
+        "    try:\n"
+        "        eval(name)\n"
+        "    except NameError as exc:\n"
+        "        print(exc, file=sys.stderr)\n"
+        "sys.exit(1)\n"
+    ),
 }
 
 #: every predicate kind, with the parameters the corpus wraps it with
@@ -229,9 +255,13 @@ KINDS = [("bell", None), ("branch", {"seed": 3}), ("multi_pair", {"n_pairs": 2})
 
 
 def run_python(path: Path) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(Path(qobf.__file__).parents[1])}
+    """Run a file isolated from this checkout and from site-packages (-I -S,
+    no PYTHONPATH, in the file's own directory), so a program that needs the
+    ``qobf`` package fails."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, str(path)], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-I", "-S", path.name], capture_output=True, text=True,
+        timeout=60, env=env, cwd=path.parent,
     )
 
 
@@ -262,6 +292,38 @@ class TestWrappedProgramRuns:
             want.returncode,
         )
         assert want.stdout
+
+    @pytest.mark.parametrize("flags", [["--kind", "bell"], ["--kind", "branch", "--seed", "3"],
+                                       ["--kind", "multi_pair", "--pairs", "2"], ["--kind", "shroud"]])
+    def test_cli_program_runs(self, flags, tmp_path, capsys):
+        """The program the ``wrap`` command writes runs as its payload does."""
+        payload, program = tmp_path / "payload.py", tmp_path / "wrapped.py"
+        payload.write_text(CORPUS["exit-3"])
+        assert main(["wrap", "--payload", str(payload), *flags, "-o", str(program)]) == 0
+        want, got = run_python(payload), run_python(program)
+        assert (got.stdout, got.stderr, got.returncode) == (want.stdout, want.stderr, 3)
+
+    def test_restart_keeps_interpreter_options(self, tmp_path):
+        """The restart branch re-runs the program under the options this
+        interpreter was started with."""
+        program, runner = tmp_path / "wrapped.py", tmp_path / "runner.py"
+        program.write_text(wrap(SourceBlock("print('live')\n"), "multi_pair", {"n_pairs": 1})[0])
+        runner.write_text(
+            "import json, os\n"
+            "calls = []\n"
+            "os.execv = lambda path, argv: calls.append([path, *argv])\n"
+            "namespace = {'__name__': '__main__'}\n"
+            "exec(open('wrapped.py').read(), namespace)\n"
+            "namespace['_restart']()\n"
+            "print(json.dumps(calls))\n"
+        )
+        flags = ["-I", "-S", "-X", "utf8", "-W", "ignore"]
+        got = subprocess.run([sys.executable, *flags, "runner.py"], capture_output=True,
+                             text=True, timeout=60, cwd=tmp_path)
+        assert got.returncode == 0, got.stderr
+        calls = json.loads(got.stdout.splitlines()[-1])
+        assert calls and all(call == [sys.executable, sys.executable, *flags, "runner.py"]
+                             for call in calls)
 
 
 class TestExtraction:
@@ -380,8 +442,8 @@ class TestResolveBranches:
         qobf.predicates._built.cache_clear()
         qobf.exact._probabilities.cache_clear()
         runs, checks = [], []
-        run, check = qobf.exact._run, qobf.predicates._check_measured_model
-        monkeypatch.setattr(qobf.exact, "_run", lambda *a: runs.append(a) or run(*a))
+        run, check = qobf.exact._basis_run, qobf.predicates._check_measured_model
+        monkeypatch.setattr(qobf.exact, "_basis_run", lambda *a: runs.append(a) or run(*a))
         monkeypatch.setattr(
             qobf.predicates, "_check_measured_model", lambda p: checks.append(p) or check(p)
         )
