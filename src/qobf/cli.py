@@ -13,7 +13,9 @@ measurements included (:func:`qobf.passes.check_translation`).
 
 Exit codes (stable for scripting):
   0 - success
-  2 - usage error, unreadable/unparsable input, or qubit mismatch
+  1 - ``verify`` only: the two circuits are not equivalent
+  2 - usage error, unreadable/unparsable input, an output path that cannot
+      be written, or qubit mismatch
   3 - internal soundness failure: a pass produced a circuit the check cannot
       prove equivalent (the tool refuses to write semantics-breaking output)
 """
@@ -75,6 +77,25 @@ def apply_pass(
     from .passes import apply_pass as run_pass
 
     return run_pass(method, circuit, cfg, ruleset)
+
+
+def _write_outputs(outputs: Sequence[tuple[str, str]]) -> str | None:
+    """Write each (path, text) in order; on the first that cannot be
+    written, remove the regular files written before it and return the
+    error message (None when all are written). So a command that writes two
+    files leaves neither when one of them fails; a device such as
+    ``/dev/null`` is left alone."""
+    written: list[Path] = []
+    for path, text in outputs:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            for done in written:
+                if done.is_file():
+                    done.unlink()
+            return f"cannot write {path}: {exc}"
+        written.append(Path(path))
+    return None
 
 
 def _load_circuit(path: str) -> Circuit | None:
@@ -141,14 +162,17 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
             f"pass broke circuit semantics ({problem}); refusing to write output",
             EXIT_SOUNDNESS,
         )
-    Path(args.output).write_text(emit(obfuscated), encoding="utf-8")
+    outputs = [(args.output, emit(obfuscated))]
     if args.report:
         from .metrics import measure_circuit_run, render_report
 
         report_obj = measure_circuit_run(
             circuit, obfuscated, args.method, input_id=args.input, seed=args.seed
         )
-        Path(args.report).write_text(render_report([report_obj], "json") + "\n", encoding="utf-8")
+        outputs.append((args.report, render_report([report_obj], "json") + "\n"))
+    problem = _write_outputs(outputs)
+    if problem:
+        return _fail(problem)
     if args.verbose:
         # once checked, each inserted or substituted gate is in one window or one group
         checked = {(g.window, g.group) for g in obfuscated.gates if g.origin != "original"}
@@ -191,7 +215,6 @@ def cmd_predicate(args: argparse.Namespace) -> int:
         pred = make_predicate(args.kind, _predicate_params(args))
     except ValueError as exc:
         return _fail(str(exc))
-    Path(args.output).write_text(emit(pred.circuit), encoding="utf-8")
     # make_predicate has checked the model; its exact distribution is memoised
     doc = {"kind": pred.kind, "params": dict(pred.params)}
     if pred.semantics.kind == "measured":
@@ -199,7 +222,11 @@ def cmd_predicate(args: argparse.Namespace) -> int:
     else:
         doc["amplitudes"] = [[z.real, z.imag] for z in pred.semantics.amplitudes]
     model_path = args.model or (str(Path(args.output)) + ".model.json")
-    Path(model_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    problem = _write_outputs(
+        [(args.output, emit(pred.circuit)), (model_path, json.dumps(doc, indent=2) + "\n")]
+    )
+    if problem:
+        return _fail(problem)
     if args.verbose:
         print(f"wrote {args.output} and {model_path}")
     return EXIT_OK
@@ -230,11 +257,12 @@ def cmd_wrap(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
-    Path(args.output).write_text(emitted, encoding="utf-8")
     manifest_path = args.manifest or (str(Path(args.output)) + ".manifest.json")
-    Path(manifest_path).write_text(
-        json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8"
+    problem = _write_outputs(
+        [(args.output, emitted), (manifest_path, json.dumps(manifest.to_dict(), indent=2) + "\n")]
     )
+    if problem:
+        return _fail(problem)
     for branch_id, prob in resolve_branches(manifest).items():
         print(f"{branch_id}: p={prob:.12g}")
     return EXIT_OK
@@ -265,7 +293,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
     text = render_report(reports, args.format)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        problem = _write_outputs([(args.out, text + "\n")])
+        if problem:
+            return _fail(problem)
     else:
         print(text)
     return EXIT_OK

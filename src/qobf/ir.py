@@ -8,6 +8,9 @@ emission. They record how a pass derived its output, so that
 :func:`qobf.passes.check_translation` can check it window by window and tests
 can check that transforms only touch what they claim to touch.
 
+:func:`validate` checks each distinct gate's qubit operands once, and runs
+the checks that depend on earlier gates for every gate.
+
 Conventions:
   * qubit 0 is the least significant bit of a basis-state index;
   * BARRIER is variadic (any number of distinct qubits) and is not a unitary:
@@ -172,54 +175,80 @@ class GateCounts:
         return self.counts.get(kind, 0)
 
 
+def _operands_ok(g: GateApp, n_qubits: int) -> bool:
+    """Whether ``g`` passes :func:`validate`'s checks on its qubit operands:
+    arity, distinctness and range."""
+    arity = ARITY[g.kind]
+    return (
+        (len(g.qubits) == arity if arity is not None else bool(g.qubits))
+        and len(set(g.qubits)) == len(g.qubits)
+        and all(0 <= q < n_qubits for q in g.qubits)
+    )
+
+
 def validate(circuit: Circuit) -> list[Diagnostic]:
     """Check all structural invariants; returns [] iff the circuit is well formed.
 
     Violations are reported, not raised, so malformed circuits can be
     inspected. Checks: index ranges, operand arity and distinctness, MEASURE
-    classical targets (present, in range, written once), and that no gate
-    touches a qubit after that qubit has been measured.
+    classical targets (present, in range, written once), that no gate
+    touches a qubit after that qubit has been measured, and that each box id
+    is in the box table.
+
+    The checks on qubit operands (arity, distinctness, range) run once per
+    distinct (kind, qubits); a gate that passes them has only the cheap
+    classical-target and box checks and the checks that depend on earlier
+    gates left to run. A gate that fails them runs every check, so the
+    diagnostics and their order are those of checking every gate in full.
     """
     diags: list[Diagnostic] = []
 
     def err(msg: str) -> None:
         diags.append(Diagnostic("error", msg))
 
+    def gate_err(pos: int, g: GateApp, msg: str) -> None:
+        err(f"gate {pos} ({g.kind.value}): {msg}")
+
     if circuit.n_qubits < 1:
         err(f"circuit must declare at least one qubit (got {circuit.n_qubits})")
     if circuit.n_cbits < 0:
         err(f"negative classical register size {circuit.n_cbits}")
 
+    operands_ok: dict[tuple, bool] = {}
     measured: set[int] = set()
     written_cbits: set[int] = set()
     for pos, g in enumerate(circuit.gates):
-        where = f"gate {pos} ({g.kind.value})"
-        arity = ARITY[g.kind]
-        if arity is not None and len(g.qubits) != arity:
-            err(f"{where}: expected {arity} qubit operand(s), got {len(g.qubits)}")
-        if g.kind is GateKind.BARRIER and not g.qubits:
-            err(f"{where}: barrier needs at least one qubit")
-        if len(set(g.qubits)) != len(g.qubits):
-            err(f"{where}: duplicate qubit operand")
-        for q in g.qubits:
-            if not 0 <= q < circuit.n_qubits:
-                err(f"{where}: qubit index {q} out of range [0, {circuit.n_qubits})")
-            elif q in measured and g.kind is not GateKind.BARRIER:
-                err(f"{where}: gate after measurement of qubit {q}")
+        ok = operands_ok.get((g.kind, g.qubits))
+        if ok is None:
+            ok = operands_ok[g.kind, g.qubits] = _operands_ok(g, circuit.n_qubits)
+        if not ok:
+            arity = ARITY[g.kind]
+            if arity is not None and len(g.qubits) != arity:
+                gate_err(pos, g, f"expected {arity} qubit operand(s), got {len(g.qubits)}")
+            if g.kind is GateKind.BARRIER and not g.qubits:
+                gate_err(pos, g, "barrier needs at least one qubit")
+            if len(set(g.qubits)) != len(g.qubits):
+                gate_err(pos, g, "duplicate qubit operand")
+        if not ok or measured:
+            for q in g.qubits:
+                if not ok and not 0 <= q < circuit.n_qubits:
+                    gate_err(pos, g, f"qubit index {q} out of range [0, {circuit.n_qubits})")
+                elif q in measured and g.kind is not GateKind.BARRIER:
+                    gate_err(pos, g, f"gate after measurement of qubit {q}")
         if g.kind is GateKind.MEASURE:
             if g.cbit is None:
-                err(f"{where}: measurement without classical target")
+                gate_err(pos, g, "measurement without classical target")
             elif not 0 <= g.cbit < circuit.n_cbits:
-                err(f"{where}: classical index {g.cbit} out of range [0, {circuit.n_cbits})")
+                gate_err(pos, g, f"classical index {g.cbit} out of range [0, {circuit.n_cbits})")
             elif g.cbit in written_cbits:
-                err(f"{where}: classical bit {g.cbit} measured twice")
+                gate_err(pos, g, f"classical bit {g.cbit} measured twice")
             else:
                 written_cbits.add(g.cbit)
             measured.update(q for q in g.qubits if 0 <= q < circuit.n_qubits)
         elif g.cbit is not None:
-            err(f"{where}: classical target on a non-measurement gate")
+            gate_err(pos, g, "classical target on a non-measurement gate")
         if g.box is not None and g.box not in circuit.boxes:
-            err(f"{where}: box id {g.box} missing from box table")
+            gate_err(pos, g, f"box id {g.box} missing from box table")
     return diags
 
 

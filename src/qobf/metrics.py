@@ -151,7 +151,8 @@ def render_report(reports: Sequence[Report], format: str = "json") -> str:
             row = ""
             for name, width in _TABLE_COLUMNS:
                 value = getattr(r, name)
-                row += str(value if value is not None else "-").ljust(width)
+                # at least one blank after every cell, however wide
+                row += str(value if value is not None else "-").ljust(width - 1) + " "
             rows.append(row)
         return "\n".join(rows)
     raise ReportError(f"unknown report format {format!r}")

@@ -22,6 +22,14 @@ flattened to contiguous indices in declaration order.
 ID is ``[A-Za-z_][A-Za-z0-9_]*`` and INT is ``[0-9]+``: both are ASCII. Any
 other character outside a comment or the include string is an illegal
 character, reported with its span.
+
+:func:`parse` reads in one of two ways, chosen by the input. A file with one
+whole statement on each line (the header first, blanks and ``//`` comments
+anywhere), which is what :func:`emit` writes, is read line by line: each
+distinct line is tokenized and parsed once, and a repeated line costs one
+dict lookup, so parse time grows with the distinct lines, not with the file.
+Any other file, and any file with an error, is tokenized and parsed whole
+from the start; that token parser alone writes diagnostics.
 """
 
 from __future__ import annotations
@@ -52,17 +60,15 @@ _REJECTED = {
 
 # Matched against one line at a time, so a string cannot span lines. The
 # line's trailing blanks are stripped first: left in, the blank run would
-# give one back to the ``illegal`` catch-all.
-_TOKEN = re.compile(
-    r"""[ \t\r]*(?:
+# give one back to the ``illegal`` catch-all. Compiled on first use (``re``
+# keeps it), since most commands import this module and parse nothing.
+_TOKEN = r"""[ \t\r]*(?:
         (?P<comment>//.*)
       | (?P<symbol>"[^"]*"|->|[][;,.(){}=<>+*-])
       | (?P<integer>[0-9]+)
       | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<illegal>.)
-    )""",
-    re.VERBOSE,
-)
+    )"""
 
 
 class Token(NamedTuple):
@@ -103,21 +109,26 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     for line, text in enumerate(source.split("\n"), 1):
-        for match in _TOKEN.finditer(text.rstrip(" \t\r")):
-            kind = match.lastgroup
-            if kind == "comment":
-                continue
-            lexeme = match[kind]
-            col = match.start(kind) + 1
-            if kind == "illegal":
-                message = (
-                    "unterminated string literal" if lexeme == '"' else f"illegal character {lexeme!r}"
-                )
-                raise QasmError([Diagnostic("error", message, SourceSpan(line, col, line, col))])
-            if kind == "identifier" and lexeme in KEYWORDS:
-                kind = "keyword"
-            tokens.append(Token(kind, lexeme, line, col))
+        _tokenize_line(text.rstrip(" \t\r"), line, tokens)
     return tokens
+
+
+def _tokenize_line(text: str, line: int, tokens: list[Token]) -> None:
+    """Append the tokens of one line, trailing blanks already stripped, to ``tokens``."""
+    for match in re.finditer(_TOKEN, text, re.VERBOSE):
+        kind = match.lastgroup
+        if kind == "comment":
+            continue
+        lexeme = match[kind]
+        col = match.start(kind) + 1
+        if kind == "illegal":
+            message = (
+                "unterminated string literal" if lexeme == '"' else f"illegal character {lexeme!r}"
+            )
+            raise QasmError([Diagnostic("error", message, SourceSpan(line, col, line, col))])
+        if kind == "identifier" and lexeme in KEYWORDS:
+            kind = "keyword"
+        tokens.append(Token(kind, lexeme, line, col))
 
 
 class _Skip(Exception):
@@ -348,6 +359,52 @@ class _Parser:
         self.gates.append(GateApp(GateKind.BARRIER, tuple(operands)))
 
 
+def _read_lines(source: str) -> Circuit | None:
+    """The circuit of a file written one statement per line, or None.
+
+    Lines are split and stripped as :func:`tokenize` does, and the parser's
+    own statement methods must read each line as exactly one statement
+    without a diagnostic, the header first and an optional include next.
+    Otherwise, or with no ``qreg``, this gives None and :func:`parse` runs
+    the token parser over the whole file. A line that gives a gate or
+    nothing is parsed once per distinct text, and a repeat adds the same
+    frozen GateApp: registers are only ever added, so a line keeps its
+    meaning further down. Declarations, the header and the include are
+    parsed every time, so a repeated one is rejected.
+    """
+    parser = _Parser([])
+    memo: dict[str, tuple[GateApp, ...]] = {}  # line -> the gate it gives, if any
+    statements = 0
+    for text in source.split("\n"):
+        text = text.rstrip(" \t\r")
+        if text in memo:
+            parser.gates.extend(memo[text])
+            continue
+        parser.tokens, parser.pos = [], 0
+        try:
+            _tokenize_line(text, 1, parser.tokens)
+            if not parser.tokens:
+                memo[text] = ()
+                continue
+            head = parser.tokens[0].lexeme
+            if not statements:
+                parser.parse_header()
+            elif statements == 1 and head == "include":
+                parser.parse_include()
+            else:
+                parser.parse_statement()
+        except (QasmError, _Skip):
+            return None
+        if parser.diags or parser.pos != len(parser.tokens):
+            return None
+        statements += 1
+        if head not in ("OPENQASM", "include", "qreg", "creg"):  # a gate, measure or barrier
+            memo[text] = (parser.gates[-1],)
+    if parser.n_qubits == 0:
+        return None
+    return Circuit(parser.n_qubits, parser.n_cbits, tuple(parser.gates))
+
+
 def parse(source: str) -> ParseResult:
     """Parse QASM text into a Circuit, or into error diagnostics.
 
@@ -357,7 +414,22 @@ def parse(source: str) -> ParseResult:
     error on its token.
     Comments (including emitted composite-box markers) are discarded, so
     parse(emit(c)) reproduces flatten(c).
+
+    A file written one statement per line, as :func:`emit` writes, is read
+    line by line, each distinct line once (``_read_lines``), so its cost
+    grows with its distinct lines. Any other file, and every file with an
+    error, goes through the token parser, which alone writes diagnostics.
     """
+    circuit = _read_lines(source)
+    if circuit is not None:
+        return ParseResult(circuit)
+    return _token_parse(source)
+
+
+def _token_parse(source: str) -> ParseResult:
+    """:func:`parse` by tokenizing the whole source and descending through
+    its tokens: the path for every file with an error, and the reference
+    the line reader is tested against."""
     try:
         tokens = tokenize(source)
     except QasmError as exc:
@@ -382,16 +454,10 @@ def loads(source: str) -> Circuit:
     return result.circuit
 
 
-def _operand(q: int) -> str:
-    return f"q[{q}]"
-
-
 def _statement(g: GateApp) -> str:
     if g.kind is GateKind.MEASURE:
         return f"measure q[{g.qubits[0]}] -> c[{g.cbit}];"
-    if g.kind is GateKind.BARRIER:
-        return f"barrier {','.join(_operand(q) for q in g.qubits)};"
-    return f"{g.kind.value} {','.join(_operand(q) for q in g.qubits)};"
+    return f"{g.kind.value} {','.join(f'q[{q}]' for q in g.qubits)};"
 
 
 def emit(circuit: Circuit) -> str:

@@ -38,8 +38,14 @@ def random_circuit(
 
 
 @st.composite
-def circuits(draw, max_qubits: int = 5, max_gates: int = 12, measure: bool = False):
+def circuits(
+    draw, max_qubits: int = 5, max_gates: int = 12, measure: bool = False, barriers: bool = False
+):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_circuit(
-        random.Random(seed), max_qubits=max_qubits, max_gates=max_gates, measure=measure
+        random.Random(seed),
+        max_qubits=max_qubits,
+        max_gates=max_gates,
+        measure=measure,
+        barriers=barriers,
     )

@@ -652,6 +652,41 @@ class TestReportCommand:
         assert main(["report", "--methods", "magic", str(qasm_dir / "bv6.qasm")]) == 2
 
 
+class TestUnwritableOutput:
+    """Every flag that names an output: exit 2 with a ``cannot write`` error,
+    and nothing left behind from a command that writes two files."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obfuscate", "--method", "inverse", "{bv6}", "-o", "{bad}"],
+            ["obfuscate", "--method", "inverse", "{bv6}", "-o", "{out}/o.qasm", "--report", "{bad}"],
+            ["predicate", "--kind", "bell", "-o", "{bad}"],
+            ["predicate", "--kind", "bell", "-o", "{out}/p.qasm", "--model", "{bad}"],
+            ["wrap", "--payload", "{payload}", "--kind", "bell", "-o", "{bad}"],
+            ["wrap", "--payload", "{payload}", "--kind", "bell", "-o", "{out}/w.py",
+             "--manifest", "{bad}"],
+            ["report", "--methods", "inverse", "{bv6}", "--out", "{bad}"],
+        ],
+        ids=["obfuscate-o", "obfuscate-report", "predicate-o", "predicate-model", "wrap-o",
+             "wrap-manifest", "report-out"],
+    )
+    @pytest.mark.parametrize("bad", ["missing/x", "."], ids=["no-dir", "a-dir"])
+    def test_cannot_write_exit_2(self, argv, bad, qasm_dir, capsys):
+        out = qasm_dir / "out"
+        out.mkdir()
+        payload = qasm_dir / "payload.py"
+        payload.write_text("print('hi')\n", encoding="utf-8")
+        bad_path = out / bad
+        names = {"bv6": qasm_dir / "bv6.qasm", "out": out, "payload": payload, "bad": bad_path}
+        rc = main([arg.format(**names) for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qobf: error: cannot write {bad_path}: ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestMisc:
     def test_usage_error_exit_2(self):
         assert main(["obfuscate"]) == 2

@@ -1,8 +1,11 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qobf.diagnostics import Diagnostic
 from qobf.ir import (
+    ARITY,
     Circuit,
     GateApp,
     GateKind,
@@ -68,6 +71,92 @@ class TestValidate:
     def test_zero_qubit_circuit(self):
         diags = validate(Circuit(0, 0, ()))
         assert any("at least one qubit" in d.message for d in diags)
+
+
+def reference_validate(circuit: Circuit) -> list[Diagnostic]:
+    """``validate`` as it was before it checked each distinct gate once:
+    every check on every gate, in order."""
+    diags: list[Diagnostic] = []
+
+    def err(msg: str) -> None:
+        diags.append(Diagnostic("error", msg))
+
+    if circuit.n_qubits < 1:
+        err(f"circuit must declare at least one qubit (got {circuit.n_qubits})")
+    if circuit.n_cbits < 0:
+        err(f"negative classical register size {circuit.n_cbits}")
+
+    measured: set[int] = set()
+    written_cbits: set[int] = set()
+    for pos, g in enumerate(circuit.gates):
+        where = f"gate {pos} ({g.kind.value})"
+        arity = ARITY[g.kind]
+        if arity is not None and len(g.qubits) != arity:
+            err(f"{where}: expected {arity} qubit operand(s), got {len(g.qubits)}")
+        if g.kind is GateKind.BARRIER and not g.qubits:
+            err(f"{where}: barrier needs at least one qubit")
+        if len(set(g.qubits)) != len(g.qubits):
+            err(f"{where}: duplicate qubit operand")
+        for q in g.qubits:
+            if not 0 <= q < circuit.n_qubits:
+                err(f"{where}: qubit index {q} out of range [0, {circuit.n_qubits})")
+            elif q in measured and g.kind is not GateKind.BARRIER:
+                err(f"{where}: gate after measurement of qubit {q}")
+        if g.kind is GateKind.MEASURE:
+            if g.cbit is None:
+                err(f"{where}: measurement without classical target")
+            elif not 0 <= g.cbit < circuit.n_cbits:
+                err(f"{where}: classical index {g.cbit} out of range [0, {circuit.n_cbits})")
+            elif g.cbit in written_cbits:
+                err(f"{where}: classical bit {g.cbit} measured twice")
+            else:
+                written_cbits.add(g.cbit)
+            measured.update(q for q in g.qubits if 0 <= q < circuit.n_qubits)
+        elif g.cbit is not None:
+            err(f"{where}: classical target on a non-measurement gate")
+        if g.box is not None and g.box not in circuit.boxes:
+            err(f"{where}: box id {g.box} missing from box table")
+    return diags
+
+
+#: gates that are well formed on 3 or more qubits and 3 or more classical bits
+WELL_FORMED = (
+    [GateApp(K.H, (q,)) for q in range(3)]
+    + [GateApp(K.CX, (0, 1)), GateApp(K.CCX, (2, 0, 1)), GateApp(K.BARRIER, (0, 2))]
+    + [GateApp(K.MEASURE, (q,), cbit=c) for q in range(3) for c in range(3)]
+)
+
+
+@st.composite
+def gate_soups(draw):
+    """Circuits drawn from a small pool of gates, valid or not, so gates
+    repeat: wrong arity, repeated or out-of-range qubits, missing, stray or
+    out-of-range classical targets, box ids absent from the table, gates
+    after measurement and classical bits measured twice."""
+    n_qubits = draw(st.integers(0, 4))
+    n_cbits = draw(st.integers(-1, 4))
+    anything = st.builds(
+        GateApp,
+        kind=st.sampled_from(list(GateKind)),
+        qubits=st.lists(st.integers(-1, 4), max_size=4).map(tuple),
+        cbit=st.none() | st.integers(-1, 3),
+        box=st.none() | st.integers(0, 2),
+    )
+    pool = draw(st.lists(st.sampled_from(WELL_FORMED) | anything, min_size=1, max_size=6))
+    gates = draw(st.lists(st.sampled_from(pool), max_size=24))
+    boxes = {i: f"box{i}" for i in draw(st.sets(st.integers(0, 2)))}
+    return Circuit(n_qubits, n_cbits, tuple(gates), boxes=boxes)
+
+
+class TestValidateAgainstReference:
+    @given(gate_soups())
+    @settings(max_examples=400)
+    def test_same_diagnostics_in_same_order(self, circuit):
+        assert validate(circuit) == reference_validate(circuit)
+
+    @given(circuits(measure=True))
+    def test_valid_circuits(self, circuit):
+        assert validate(circuit) == reference_validate(circuit) == []
 
 
 class TestDepth:

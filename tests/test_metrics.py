@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
 from qobf.metrics import (
+    _TABLE_COLUMNS,
     Report,
     ReportError,
     load_schema,
@@ -93,6 +95,17 @@ class TestRendering:
         text = render_report(bv_reports * 3, "table")
         lines = text.splitlines()
         assert len(lines) == 2 + 3  # header + rule + rows
+
+    @pytest.mark.parametrize("input_id", ["a_rather_long_fixture_name.qasm", "../long/circuit.qasm"])
+    def test_table_wide_cell_keeps_a_blank(self, bv_reports, input_id):
+        fits = bv_reports[0]
+        wide = replace(fits, input_id=input_id)
+        _, _, fit_row, wide_row = render_report([fits, wide], "table").splitlines()
+        # a row whose cells fit is each cell padded to its column's width
+        assert fit_row == "".join(
+            str(getattr(fits, name)).ljust(width) for name, width in _TABLE_COLUMNS
+        )
+        assert wide_row.split() == [str(getattr(wide, name)) for name, _ in _TABLE_COLUMNS]
 
     def test_unknown_format(self):
         with pytest.raises(ReportError, match="unknown report format"):

@@ -5,7 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qobf.ir import Circuit, GateApp, GateKind, flatten, same_gates
-from qobf.qasm import ParseResult, QasmError, emit, loads, parse, tokenize
+from qobf.qasm import (
+    ParseResult,
+    QasmError,
+    _read_lines,
+    _token_parse,
+    emit,
+    loads,
+    parse,
+    tokenize,
+)
 from strategies import circuits, random_circuit
 
 K = GateKind
@@ -268,3 +277,96 @@ class TestRoundTrip:
         for c in fixtures.values():
             text = emit(c)
             assert emit(parse(text).circuit) == text
+
+
+# A small file in the emitter's form, and lines to splice into it: each is
+# valid somewhere, or fails in a way the line reader must leave to the token
+# parser.
+MUTATION_BASE = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[2];\n'
+    "// begin composite aux\nh q[0];\ncx q[0],q[1];\n// end composite\n"
+    "ccx q[0],q[1],q[2];\nh q[0];\nbarrier q[0],q[2];\nt q[2];\n"
+    "measure q[0] -> c[0];\nmeasure q[2] -> c[1];\n"
+)
+MUTATION_LINES = [
+    "", "// note", "h q[0];", "x q[2];", "cx q[1],q[2];", "swap q[2],q[1];", "h q[01];",
+    "h q[1234567890];", "h q[3];", "cx q[0],q[0];", "cx q[0];", "barrier q[1],q[1];",
+    "measure q[1] -> c[0];", "measure q[1] -> q[0];", "measure c[0] -> c[1];",
+    "qreg r[2];", "creg d[1];", "qreg q[2];", "qreg gate[2];", "qreg h[2];", "h h[0];",
+    "qreg r[0];", "OPENQASM 2.0;", 'include "qelib1.inc";', "h q[0]; x q[1];", "cx q[0],",
+    "q[1];", "h q;", "rx(0.5) q[0];", "reset q[0];", "\t h\tq [ 0 ] ; // c", "x q[1];\r",
+    "h q[0];\u2028", "t\u2028q[0];", "h é[0];", "h q[0]// ;", "u3 q[0];", "measure q[1]->c[1];",
+]
+
+
+@st.composite
+def mutated_sources(draw):
+    """MUTATION_BASE with one to three line-level edits: a line replaced,
+    inserted, deleted, duplicated or split, two lines joined, or a
+    character changed."""
+    lines = MUTATION_BASE.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "duplicate", "split",
+                                     "join", "char"]))
+        if edit == "replace":
+            lines[at] = draw(st.sampled_from(MUTATION_LINES))
+        elif edit == "insert":
+            lines.insert(at, draw(st.sampled_from(MUTATION_LINES)))
+        elif edit == "delete" and len(lines) > 1:
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "split":
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at:at + 1] = [lines[at][:cut], lines[at][cut:]]
+        elif edit == "join" and at + 1 < len(lines):
+            lines[at:at + 2] = [lines[at] + draw(st.sampled_from(["", " ", "\t"])) + lines[at + 1]]
+        elif edit == "char" and lines[at]:
+            i = draw(st.integers(0, len(lines[at]) - 1))
+            char = draw(st.sampled_from(list(" \t\r;,.[]()->/\"0129qchxz_é\u2028")))
+            lines[at] = lines[at][:i] + char + lines[at][i + 1:]
+    return "\n".join(lines)
+
+
+class TestLineReader:
+    """The line reader against the token parser it stands in front of."""
+
+    @given(circuits(measure=True, barriers=True))
+    @settings(max_examples=150)
+    def test_emitted_text_takes_the_line_path(self, c):
+        assert _read_lines(emit(c)) == flatten(c)
+
+    def test_repeated_lines_share_one_gate(self):
+        circuit = _read_lines(wrap_src("qreg q[2];\n" + "cx q[0],q[1];\n" * 3))
+        assert len({id(g) for g in circuit.gates}) == 1
+
+    @given(mutated_sources())
+    @settings(max_examples=400)
+    @example(wrap_src("qreg gate[2];\nh gate[0];\n"))
+    @example(wrap_src("qreg h[2];\nh h[0];\n"))
+    @example(wrap_src("qreg q[2];\nh q[01];\nh q[01];\n"))
+    @example(wrap_src("qreg q[2];\nh q[1234567890];\n"))
+    @example(wrap_src("qreg q[1234567890];\nh q[0];\n"))
+    @example(wrap_src("qreg q[2];\nh q[0];\nh q[0];\n").replace("\n", "\r\n"))
+    @example(wrap_src("qreg\tq[2];\n\th \t q[1] ;\t\n"))
+    @example(wrap_src("qreg q[2];\nh q[0]; // trailing\nh q[0]; // trailing\n"))
+    @example(wrap_src("qreg q[2];\nh q[0];\u2028x q[1];\n"))
+    @example(wrap_src("qreg q[2];\nh q[0]; x q[1];\n"))
+    @example(wrap_src("qreg q[2];\ncx q[0],\nq[1];\n"))
+    @example("// before\n\n// the header\n" + wrap_src("qreg q[1];\nx q[0];\n"))
+    @example(wrap_src("qreg q[2];\nh q[0];\ncreg c[1];\nmeasure q[0] -> c[0];\n"))
+    @example(wrap_src("qreg q[2];\ncx q[0],q[1];\nqreg r[1];\ncx q[0],q[1];\ncx r[0],q[1];\n"))
+    @example(wrap_src("qreg q[2];\nqreg q[2];\n"))
+    @example(wrap_src("qreg q[1];\ninclude \"qelib1.inc\";\n"))
+    @example('OPENQASM 2.0;\nqreg q[1];\ninclude "qelib1.inc";\n')
+    @example("OPENQASM 2.0;\n\n// no register\n")
+    @example("OPENQASM 2.0;\nOPENQASM 2.0;\nqreg q[1];\n")
+    def test_mutations_agree_with_token_parser(self, source):
+        reference = _token_parse(source)
+        read = _read_lines(source)
+        if read is not None:
+            assert reference.ok and read == reference.circuit
+        if not reference.ok:
+            assert read is None
+        assert parse(source) == reference
