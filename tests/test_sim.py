@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qobf.sim
+from qobf.fixtures import standard_fixtures
 from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS
 from qobf.predicates import multi_pair_predicate
 from qobf.sim import (
@@ -16,6 +18,7 @@ from qobf.sim import (
     _basis,
     _components,
     _run,
+    _stimulus,
     equivalent,
     gate_matrix,
     measure_distribution,
@@ -519,3 +522,28 @@ class TestFactoredSimulation:
             simulate(_pairs(13))
         with pytest.raises(SimulationError, match="cap"):
             measure_distribution(_pairs(13, measured=True))
+
+
+#: sha256 over the dense oracle's raw results below. Every float the oracle
+#: returns is pinned bit for bit, so a rewrite of the applier that reorders or
+#: fuses a floating-point operation changes this digest.
+DENSE_BITS_SHA256 = "62ef41fb8bc173ca11806a0e57c54e80be23fece110b2f430a4251a8a99d4199"
+
+
+def test_dense_oracle_bits_pinned():
+    cases = list(standard_fixtures().values())
+    rng = random.Random(16)
+    for n in range(3, 12):
+        for _ in range(3):
+            cases.append(random_circuit(rng, max_qubits=n, min_qubits=n, max_gates=80,
+                                        min_gates=20, measure=True, barriers=True))
+    digest = hashlib.sha256()
+    for c in cases:
+        bare = strip_measures(c)
+        digest.update(simulate(bare).tobytes())
+        digest.update(simulate(bare, initial=2**c.n_qubits - 1).tobytes())
+        digest.update(_run(bare.gates, c.n_qubits, _stimulus).tobytes())
+        if c.n_qubits <= 8:
+            digest.update(unitary_of(bare).tobytes())
+        digest.update(repr(measure_distribution(c)).encode())
+    assert digest.hexdigest() == DENSE_BITS_SHA256
