@@ -101,15 +101,33 @@ def _as_gate_apps(obj: Circuit | GateSequence | Iterable[GateApp]) -> tuple[tupl
     return gates, implied
 
 
-def _view(state: np.ndarray, axes: Sequence[int], v: int) -> np.ndarray:
-    """The slice where the operands on ``axes`` read local basis state ``v``
-    (operand 0 the most significant bit): always a writable view, never a
-    scalar, and no axis is dropped."""
-    idx: list = [slice(None)] * state.ndim
-    for pos, ax in enumerate(axes):
-        bit = (v >> (len(axes) - 1 - pos)) & 1
-        idx[ax] = slice(bit, bit + 1)
-    return state[tuple(idx)]
+def _operand_views(state: np.ndarray, qubits: Sequence[int], n: int) -> list[np.ndarray]:
+    """The ``2**k`` views of a flat ``(2**n, *batch)`` state where its ``k``
+    operands read each local basis state, indexed by that state (operand 0
+    the most significant bit).
+
+    One reshape gives each operand bit its own length-2 axis, highest qubit
+    first: ``(outer, 2, mid, 2, inner, *batch)`` for two operands. Indexing
+    those axes gives writable views, never copies, as long as ``state`` is
+    C-contiguous.
+    """
+    shape: list[int] = []
+    axis: dict[int, int] = {}
+    above = n
+    for q in sorted(qubits, reverse=True):
+        axis[q] = len(shape) + 1
+        shape += [1 << (above - 1 - q), 2]
+        above = q
+    shape.append(1 << above)
+    tensor = state.reshape(tuple(shape) + state.shape[1:])
+    k = len(qubits)
+    views = []
+    for v in range(1 << k):
+        idx: list = [slice(None)] * len(shape)
+        for pos, q in enumerate(qubits):
+            idx[axis[q]] = (v >> (k - 1 - pos)) & 1
+        views.append(tensor[tuple(idx)])
+    return views
 
 
 #: ω^e for ω = e^{iπ/4}, indexed by e; the constants the table's phases use
@@ -117,11 +135,14 @@ _OMEGA = (1, _T_PHASE, 1j, 1j * _T_PHASE, -1, -_T_PHASE, -1j, np.conj(_T_PHASE))
 
 
 def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndarray:
-    """Apply unitary gates in circuit order to a tensor of shape (2,)*n (+ batch axes).
+    """Apply unitary gates in circuit order to a C-contiguous flat state of
+    shape (2**n,) (+ batch axes).
 
     Mutates ``state`` in place and returns it. BARRIER is a no-op; MEASURE is
     rejected. Trailing batch axes ride along untouched, which is how the
-    full-unitary builder evolves every basis column at once.
+    full-unitary builder evolves every basis column at once. The operand
+    views of :func:`_operand_views` are built once per distinct operand
+    tuple and kept only for this call.
 
     Deliberately built from elementwise slice arithmetic instead of matrix
     contraction: every gate but H moves slices and multiplies them by a power
@@ -130,6 +151,7 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     BLAS-backed contractions fuse multiply-adds and lose that property, which
     the exact Born distributions rely on.
     """
+    views: dict[tuple[int, ...], list[np.ndarray]] = {}
     for g in gates:
         if g.kind is GateKind.BARRIER:
             continue
@@ -137,32 +159,35 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
             raise SimulationError(
                 "circuit contains measurements; use measure_distribution"
             )
-        axes = [n - 1 - q for q in g.qubits]
+        local = views.get(g.qubits)
+        if local is None:
+            local = views[g.qubits] = _operand_views(state, g.qubits, n)
         if g.kind is GateKind.H:
-            a = _view(state, axes, 0)
-            b = _view(state, axes, 1)
-            plus = (a + b) * _SQRT1_2
-            minus = (a - b) * _SQRT1_2
-            a[...] = plus
-            b[...] = minus
+            # (a + b) / √2 and (a - b) / √2 with one temporary
+            a, b = local
+            plus = np.add(a, b)
+            np.subtract(a, b, out=b)
+            np.multiply(plus, _SQRT1_2, out=a)
+            b *= _SQRT1_2
             continue
         table = _MONOMIAL[g.kind]
         for v, (w, e) in enumerate(table):
             if w == v:
                 if e:
-                    diagonal = _view(state, axes, v)
-                    diagonal *= _OMEGA[e]
+                    local[v] *= _OMEGA[e]
             elif v < w:
                 # every permutation in the table is an involution, so |w>
                 # maps back to |v> and the pair shares one temporary; e = 0
                 # moves a slice unmultiplied, as a product with 1 + 0j can
                 # flip the sign of a zero part
-                a = _view(state, axes, v)
-                b = _view(state, axes, w)
+                a, b = local[v], local[w]
                 back = table[w][1]
-                tmp = a.copy()
-                a[...] = _OMEGA[back] * b if back else b
-                b[...] = _OMEGA[e] * tmp if e else tmp
+                moved = np.multiply(_OMEGA[e], a) if e else a.copy()
+                if back:
+                    np.multiply(_OMEGA[back], b, out=a)
+                else:
+                    a[...] = b
+                b[...] = moved
     return state
 
 
@@ -170,14 +195,13 @@ def _run(gates: Sequence[GateApp], n: int,
          columns: Callable[[int], np.ndarray]) -> np.ndarray:
     """Evolve the states ``columns(2**n)`` builds through ``gates``.
 
-    ``columns`` returns a (2**n,) state or a (2**n, k) batch of column states;
-    it is called only after the simulator cap is checked, so an oversized
-    circuit fails before anything is allocated. Returns the same shape.
+    ``columns`` returns a C-contiguous (2**n,) state or (2**n, k) batch of
+    column states; it is called only after the simulator cap is checked, so
+    an oversized circuit fails before anything is allocated. Returns the
+    evolved array itself.
     """
     _check_cap(n)
-    states = columns(2**n)
-    shaped = states.reshape((2,) * n + states.shape[1:])
-    return _apply_gates(shaped, gates, n).reshape(states.shape)
+    return _apply_gates(columns(2**n), gates, n)
 
 
 def _basis(index: int, dim: int) -> np.ndarray:
@@ -325,8 +349,10 @@ def _miter_check(c1: Circuit, c2: Circuit,
 def _distribution_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
     d1 = measure_distribution(c1)
     d2 = measure_distribution(c2)
-    keys = set(d1) | set(d2)
-    tv = 0.5 * sum(abs(d1.get(k, 0.0) - d2.get(k, 0.0)) for k in keys)
+    # fsum over sorted keys: a plain sum in set order would round differently
+    # under each string hash seed
+    keys = sorted(d1.keys() | d2.keys())
+    tv = 0.5 * math.fsum(abs(d1.get(k, 0.0) - d2.get(k, 0.0)) for k in keys)
     return tv <= DIST_TOL, 1.0 - tv
 
 

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import qobf.sim
 from qobf.fixtures import standard_fixtures
 from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS
 from qobf.predicates import multi_pair_predicate
+from qobf.qasm import emit
 from qobf.sim import (
     MAX_UNITARY_QUBITS,
     SimulationError,
@@ -188,15 +193,20 @@ class TestUnitaryOf:
 
     @pytest.mark.parametrize("kind", sorted(UNITARY_KINDS, key=lambda k: k.value))
     def test_applier_agrees_with_matrix_embedding(self, kind):
+        # every ordered operand tuple, as a batch of basis columns and as one
+        # basis state at a time
+        from itertools import permutations
+
         from qobf.ir import ARITY
 
-        rng = random.Random(17)
-        n = 3
-        for _ in range(4):
-            qubits = tuple(rng.sample(range(n), ARITY[kind]))
-            via_applier = unitary_of([GateApp(kind, qubits)], n_qubits=n)
+        n = 4
+        for qubits in permutations(range(n), ARITY[kind]):
+            gates = [GateApp(kind, qubits)]
             by_hand = self._embed_by_hand(kind, qubits, n)
-            assert np.array_equal(via_applier, by_hand), (kind, qubits)
+            assert np.array_equal(unitary_of(gates, n_qubits=n), by_hand), (kind, qubits)
+            for j in range(2**n):
+                column = _run(gates, n, lambda dim: _basis(j, dim))
+                assert np.array_equal(column, by_hand[:, j]), (kind, qubits, j)
 
     @pytest.mark.parametrize("kind", [K.X, K.SWAP, K.CX, K.CCX])
     def test_permutation_moves_bits_unchanged(self, kind):
@@ -547,3 +557,32 @@ def test_dense_oracle_bits_pinned():
             digest.update(unitary_of(bare).tobytes())
         digest.update(repr(measure_distribution(c)).encode())
     assert digest.hexdigest() == DENSE_BITS_SHA256
+
+
+def test_distribution_fidelity_ignores_hash_seed(tmp_path):
+    # 256 outcome keys on each side: a float sum taken in set order rounds
+    # differently under different string hash seeds
+    n = 8
+    base = random_circuit(random.Random(4), max_qubits=n, min_qubits=n, max_gates=60, min_gates=60)
+    stray = base.gates[:30] + (GateApp(K.H, (3,)),) + base.gates[30:]
+    measures = tuple(GateApp(K.MEASURE, (q,), cbit=q) for q in range(n))
+    for name, gates in (("a", base.gates), ("b", stray)):
+        (tmp_path / f"{name}.qasm").write_text(emit(Circuit(n, n, gates + measures)))
+    code = (
+        "import sys\n"
+        "from qobf.qasm import parse\n"
+        "from qobf.sim import _distribution_check\n"
+        "a, b = (parse(open(p).read()).circuit for p in sys.argv[1:])\n"
+        "print(_distribution_check(a, b)[1].hex())\n"
+    )
+    fidelities = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONPATH": str(Path(qobf.sim.__file__).parents[1]),
+               "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "a.qasm"), str(tmp_path / "b.qasm")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fidelities.add(proc.stdout.strip())
+    assert len(fidelities) == 1, sorted(fidelities)
