@@ -162,12 +162,13 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
             f"pass broke circuit semantics ({problem}); refusing to write output",
             EXIT_SOUNDNESS,
         )
-    outputs = [(args.output, emit(obfuscated))]
+    # _load_circuit validated the input and the check above the output
+    outputs = [(args.output, emit(obfuscated, _checked=True))]
     if args.report:
         from .metrics import measure_circuit_run, render_report
 
         report_obj = measure_circuit_run(
-            circuit, obfuscated, args.method, input_id=args.input, seed=args.seed
+            circuit, obfuscated, args.method, input_id=args.input, seed=args.seed, _checked=True
         )
         outputs.append((args.report, render_report([report_obj], "json") + "\n"))
     problem = _write_outputs(outputs)

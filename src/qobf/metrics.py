@@ -81,16 +81,20 @@ def _now() -> str:
 
 
 def measure_circuit_run(
-    c_in: Circuit, c_out: Circuit, method: str, input_id: str = "", seed: int | None = None
+    c_in: Circuit, c_out: Circuit, method: str, input_id: str = "", seed: int | None = None,
+    *, _checked: bool = False,
 ) -> Report:
     """Full before/after record for one circuit pass, equivalence included.
 
     Wall time is the median of 5 simulator runs from |0...0| on each circuit.
+    An invalid circuit raises ReportError; ``_checked`` skips that check for
+    a caller that has already validated both circuits.
     """
-    for name, c in (("input", c_in), ("output", c_out)):
-        problems = [d for d in validate(c) if d.is_error]
-        if problems:
-            raise ReportError(f"{name} circuit invalid: {problems[0].message}")
+    if not _checked:
+        for name, c in (("input", c_in), ("output", c_out)):
+            problems = [d for d in validate(c) if d.is_error]
+            if problems:
+                raise ReportError(f"{name} circuit invalid: {problems[0].message}")
     counts_in = gate_count(c_in)
     counts_out = gate_count(c_out)
     ok, fidelity = equivalent(c_in, c_out, "statevector")
@@ -103,8 +107,8 @@ def measure_circuit_run(
         gate_counts_after={k.value: v for k, v in counts_out.counts.items()},
         gate_total_before=counts_in.total,
         gate_total_after=counts_out.total,
-        bytes_before=len(emit(c_in).encode("utf-8")),
-        bytes_after=len(emit(c_out).encode("utf-8")),
+        bytes_before=len(emit(c_in, _checked=True).encode("utf-8")),
+        bytes_after=len(emit(c_out, _checked=True).encode("utf-8")),
         sim_wall_time_before_us=_median_sim_us(c_in),
         sim_wall_time_after_us=_median_sim_us(c_out),
         equivalent=ok,

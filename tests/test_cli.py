@@ -119,6 +119,29 @@ class TestObfuscate:
                      "-o", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote {out} (2 windows checked exactly)\n"
 
+    @pytest.mark.parametrize("extra", [["--method", "delayed"], ["--method", "inverse", "--report"]])
+    def test_each_circuit_validated_once(self, extra, qasm_dir, monkeypatch):
+        import qobf.ir
+        import qobf.metrics
+        import qobf.qasm
+
+        checked = []
+
+        def counting_validate(circuit):
+            checked.append(len(circuit.gates))
+            return qobf.ir.validate(circuit)
+
+        for module in (qobf.cli, qobf.qasm, qobf.metrics):
+            monkeypatch.setattr(module, "validate", counting_validate)
+        src, out = qasm_dir / "period7.qasm", qasm_dir / "period7_obf.qasm"
+        if extra[-1] == "--report":
+            extra = extra + [str(qasm_dir / "report.json")]
+        assert main(["obfuscate", *extra, "--seed", "3", str(src), "-o", str(out)]) == 0
+        gates_in = len(parse(src.read_text()).circuit.gates)
+        gates_out = len(parse(out.read_text()).circuit.gates)
+        assert gates_out > gates_in
+        assert checked == [gates_in, gates_out]
+
     @pytest.mark.parametrize("method", METHODS)
     def test_wide_circuit_checked_without_dense_run(self, method, tmp_path, monkeypatch):
         def no_dense_run(*args):
