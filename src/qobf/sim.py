@@ -101,10 +101,12 @@ def _as_gate_apps(obj: Circuit | GateSequence | Iterable[GateApp]) -> tuple[tupl
     return gates, implied
 
 
-def _operand_views(state: np.ndarray, qubits: Sequence[int], n: int) -> list[np.ndarray]:
+def _operand_views(state: np.ndarray, qubits: Sequence[int], n: int,
+                   spare: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The ``2**k`` views of a flat ``(2**n, *batch)`` state where its ``k``
     operands read each local basis state, indexed by that state (operand 0
-    the most significant bit).
+    the most significant bit), and a view of ``spare`` of the same shape for
+    a gate's temporary.
 
     One reshape gives each operand bit its own length-2 axis, highest qubit
     first: ``(outer, 2, mid, 2, inner, *batch)`` for two operands. Indexing
@@ -127,7 +129,7 @@ def _operand_views(state: np.ndarray, qubits: Sequence[int], n: int) -> list[np.
         for pos, q in enumerate(qubits):
             idx[axis[q]] = (v >> (k - 1 - pos)) & 1
         views.append(tensor[tuple(idx)])
-    return views
+    return views, spare[: views[0].size].reshape(views[0].shape)
 
 
 #: ω^e for ω = e^{iπ/4}, indexed by e; the constants the table's phases use
@@ -142,7 +144,9 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     rejected. Trailing batch axes ride along untouched, which is how the
     full-unitary builder evolves every basis column at once. The operand
     views of :func:`_operand_views` are built once per distinct operand
-    tuple and kept only for this call.
+    tuple and kept only for this call, and every gate's temporary lives in
+    one spare buffer of half the state's size: a fresh temporary as large as
+    half a unitary costs a page fault per page on each gate.
 
     Deliberately built from elementwise slice arithmetic instead of matrix
     contraction: every gate but H moves slices and multiplies them by a power
@@ -151,7 +155,8 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     BLAS-backed contractions fuse multiply-adds and lose that property, which
     the exact Born distributions rely on.
     """
-    views: dict[tuple[int, ...], list[np.ndarray]] = {}
+    views: dict[tuple[int, ...], tuple[list[np.ndarray], np.ndarray]] = {}
+    spare = np.empty(state.size // 2, dtype=state.dtype)
     for g in gates:
         if g.kind is GateKind.BARRIER:
             continue
@@ -159,15 +164,16 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
             raise SimulationError(
                 "circuit contains measurements; use measure_distribution"
             )
-        local = views.get(g.qubits)
-        if local is None:
-            local = views[g.qubits] = _operand_views(state, g.qubits, n)
+        cached = views.get(g.qubits)
+        if cached is None:
+            cached = views[g.qubits] = _operand_views(state, g.qubits, n, spare)
+        local, tmp = cached
         if g.kind is GateKind.H:
-            # (a + b) / √2 and (a - b) / √2 with one temporary
+            # (a + b) / √2 and (a - b) / √2, a + b held in the temporary
             a, b = local
-            plus = np.add(a, b)
+            np.add(a, b, out=tmp)
             np.subtract(a, b, out=b)
-            np.multiply(plus, _SQRT1_2, out=a)
+            np.multiply(tmp, _SQRT1_2, out=a)
             b *= _SQRT1_2
             continue
         table = _MONOMIAL[g.kind]
@@ -182,12 +188,15 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
                 # flip the sign of a zero part
                 a, b = local[v], local[w]
                 back = table[w][1]
-                moved = np.multiply(_OMEGA[e], a) if e else a.copy()
+                if e:
+                    np.multiply(_OMEGA[e], a, out=tmp)
+                else:
+                    tmp[...] = a
                 if back:
                     np.multiply(_OMEGA[back], b, out=a)
                 else:
                     a[...] = b
-                b[...] = moved
+                b[...] = tmp
     return state
 
 
