@@ -119,8 +119,8 @@ class TestObfuscate:
                      "-o", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote {out} (2 windows checked exactly)\n"
 
-    @pytest.mark.parametrize("extra", [["--method", "delayed"], ["--method", "inverse", "--report"]])
-    def test_each_circuit_validated_once(self, extra, qasm_dir, monkeypatch):
+    @pytest.mark.parametrize("method, report", [("delayed", False), ("inverse", True)])
+    def test_each_circuit_validated_once(self, method, report, qasm_dir, monkeypatch):
         import qobf.ir
         import qobf.metrics
         import qobf.qasm
@@ -134,9 +134,10 @@ class TestObfuscate:
         for module in (qobf.cli, qobf.qasm, qobf.metrics):
             monkeypatch.setattr(module, "validate", counting_validate)
         src, out = qasm_dir / "period7.qasm", qasm_dir / "period7_obf.qasm"
-        if extra[-1] == "--report":
-            extra = extra + [str(qasm_dir / "report.json")]
-        assert main(["obfuscate", *extra, "--seed", "3", str(src), "-o", str(out)]) == 0
+        args = ["obfuscate", "--method", method, "--seed", "3", str(src), "-o", str(out)]
+        if report:
+            args += ["--report", str(qasm_dir / "report.json")]
+        assert main(args) == 0
         gates_in = len(parse(src.read_text()).circuit.gates)
         gates_out = len(parse(out.read_text()).circuit.gates)
         assert gates_out > gates_in
