@@ -289,9 +289,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 obfuscated = apply_pass(method, circuit, cfg)
-            reports.append(
-                measure_circuit_run(circuit, obfuscated, method, input_id=path, seed=args.seed)
-            )
+            problems = [d for d in validate(obfuscated) if d.is_error]
+            if problems:
+                return _fail(f"output circuit invalid: {problems[0].message}")
+            # _load_circuit validated the input and the check above the output
+            reports.append(measure_circuit_run(
+                circuit, obfuscated, method, input_id=path, seed=args.seed, _checked=True
+            ))
     text = render_report(reports, args.format)
     if args.out:
         problem = _write_outputs([(args.out, text + "\n")])

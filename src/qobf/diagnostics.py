@@ -2,25 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Inclusive 1-based region of source text."""
-
+class _SourceSpan(NamedTuple):
     start_line: int
     start_col: int
     end_line: int
     end_col: int
 
-    def __post_init__(self) -> None:
+
+class SourceSpan(_SourceSpan):
+    """Inclusive 1-based region of source text."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SourceSpan":
+        self = super().__new__(cls, *args, **kwargs)
         if (self.end_line, self.end_col) < (self.start_line, self.start_col):
             raise ValueError("span end precedes span start")
+        return self
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A parse or validation finding.
 
     ``span`` is None only for diagnostics produced from an in-memory circuit

@@ -27,10 +27,9 @@ measured pairs from ``_key_pairs`` and differ only in their arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, abc
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import _kernel
 from .diagnostics import Diagnostic
@@ -111,8 +110,7 @@ PREDICATE_KINDS = ("bell", "multi_pair", "shroud", "branch")
 METHODS = ("inverse", "composite", "cloaked", "delayed")
 
 
-@dataclass(frozen=True)
-class GateApp:
+class GateApp(NamedTuple):
     """One gate application.
 
     ``cbit`` is set only for MEASURE. ``box`` groups gates into a composite
@@ -136,21 +134,42 @@ class GateApp:
         return (self.kind, self.qubits, self.cbit)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class _NoEntries(abc.Mapping):
+    """The default of Circuit's two tables: an empty mapping that cannot be
+    written to, so one instance serves every Circuit, and that pickles,
+    which a ``types.MappingProxyType`` does not."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+
+_NO_ENTRIES = _NoEntries()
+
+
+class Circuit(NamedTuple):
     n_qubits: int
     n_cbits: int = 0
     gates: tuple[GateApp, ...] = ()
-    boxes: Mapping[int, str] = field(default_factory=dict)
+    boxes: Mapping[int, str] = _NO_ENTRIES
     #: substitution-group id -> the original gate the group replaced
-    subst_originals: Mapping[int, GateApp] = field(default_factory=dict)
+    subst_originals: Mapping[int, GateApp] = _NO_ENTRIES
 
     def with_gates(self, gates: Iterable[GateApp], **updates) -> "Circuit":
-        return replace(self, gates=tuple(gates), **updates)
+        return self._replace(gates=tuple(gates), **updates)
 
 
-@dataclass(frozen=True)
-class GateSequence:
+class GateSequence(NamedTuple):
     """A named gate sequence over relative qubit slots.
 
     Used for insertion pairs, composite blocks, substitution replacements and
@@ -166,8 +185,7 @@ class GateSequence:
         return 1 + max(s for _, slots in self.gates for s in slots)
 
 
-@dataclass(frozen=True)
-class GateCounts:
+class GateCounts(NamedTuple):
     counts: Mapping[GateKind, int]
     total: int
 
@@ -283,9 +301,8 @@ def flatten(circuit: Circuit) -> Circuit:
     """Drop all composite-box grouping; gate order and identity are unchanged."""
     if not circuit.boxes and all(g.box is None for g in circuit.gates):
         return circuit
-    return replace(
-        circuit,
-        gates=tuple(replace(g, box=None) for g in circuit.gates),
+    return circuit._replace(
+        gates=tuple(g._replace(box=None) for g in circuit.gates),
         boxes={},
     )
 

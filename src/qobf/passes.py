@@ -34,10 +34,9 @@ from __future__ import annotations
 import random
 import re
 import warnings
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import identity_phase
 from .ir import (
@@ -66,19 +65,24 @@ class RulesetError(ValueError):
     """An unverified or malformed substitution rule reached a pass."""
 
 
-@dataclass(frozen=True)
-class ObfuscationConfig:
+class _ObfuscationConfig(NamedTuple):
     seed: int
     intensity: float = 1.0
     method: str = "inverse"
 
-    def __post_init__(self) -> None:
+
+class ObfuscationConfig(_ObfuscationConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ObfuscationConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 < self.intensity <= 1:
             raise ValueError("intensity must lie in (0, 1]")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        return self
 
 
 def _seq(name: str, *gates: tuple[GateKind, tuple[int, ...]]) -> GateSequence:
@@ -128,16 +132,14 @@ DELAYED_SEQUENCES: tuple[GateSequence, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SubstitutionRule:
+class SubstitutionRule(NamedTuple):
     target: GateKind
     replacement: GateSequence
     verified: bool
     phase_factor: complex
 
 
-@dataclass(frozen=True)
-class RejectedRule:
+class RejectedRule(NamedTuple):
     target: GateKind
     replacement: GateSequence
 
@@ -148,8 +150,7 @@ class RejectedRule:
         return effective_unitary(self.replacement, n_qubits=n)
 
 
-@dataclass(frozen=True)
-class RulesetReport:
+class RulesetReport(NamedTuple):
     accepted: tuple[SubstitutionRule, ...]
     rejected: tuple[RejectedRule, ...]
 
@@ -396,7 +397,7 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
                 next_box += 1
                 boxes[box_id] = f"grp{box_id}"
                 for k in range(i, j):
-                    grouped[k] = replace(grouped[k], box=box_id)
+                    grouped[k] = grouped[k]._replace(box=box_id)
                 i = j
                 continue
         i += 1
@@ -625,11 +626,11 @@ def undo(circuit: Circuit) -> Circuit:
                 if original is None:
                     raise ValueError(f"gate {pos}: group {g.group} has no recorded original")
                 if original.origin != "inserted":
-                    out.append(replace(original, box=None))
+                    out.append(original._replace(box=None))
             continue
         if g.origin == "inserted":
             continue
-        out.append(replace(g, box=None))
+        out.append(g._replace(box=None))
     remaining = {
         gid: g for gid, g in circuit.subst_originals.items() if gid not in seen_groups
     }

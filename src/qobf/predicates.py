@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, TypeVar
 
@@ -56,8 +55,7 @@ class ModelMismatchError(AssertionError):
     """The oracle-computed behavior disagrees with the analytic model: a construction bug."""
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(NamedTuple):
     """One branch of a wrapped program."""
 
     id: str
@@ -65,8 +63,7 @@ class BranchSpec:
     outcome: str  # key bitstring, ELSE_KEY, or amplitude index for shroud
 
 
-@dataclass(frozen=True)
-class BranchSemantics:
+class BranchSemantics(NamedTuple):
     """Analytic outcome model of a predicate: its branch rows, in emission order.
 
     For ``kind == "measured"``, each row's outcome is a bitstring over
@@ -85,8 +82,7 @@ class BranchSemantics:
     amplitudes: tuple[complex, ...] | None = None
 
 
-@dataclass(frozen=True)
-class PredicateCircuit:
+class PredicateCircuit(NamedTuple):
     circuit: Circuit
     kind: str
     semantics: BranchSemantics

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, SourceSpan
@@ -90,10 +89,21 @@ class QasmError(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass
-class ParseResult:
+class _ParseResult(NamedTuple):
     circuit: Circuit | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
+
+
+class ParseResult(_ParseResult):
+    """A parsed circuit (None when parsing stopped) and its diagnostics,
+    a new empty list unless given."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, circuit: Circuit | None, diagnostics: list[Diagnostic] | None = None
+    ) -> "ParseResult":
+        return super().__new__(cls, circuit, [] if diagnostics is None else diagnostics)
 
     @property
     def ok(self) -> bool:

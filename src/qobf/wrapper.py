@@ -30,9 +30,8 @@ import os
 import random
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .predicates import (
     ELSE_KEY,
@@ -64,16 +63,21 @@ class TemplateWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class SourceBlock:
-    """The payload: raw source text held byte-exact, plus an informational tag."""
-
+class _SourceBlock(NamedTuple):
     text: str
     language_tag: str = "python"
 
-    def __post_init__(self) -> None:
+
+class SourceBlock(_SourceBlock):
+    """The payload: raw source text held byte-exact, plus an informational tag."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SourceBlock":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.text:
             raise WrapError("payload text must be non-empty")
+        return self
 
     @property
     def line_count(self) -> int:
@@ -84,30 +88,33 @@ class SourceBlock:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class DecoyPolicy:
+class _DecoyPolicy(NamedTuple):
     mode: str  # duplicate_payload | dead_decoy | restart
     decoy_seed: int = 0
     decoy_statement_count: int = 2
 
-    def __post_init__(self) -> None:
+
+class DecoyPolicy(_DecoyPolicy):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "DecoyPolicy":
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("duplicate_payload", "dead_decoy", "restart"):
             raise WrapError(f"unknown decoy mode {self.mode!r}")
         if self.decoy_seed < 0:
             raise WrapError("decoy_seed must be non-negative")
         if self.decoy_statement_count < 0:
             raise WrapError("decoy_statement_count must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     id: str
     text: str
     description: str
 
 
-@dataclass(frozen=True)
-class WrapManifest:
+class WrapManifest(NamedTuple):
     template: str
     predicate_kind: str
     predicate_params: Mapping[str, int]

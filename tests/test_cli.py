@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -5,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -119,8 +119,11 @@ class TestObfuscate:
                      "-o", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote {out} (2 windows checked exactly)\n"
 
-    @pytest.mark.parametrize("method, report", [("delayed", False), ("inverse", True)])
+    @pytest.mark.parametrize("method, report", [("delayed", False), ("inverse", True), (None, True)])
     def test_each_circuit_validated_once(self, method, report, qasm_dir, monkeypatch):
+        """obfuscate (method given) checks its input and its output once
+        each, --report included; the report command (method None) checks
+        its input once and each of the four pass outputs once."""
         import qobf.ir
         import qobf.metrics
         import qobf.qasm
@@ -134,6 +137,10 @@ class TestObfuscate:
         for module in (qobf.cli, qobf.qasm, qobf.metrics):
             monkeypatch.setattr(module, "validate", counting_validate)
         src, out = qasm_dir / "period7.qasm", qasm_dir / "period7_obf.qasm"
+        if method is None:
+            assert main(["report", str(src)]) == 0
+            assert checked == [28, 86, 160, 34, 210]
+            return
         args = ["obfuscate", "--method", method, "--seed", "3", str(src), "-o", str(out)]
         if report:
             args += ["--report", str(qasm_dir / "report.json")]
@@ -350,7 +357,7 @@ def _change_pair_kind(gates):
     into a kind that does not undo the first; its window id stays."""
     i, j = next(w for w in _windows(gates) if ARITY[gates[w[0]].kind] < 3)
     kind = _other_kind(_INVERSE.get(gates[i].kind, gates[i].kind))
-    return gates[:j] + (replace(gates[j], kind=kind),) + gates[j + 1 :]
+    return gates[:j] + (gates[j]._replace(kind=kind),) + gates[j + 1 :]
 
 
 def _move_pair_half_out(gates):
@@ -374,7 +381,7 @@ def _change_group_gate(gates):
     first = next(g.group for g in gates if g.group is not None)
     members = [i for i, g in enumerate(gates) if g.group == first]
     k = members[len(members) // 2]
-    return gates[:k] + (replace(gates[k], kind=_other_kind(gates[k].kind)),) + gates[k + 1 :]
+    return gates[:k] + (gates[k]._replace(kind=_other_kind(gates[k].kind)),) + gates[k + 1 :]
 
 
 def _reuse_window_id(gates):
@@ -436,8 +443,8 @@ def _drop_last_measure(gates):
 def _swap_two_cbits(gates):
     first, second = [i for i, g in enumerate(gates) if g.kind is GateKind.MEASURE][:2]
     out = list(gates)
-    out[first] = replace(gates[first], cbit=gates[second].cbit)
-    out[second] = replace(gates[second], cbit=gates[first].cbit)
+    out[first] = gates[first]._replace(cbit=gates[second].cbit)
+    out[second] = gates[second]._replace(cbit=gates[first].cbit)
     return tuple(out)
 
 
@@ -675,6 +682,16 @@ class TestReportCommand:
     def test_unknown_method_exit_2(self, qasm_dir):
         assert main(["report", "--methods", "magic", str(qasm_dir / "bv6.qasm")]) == 2
 
+    def test_invalid_pass_output_exit_2(self, qasm_dir, monkeypatch, capsys):
+        def out_of_range(method, circuit, cfg, ruleset=None):
+            return circuit.with_gates(circuit.gates + (GateApp(GateKind.X, (5,)),))
+
+        monkeypatch.setattr(qobf.cli, "apply_pass", out_of_range)
+        assert main(["report", "--methods", "inverse", str(qasm_dir / "x.qasm")]) == 2
+        assert capsys.readouterr().err == (
+            "qobf: error: output circuit invalid: gate 1 (x): qubit index 5 out of range [0, 1)\n"
+        )
+
 
 class TestUnwritableOutput:
     """Every flag that names an output: exit 2 with a ``cannot write`` error,
@@ -756,16 +773,26 @@ class TestEntryPoints:
 class TestImportsPerEntryPoint:
     """Each entry point loads only the modules it runs: the predicate side
     (templates, predicate, wrap and wrapped programs) and obfuscate without
-    --report never load numpy, and verify never loads the passes."""
+    --report never load numpy, nor ``dataclasses`` and ``inspect``, which
+    cost those commands a fifth of their start-up; verify never loads the
+    passes."""
 
     DENSE = {"numpy", "qobf.sim", "qobf.passes", "qobf.metrics"}
+    INTROSPECTION = {"dataclasses", "inspect"}
 
     @staticmethod
-    def loaded_after(code: str) -> set[str]:
+    @functools.cache
+    def _modules_after(code: str) -> frozenset[str]:
         proc = _run_python("-c", f"{code}\nimport sys\nprint(*sys.modules)")
         assert proc.returncode == 0, proc.stderr
-        return {m for m in proc.stdout.splitlines()[-1].split()
-                if m.partition(".")[0] == "qobf" or m == "numpy"}
+        return frozenset(proc.stdout.splitlines()[-1].split())
+
+    @classmethod
+    def loaded_after(cls, code: str) -> set[str]:
+        """The modules, standard library included, that running ``code``
+        loads beyond what an empty program loads (so a site hook that
+        imports a module cannot count against ``code``)."""
+        return set(cls._modules_after(code) - cls._modules_after("pass"))
 
     def test_wrapped_program_import(self):
         loaded = self.loaded_after("from qobf import exact_amplitudes, exact_distribution, loads")
@@ -774,12 +801,12 @@ class TestImportsPerEntryPoint:
 
     def test_cli_import(self):
         loaded = self.loaded_after("import qobf.cli")
-        assert not loaded & (self.DENSE | {"qobf.wrapper"})
+        assert not loaded & (self.DENSE | {"qobf.wrapper"} | self.INTROSPECTION)
 
     def test_templates_run(self):
         loaded = self.loaded_after("from qobf.cli import main\nassert main(['templates']) == 0")
         assert "qobf.wrapper" in loaded
-        assert not loaded & self.DENSE
+        assert not loaded & (self.DENSE | self.INTROSPECTION)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_obfuscate_run(self, method, qasm_dir):
@@ -789,7 +816,7 @@ class TestImportsPerEntryPoint:
             f"assert main(['obfuscate', '--method', {method!r}, {src!r}, '-o', {out!r}]) == 0"
         )
         assert {"qobf.passes", "qobf.exact"} <= loaded
-        assert not loaded & {"numpy", "qobf.sim", "qobf.metrics", "qobf.wrapper"}
+        assert not loaded & ({"numpy", "qobf.sim", "qobf.metrics", "qobf.wrapper"} | self.INTROSPECTION)
 
     def test_obfuscate_report_run(self, qasm_dir):
         src, out, report = (str(qasm_dir / name) for name in ("bv6.qasm", "out.qasm", "r.json"))
@@ -805,22 +832,24 @@ class TestImportsPerEntryPoint:
         assert "qobf.sim" in loaded
         assert not loaded & {"qobf.passes", "qobf.wrapper", "qobf.metrics"}
 
-    def test_predicate_run(self, tmp_path):
-        out = str(tmp_path / "bell.qasm")
+    @pytest.mark.parametrize("kind", ["bell", "multi_pair"])
+    def test_predicate_run(self, kind, tmp_path):
+        out = str(tmp_path / "p.qasm")
         loaded = self.loaded_after(
-            f"from qobf.cli import main\nassert main(['predicate', '--kind', 'bell', '-o', {out!r}]) == 0"
+            f"from qobf.cli import main\nassert main(['predicate', '--kind', {kind!r}, '-o', {out!r}]) == 0"
         )
         assert {"qobf.predicates", "qobf.exact"} <= loaded
-        assert not loaded & (self.DENSE | {"qobf.wrapper"})
+        assert not loaded & (self.DENSE | {"qobf.wrapper"} | self.INTROSPECTION)
 
-    def test_wrap_and_wrapped_program_run(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["bell", "multi_pair"])
+    def test_wrap_and_wrapped_program_run(self, kind, tmp_path):
         payload, program = tmp_path / "payload.py", str(tmp_path / "wrapped.py")
         payload.write_text("print('hi')\n")
         loaded = self.loaded_after(
             f"from qobf.cli import main\n"
-            f"assert main(['wrap', '--payload', {str(payload)!r}, '--kind', 'bell', '-o', {program!r}]) == 0"
+            f"assert main(['wrap', '--payload', {str(payload)!r}, '--kind', {kind!r}, '-o', {program!r}]) == 0"
         )
         assert "qobf.wrapper" in loaded
-        assert not loaded & self.DENSE
+        assert not loaded & (self.DENSE | self.INTROSPECTION)
         loaded = self.loaded_after(f"import runpy\nrunpy.run_path({program!r}, run_name='__main__')")
-        assert loaded == set()
+        assert not {m for m in loaded if m.partition(".")[0] == "qobf"}

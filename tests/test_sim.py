@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -434,8 +433,8 @@ def disjoint_unions(draw):
     queues, q0, c0 = [], 0, 0
     for c in parts:
         queues.append([
-            replace(g, qubits=tuple(scatter[q0 + q] for q in g.qubits),
-                    cbit=None if g.cbit is None else c0 + g.cbit)
+            g._replace(qubits=tuple(scatter[q0 + q] for q in g.qubits),
+                       cbit=None if g.cbit is None else c0 + g.cbit)
             for g in c.gates
         ])
         q0, c0 = q0 + c.n_qubits, c0 + c.n_cbits
