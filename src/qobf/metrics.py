@@ -82,19 +82,20 @@ def _now() -> str:
 
 def measure_circuit_run(
     c_in: Circuit, c_out: Circuit, method: str, input_id: str = "", seed: int | None = None,
-    *, _checked: bool = False,
+    *, _checked: tuple[str, ...] = (),
 ) -> Report:
     """Full before/after record for one circuit pass, equivalence included.
 
     Wall time is the median of 5 simulator runs from |0...0| on each circuit.
-    An invalid circuit raises ReportError; ``_checked`` skips that check for
-    a caller that has already validated both circuits.
+    An invalid circuit raises ReportError; ``_checked`` names the circuits,
+    "input" or "output", that the caller has already validated.
     """
-    if not _checked:
-        for name, c in (("input", c_in), ("output", c_out)):
-            problems = [d for d in validate(c) if d.is_error]
-            if problems:
-                raise ReportError(f"{name} circuit invalid: {problems[0].message}")
+    for name, c in (("input", c_in), ("output", c_out)):
+        if name in _checked:
+            continue
+        problems = [d for d in validate(c) if d.is_error]
+        if problems:
+            raise ReportError(f"{name} circuit invalid: {problems[0].message}")
     counts_in = gate_count(c_in)
     counts_out = gate_count(c_out)
     ok, fidelity = equivalent(c_in, c_out, "statevector")

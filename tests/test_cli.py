@@ -852,4 +852,4 @@ class TestImportsPerEntryPoint:
         assert "qobf.wrapper" in loaded
         assert not loaded & (self.DENSE | self.INTROSPECTION)
         loaded = self.loaded_after(f"import runpy\nrunpy.run_path({program!r}, run_name='__main__')")
-        assert not {m for m in loaded if m.partition(".")[0] == "qobf"}
+        assert not {m for m in loaded if m.partition(".")[0] in ("qobf", "numpy")}
