@@ -27,6 +27,13 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+#: circuit pass methods (see :mod:`qobf.passes`) and opaque-predicate kinds
+#: (see :mod:`qobf.predicates`), re-exported by :mod:`qobf.ir`; defined here,
+#: in the package every module loads first, so the CLI offers them as
+#: ``--method`` and ``--kind`` choices without loading a layer
+_METHODS = ("inverse", "composite", "cloaked", "delayed")
+_PREDICATE_KINDS = ("bell", "multi_pair", "shroud", "branch")
+
 _EXPORTS = {
     "ir": (
         "Circuit", "GateApp", "GateKind", "GateSequence", "SimulationError",

@@ -1,10 +1,12 @@
 """The ``qobf`` command line tool: file-to-file workflows over all modules.
 
-Each command imports what it runs: the passes, the dense simulator, the
-predicates, the wrapper and the reports load inside the commands that use
-them. So ``verify`` and ``obfuscate`` never load the wrapper, ``verify``
-never loads the passes, and ``obfuscate`` (without ``--report``),
-``templates``, ``predicate`` and ``wrap`` never load numpy.
+Each command imports what it runs: the front end, the IR, the passes, the
+dense simulator, the predicates, the wrapper and the reports load inside the
+commands that use them, and importing this module loads none of them. So
+``templates`` loads the wrapper alone, ``verify`` and ``obfuscate`` never
+load the wrapper, ``verify`` never loads the passes, and ``obfuscate``
+(without ``--report``), ``templates``, ``predicate`` and ``wrap`` never load
+numpy.
 
 ``obfuscate`` checks what it writes without the dense simulator: every
 window the pass inserted or substituted must act as the original gates it
@@ -15,7 +17,7 @@ Exit codes (stable for scripting):
   0 - success
   1 - ``verify`` only: the two circuits are not equivalent
   2 - usage error, unreadable/unparsable input, an output path that cannot
-      be written, or qubit mismatch
+      be written, two outputs to one file, or qubit mismatch
   3 - internal soundness failure: a pass produced a circuit the check cannot
       prove equivalent (the tool refuses to write semantics-breaking output)
 """
@@ -23,24 +25,18 @@ Exit codes (stable for scripting):
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from . import __version__
-from .ir import (
-    METHODS,
-    PREDICATE_KINDS,
-    Circuit,
-    SimulationError,
-    _check_cap,
-    validate,
-)
-from .qasm import emit, parse
+from . import _METHODS as METHODS, _PREDICATE_KINDS as PREDICATE_KINDS, __version__
 
 if TYPE_CHECKING:
+    from .diagnostics import Diagnostic
+    from .ir import Circuit
     from .passes import ObfuscationConfig, SubstitutionRule
 
 EXIT_OK = 0
@@ -79,12 +75,44 @@ def apply_pass(
     return run_pass(method, circuit, cfg, ruleset)
 
 
+def validate(circuit: Circuit) -> list[Diagnostic]:
+    """:func:`qobf.ir.validate`, importing the IR on first call.
+
+    A module attribute, so tests can count the checks each command runs.
+    """
+    from .ir import validate as check
+
+    return check(circuit)
+
+
+def _simulation_error() -> type[Exception]:
+    """:class:`qobf.ir.SimulationError`, importing the IR. ``main`` names it
+    in an except clause, which is evaluated only once something is raised,
+    so a command that raises nothing never loads the IR for it."""
+    from .ir import SimulationError
+
+    return SimulationError
+
+
 def _write_outputs(outputs: Sequence[tuple[str, str]]) -> str | None:
     """Write each (path, text) in order; on the first that cannot be
     written, remove the regular files written before it and return the
     error message (None when all are written). So a command that writes two
     files leaves neither when one of them fails; a device such as
-    ``/dev/null`` is left alone."""
+    ``/dev/null`` is left alone.
+
+    Two outputs that name one file, however spelled, are refused before
+    anything is written, since the second would silently replace the first.
+    """
+    seen: dict[str, str] = {}
+    for path, _ in outputs:
+        # realpath, unlike Path.resolve, does not raise on a symlink loop
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            continue  # a device or a directory: writing says what it does
+        if target in seen:
+            return f"two outputs go to the same file: {seen[target]} and {path}"
+        seen[target] = path
     written: list[Path] = []
     for path, text in outputs:
         try:
@@ -105,6 +133,9 @@ def _load_circuit(path: str) -> Circuit | None:
     before any pass runs. ``verify`` and ``report`` simulate what they load;
     ``obfuscate`` keeps the same cap, so any file it writes can be verified.
     """
+    from .ir import _check_cap
+    from .qasm import parse
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -126,6 +157,7 @@ def _load_circuit(path: str) -> Circuit | None:
 
 def cmd_obfuscate(args: argparse.Namespace) -> int:
     from .passes import ObfuscationConfig, check_translation, load_ruleset, verify_ruleset
+    from .qasm import emit
 
     circuit = _load_circuit(args.input)
     if circuit is None:
@@ -183,6 +215,7 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .ir import SimulationError
     from .sim import equivalent
 
     a = _load_circuit(args.a)
@@ -212,6 +245,7 @@ def cmd_predicate(args: argparse.Namespace) -> int:
 
     from .exact import exact_distribution
     from .predicates import make_predicate
+    from .qasm import emit
 
     try:
         pred = make_predicate(args.kind, _predicate_params(args))
@@ -237,7 +271,8 @@ def cmd_predicate(args: argparse.Namespace) -> int:
 def cmd_wrap(args: argparse.Namespace) -> int:
     import json
 
-    from .wrapper import REQUIRED_MODE, DecoyPolicy, SourceBlock, resolve_branches, wrap
+    from .predicates import REQUIRED_MODE
+    from .wrapper import DecoyPolicy, SourceBlock, resolve_branches, wrap
 
     try:
         payload = Path(args.payload).read_text(encoding="utf-8")
@@ -389,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, SimulationError) as exc:
+    except (ValueError, _simulation_error()) as exc:
         return _fail(str(exc))
 
 

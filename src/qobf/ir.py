@@ -32,6 +32,7 @@ from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import _kernel
+from . import _METHODS as METHODS, _PREDICATE_KINDS as PREDICATE_KINDS  # noqa: F401 (re-exported)
 from .diagnostics import Diagnostic
 
 
@@ -49,6 +50,11 @@ def _check_cap(n: int) -> None:
 
 
 class GateKind(Enum):
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with ==; it runs in C, where Enum.__hash__ (hash of the name) is
+    # a Python call on every lookup in the tables keyed by kind
+    __hash__ = object.__hash__
+
     H = "h"
     X = "x"
     Y = "y"
@@ -102,13 +108,6 @@ _INVERSE: dict[GateKind, GateKind] = {
     GateKind.T: GateKind.TDG,
     GateKind.TDG: GateKind.T,
 }
-
-#: opaque-predicate kinds (see :mod:`qobf.predicates`) and circuit pass
-#: methods (see :mod:`qobf.passes`); defined here, away from numpy, so the
-#: CLI can offer them as ``--kind`` and ``--method`` choices cheaply
-PREDICATE_KINDS = ("bell", "multi_pair", "shroud", "branch")
-METHODS = ("inverse", "composite", "cloaked", "delayed")
-
 
 class GateApp(NamedTuple):
     """One gate application.

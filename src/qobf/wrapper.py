@@ -14,6 +14,9 @@ and branches resolved, without ever executing the emitted program.
 The payload is handled as text. Only shroud parses it (with :mod:`ast`), to
 cut it at the top-level statement boundary nearest its middle line.
 
+The predicates, the QASM emitter, :mod:`hashlib` and :mod:`ast` load inside
+the functions that use them, so listing templates loads none of them.
+
 Templates are text files with two required placeholders,
 {PREDICATE_CIRCUIT_QASM} and {BRANCH_TABLE}, and one optional one,
 {EVALUATOR}, which receives the source of :mod:`qobf._kernel` byte for byte:
@@ -23,25 +26,16 @@ alone.
 
 from __future__ import annotations
 
-import ast
-import hashlib
 import keyword
 import os
 import random
 import re
 import warnings
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .predicates import (
-    ELSE_KEY,
-    REQUIRED_MODE,
-    BranchSemantics,
-    BranchSpec,
-    _branch_probabilities,
-    make_predicate,
-)
-from .qasm import emit
+if TYPE_CHECKING:
+    from .predicates import BranchSemantics, BranchSpec
 
 MANIFEST_SCHEMA = "qobf.wrap-manifest/1"
 TEMPLATE_ENV_VAR = "QOBF_TEMPLATE_DIR"
@@ -85,6 +79,8 @@ class SourceBlock(_SourceBlock):
 
     @property
     def sha256(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
@@ -153,6 +149,8 @@ class WrapManifest(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WrapManifest":
+        from .predicates import BranchSpec
+
         if data.get("schema") != MANIFEST_SCHEMA:
             raise WrapError(f"unsupported manifest schema {data.get('schema')!r}")
         return cls(
@@ -300,6 +298,8 @@ def _key_expr(key_cbits: tuple[int, ...]) -> str:
 
 
 def _branch_table(sem: BranchSemantics, bodies: Mapping[str, str]) -> str:
+    from .predicates import ELSE_KEY
+
     lines = ["_outcome, _amplitudes = _evaluate_predicate()"]
     if sem.kind == "amplitude_read":
         for i, branch in enumerate(sem.branches):
@@ -332,6 +332,8 @@ def _shroud_split(text: str) -> tuple[str, str]:
     line, so both halves are whole statements. A decorated definition starts
     at its first decorator. A payload that does not parse, or has one
     statement, stays whole in the first half."""
+    import ast
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # SyntaxWarnings are for the payload's own run
@@ -370,6 +372,9 @@ def wrap(
     multi-pair false branch) carry restart logic. Returns the emitted
     program text and the manifest describing every branch.
     """
+    from .predicates import REQUIRED_MODE, make_predicate
+    from .qasm import emit
+
     template = load_template(template_id, template_dir)
     pred = make_predicate(kind, params)
     policy = policy or DecoyPolicy(mode=REQUIRED_MODE[kind])
@@ -465,6 +470,8 @@ def resolve_branches(manifest: WrapManifest) -> dict[str, float]:
     each branch's probability rounded to a float once; emitted programs are
     never executed. Shroud branches are always-live and both report 1.0.
     """
+    from .predicates import _branch_probabilities, make_predicate
+
     pred = make_predicate(manifest.predicate_kind, manifest.predicate_params)
     if pred.semantics.kind == "amplitude_read":
         return {b.id: 1.0 for b in manifest.branches}

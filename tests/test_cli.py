@@ -712,13 +712,17 @@ class TestUnwritableOutput:
         ids=["obfuscate-o", "obfuscate-report", "predicate-o", "predicate-model", "wrap-o",
              "wrap-manifest", "report-out"],
     )
-    @pytest.mark.parametrize("bad", ["missing/x", "."], ids=["no-dir", "a-dir"])
+    @pytest.mark.parametrize("bad", ["missing/x", ".", "loop"], ids=["no-dir", "a-dir", "a-loop"])
     def test_cannot_write_exit_2(self, argv, bad, qasm_dir, capsys):
         out = qasm_dir / "out"
         out.mkdir()
         payload = qasm_dir / "payload.py"
         payload.write_text("print('hi')\n", encoding="utf-8")
         bad_path = out / bad
+        if bad == "loop":  # a symlink to itself
+            loop = qasm_dir / "loop"
+            loop.symlink_to(loop)
+            bad_path = loop
         names = {"bv6": qasm_dir / "bv6.qasm", "out": out, "payload": payload, "bad": bad_path}
         rc = main([arg.format(**names) for arg in argv])
         assert rc == 2
@@ -726,6 +730,37 @@ class TestUnwritableOutput:
         assert err.startswith(f"qobf: error: cannot write {bad_path}: ")
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+class TestOutputsToOneFile:
+    """Two outputs that name one file, however spelled, exit 2 before
+    anything is written; otherwise the second would replace the first."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obfuscate", "--method", "inverse", "{bv6}", "-o", "x", "--report", "{second}"],
+            ["predicate", "--kind", "bell", "-o", "x", "--model", "{second}"],
+            ["wrap", "--payload", "{payload}", "--kind", "bell", "-o", "x", "--manifest", "{second}"],
+        ],
+        ids=["obfuscate-report", "predicate-model", "wrap-manifest"],
+    )
+    @pytest.mark.parametrize("second", ["x", "./x"])
+    def test_refused_exit_2(self, argv, second, qasm_dir, monkeypatch, capsys):
+        payload = qasm_dir / "payload.py"
+        payload.write_text("print('hi')\n", encoding="utf-8")
+        out = qasm_dir / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        names = {"bv6": qasm_dir / "bv6.qasm", "payload": payload, "second": second}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"qobf: error: two outputs go to the same file: x and {second}\n"
+        assert list(out.iterdir()) == []
+
+    def test_devices_left_alone(self, capsys):
+        assert main(["predicate", "--kind", "bell", "-o", "/dev/null", "--model", "/dev/null"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestMisc:
@@ -799,14 +834,19 @@ class TestImportsPerEntryPoint:
         assert {"qobf.qasm", "qobf.exact"} <= loaded
         assert not loaded & (self.DENSE | {"qobf.predicates", "qobf.wrapper", "qobf.cli"})
 
+    @staticmethod
+    def package_modules(loaded: set[str]) -> set[str]:
+        return {m for m in loaded if m.partition(".")[0] == "qobf"}
+
     def test_cli_import(self):
         loaded = self.loaded_after("import qobf.cli")
-        assert not loaded & (self.DENSE | {"qobf.wrapper"} | self.INTROSPECTION)
+        assert self.package_modules(loaded) == {"qobf", "qobf.cli"}
+        assert not loaded & self.INTROSPECTION
 
     def test_templates_run(self):
         loaded = self.loaded_after("from qobf.cli import main\nassert main(['templates']) == 0")
-        assert "qobf.wrapper" in loaded
-        assert not loaded & (self.DENSE | self.INTROSPECTION)
+        assert self.package_modules(loaded) == {"qobf", "qobf.cli", "qobf.wrapper"}
+        assert not loaded & ({"numpy", "hashlib", "ast"} | self.INTROSPECTION)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_obfuscate_run(self, method, qasm_dir):
@@ -841,7 +881,7 @@ class TestImportsPerEntryPoint:
         assert {"qobf.predicates", "qobf.exact"} <= loaded
         assert not loaded & (self.DENSE | {"qobf.wrapper"} | self.INTROSPECTION)
 
-    @pytest.mark.parametrize("kind", ["bell", "multi_pair"])
+    @pytest.mark.parametrize("kind", ["bell", "multi_pair", "shroud"])
     def test_wrap_and_wrapped_program_run(self, kind, tmp_path):
         payload, program = tmp_path / "payload.py", str(tmp_path / "wrapped.py")
         payload.write_text("print('hi')\n")
@@ -851,5 +891,7 @@ class TestImportsPerEntryPoint:
         )
         assert "qobf.wrapper" in loaded
         assert not loaded & (self.DENSE | self.INTROSPECTION)
+        # only shroud cuts the payload, and only that cut parses it
+        assert ("ast" in loaded) == (kind == "shroud")
         loaded = self.loaded_after(f"import runpy\nrunpy.run_path({program!r}, run_name='__main__')")
         assert not {m for m in loaded if m.partition(".")[0] in ("qobf", "numpy")}
