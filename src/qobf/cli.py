@@ -138,7 +138,7 @@ def _load_circuit(path: str) -> Circuit | None:
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"qobf: error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     result = parse(text)
@@ -276,7 +276,7 @@ def cmd_wrap(args: argparse.Namespace) -> int:
 
     try:
         payload = Path(args.payload).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {args.payload}: {exc}")
     policy = DecoyPolicy(
         mode=args.mode or REQUIRED_MODE[args.kind],

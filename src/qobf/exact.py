@@ -5,8 +5,9 @@ ring Z[1/√2, i], and every probability is a :class:`Dyadic` (p + q√2)/2^k, s
 a dead outcome is exactly zero and a total is exactly one. The ring
 arithmetic, the gate table, the basis-state run and the single rounding live
 in :mod:`qobf._kernel`, which wrapped programs embed; this module runs it on
-the IR's gates. The classical-bit key layout is ``_kernel._measured_parts``,
-which the float simulator reads too, through ``ir._measured_components``.
+the pairs ``ir._kernel_gates`` makes of the IR's gates, as the float
+simulator does. The classical-bit key layout is ``_kernel._measured_parts``,
+which the float simulator calls too.
 
 Each connected component of the qubit-interaction graph runs on its own
 state, and a component wider than MAX_EXACT_QUBITS raises SimulationError.
@@ -28,7 +29,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._kernel import _ZERO_AMPLITUDE, _Dyadic, _basis_run, _complex, _distribution, _measured_parts
-from .ir import Circuit, GateApp, GateKind, SimulationError, _MONOMIAL, _key_pairs
+from .ir import Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
 
 #: widest component simulated; the widest predicate (branch) has five qubits,
 #: so it stays in range even if a pass joins its two segments
@@ -43,18 +44,6 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
-def _kernel_gates(gates: Sequence[GateApp]) -> list[tuple[tuple | None, tuple[int, ...]]]:
-    """The kernel's (gate table entry, qubits) pairs of unitary gates,
-    barriers dropped; refuses a measurement."""
-    pairs = []
-    for g in gates:
-        if g.kind is GateKind.MEASURE:
-            raise SimulationError("circuit contains measurements; use exact_distribution")
-        if g.kind is not GateKind.BARRIER:
-            pairs.append((_MONOMIAL.get(g.kind), g.qubits))
-    return pairs
-
-
 def _check_width(n: int) -> None:
     if n > MAX_EXACT_QUBITS:
         raise SimulationError(
@@ -62,17 +51,11 @@ def _check_width(n: int) -> None:
         )
 
 
-def _run(gates: Sequence[GateApp], n: int, start: int = 0) -> tuple[list[Amplitude], int]:
-    """Numerators of the state the gates make from basis state |start>, and
-    their shared k."""
+def _run(pairs: Sequence[tuple], n: int, start: int = 0) -> tuple[list[Amplitude], int]:
+    """Numerators of the state the kernel's (table entry, qubits) pairs make
+    from basis state |start>, and their shared k."""
     _check_width(n)
-    return _basis_run(_kernel_gates(gates), n, start)
-
-
-def _component_run(pairs: list, n: int) -> tuple[list[Amplitude], int]:
-    """``_kernel._basis_run`` of one component's kernel gates from |0...0>."""
-    _check_width(n)
-    return _basis_run(pairs, n)
+    return _basis_run(pairs, n, start)
 
 
 def identity_phase(gates: Sequence[GateApp], n: int) -> complex | None:
@@ -118,7 +101,7 @@ def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:
 def _probabilities(gates: tuple[GateApp, ...], n_qubits: int) -> dict[str, Dyadic]:
     keys = _key_pairs(Circuit(n_qubits, gates=gates))
     unitary = _kernel_gates([g for g in gates if g.kind is not GateKind.MEASURE])
-    return _distribution(*_measured_parts(unitary, keys, n_qubits), _component_run)
+    return _distribution(*_measured_parts(unitary, keys, n_qubits), _run)
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
@@ -132,5 +115,5 @@ def exact_amplitudes(circuit: Circuit) -> tuple[complex, ...]:
     :func:`qobf.sim.simulate`; the whole register is one state, so the cap
     applies to the circuit's width.
     """
-    state, k = _run(circuit.gates, circuit.n_qubits)
+    state, k = _run(_kernel_gates(circuit.gates), circuit.n_qubits)
     return tuple(_complex(z, k) for z in state)

@@ -18,18 +18,20 @@ Conventions:
 
 The meaning of each gate but H is written down once, in the gate table of
 :mod:`qobf._kernel`, and so are the component split and the classical-bit key
-layout of a measured distribution. ``_MONOMIAL`` is the table by GateKind,
-and ``_components`` and ``_measured_components`` run the split and the layout
-on GateApps for the float simulator (:mod:`qobf.sim`); the exact one
-(:mod:`qobf.exact`) hands the kernel its own gate pairs. Both take the
-measured pairs from ``_key_pairs`` and differ only in their arithmetic.
+layout of a measured distribution. ``_MONOMIAL`` is the table by GateKind.
+``_kernel_gates`` is the one place where GateApps become the kernel's
+(table entry, qubits) pairs, and both simulators, the float one
+(:mod:`qobf.sim`) and the exact one (:mod:`qobf.exact`), run those pairs,
+split them with ``_kernel._components`` and lay out measured keys with
+``_kernel._measured_parts`` over ``_key_pairs``. They differ only in their
+arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter, abc
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernel
 from . import _METHODS as METHODS, _PREDICATE_KINDS as PREDICATE_KINDS  # noqa: F401 (re-exported)
@@ -96,7 +98,9 @@ UNITARY_KINDS = frozenset(
 )
 
 #: the kernel's gate table (``_kernel._GATES``) keyed by kind, H left out:
-#: each kind's (w, e) per basis state v of its operands
+#: each kind's (w, e) per basis state v of its operands. ``.get`` gives None,
+#: which the kernel reads as H, for MEASURE and BARRIER too, so only
+#: ``_kernel_gates``, which drops or refuses those two, builds pairs from kinds
 _MONOMIAL: dict[GateKind, tuple[tuple[int, int], ...]] = {
     GateKind(name): table for name, table in _kernel._GATES.items() if table is not None
 }
@@ -325,25 +329,19 @@ def measured_pairs(circuit: Circuit) -> list[tuple[int, int]]:
     ]
 
 
-def _relabelled(part: Sequence[tuple[GateApp, tuple[int, ...]]]) -> list[GateApp]:
-    """A kernel component's (gate, local qubits) pairs as gates on the local qubits."""
-    return [g if local == g.qubits else GateApp(g.kind, local, g.cbit) for g, local in part]
-
-
-def _components(gates: Sequence[GateApp], n: int) -> list[tuple[list[int], list[GateApp]]]:
-    """Split a circuit into the connected components of its qubit-interaction graph.
-
-    Two qubits are connected when a gate acts on both; barriers and
-    measurements join nothing. Barriers are dropped (they are no-ops), and a
-    measurement stays with its qubit's component. Every qubit lies in exactly
-    one component, an untouched qubit in one of its own. Returns (qubits,
-    gates) per component, ordered by lowest qubit, with the qubits ascending
-    and the gates relabelled onto local indices in that order, so a
-    component's state keeps the global bit order (``_kernel._components``).
-    Callers check their own size caps first.
-    """
-    pairs = [(g, g.qubits) for g in gates if g.kind is not GateKind.BARRIER]
-    return [(qubits, _relabelled(part)) for qubits, part in _kernel._components(pairs, n)]
+def _kernel_gates(gates: Iterable[GateApp]) -> list[tuple[tuple | None, tuple[int, ...]]]:
+    """The gates as both simulators run them: the kernel's (gate table
+    entry, qubits) pairs, H's entry None. Barriers are dropped (they are
+    no-ops); a measurement is refused."""
+    pairs = []
+    for g in gates:
+        if g.kind is GateKind.MEASURE:
+            raise SimulationError(
+                "circuit contains measurements; use measure_distribution or exact_distribution"
+            )
+        if g.kind is not GateKind.BARRIER:
+            pairs.append((_MONOMIAL.get(g.kind), g.qubits))
+    return pairs
 
 
 def _key_pairs(circuit: Circuit) -> list[tuple[int, int]]:
@@ -358,21 +356,3 @@ def _key_pairs(circuit: Circuit) -> list[tuple[int, int]]:
         if twice:
             raise SimulationError(f"{what} {twice[0]} is measured more than once")
     return pairs
-
-
-def _measured_components(
-    circuit: Circuit,
-) -> tuple[int, list[tuple[list[int], list[GateApp], list[tuple[int, int]]]]]:
-    """The key layout of a measured distribution, per component.
-
-    A key has one character per measured classical bit, the lowest classical
-    index rightmost. Returns the key width and, for each component of the
-    circuit's unitary gates (see ``_components``) that has a measured qubit,
-    (qubits, gates, measured): ``measured`` lists (local qubit, key place)
-    pairs by ascending place, a place counted from the right of the key
-    (``_kernel._measured_parts`` over ``_key_pairs``).
-    """
-    unitary = [(g, g.qubits) for g in circuit.gates
-               if g.kind is not GateKind.MEASURE and g.kind is not GateKind.BARRIER]
-    width, parts = _kernel._measured_parts(unitary, _key_pairs(circuit), circuit.n_qubits)
-    return width, [(qubits, _relabelled(part), places) for qubits, part, places in parts]

@@ -6,12 +6,12 @@ distribution), as an independent check of whole circuits. It is the only
 float simulator and the only one that needs numpy; ``verify``, ``report``,
 ``obfuscate --report``, ``simulate`` and the tests use it. ``obfuscate``
 itself checks its output window by window, and predicate models use the
-exact simulator in :mod:`qobf.exact`. Both simulators apply gates from one
-table, the gate table of :mod:`qobf._kernel` (``ir._MONOMIAL`` is its view by
-GateKind), and split components and lay out measured keys with the kernel's
-functions, through ``ir._components`` and ``ir._measured_components``. The
-textbook matrices of :func:`gate_matrix` are kept apart from that table, as
-the independent reference the applier is tested against.
+exact simulator in :mod:`qobf.exact`. Both simulators run the same gates:
+``ir._kernel_gates`` turns a circuit into the (table entry, qubits) pairs of
+the gate table of :mod:`qobf._kernel`, and the kernel's ``_components`` and
+``_measured_parts`` split those pairs into components and lay out measured
+keys. The textbook matrices of :func:`gate_matrix` are kept apart from that
+table, as the independent reference the applier is tested against.
 
 Index convention (fixed, see README): qubit 0 is the least significant bit of
 a basis-state index, and classical bit 0 is the rightmost character of an
@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import _kernel
 from .ir import (  # MAX_SIM_QUBITS and _check_cap are re-exported
     MAX_SIM_QUBITS,
     Circuit,
@@ -36,10 +37,9 @@ from .ir import (  # MAX_SIM_QUBITS and _check_cap are re-exported
     GateSequence,
     SimulationError,
     UNITARY_KINDS,
-    _MONOMIAL,
     _check_cap,
-    _components,
-    _measured_components,
+    _kernel_gates,
+    _key_pairs,
     measured_pairs,
 )
 
@@ -136,39 +136,33 @@ def _operand_views(state: np.ndarray, qubits: Sequence[int], n: int,
 _OMEGA = (1, _T_PHASE, 1j, 1j * _T_PHASE, -1, -_T_PHASE, -1j, np.conj(_T_PHASE))
 
 
-def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndarray:
-    """Apply unitary gates in circuit order to a C-contiguous flat state of
-    shape (2**n,) (+ batch axes).
+def _apply_gates(state: np.ndarray, gates: Sequence[tuple], n: int) -> np.ndarray:
+    """Apply the kernel's (table entry, qubits) pairs (``ir._kernel_gates``)
+    in order to a C-contiguous flat state of shape (2**n,) (+ batch axes).
 
-    Mutates ``state`` in place and returns it. BARRIER is a no-op; MEASURE is
-    rejected. Trailing batch axes ride along untouched, which is how the
-    full-unitary builder evolves every basis column at once. The operand
-    views of :func:`_operand_views` are built once per distinct operand
-    tuple and kept only for this call, and every gate's temporary lives in
-    one spare buffer of half the state's size: a fresh temporary as large as
-    half a unitary costs a page fault per page on each gate.
+    Mutates ``state`` in place and returns it. Trailing batch axes ride along
+    untouched, which is how the full-unitary builder evolves every basis
+    column at once. The operand views of :func:`_operand_views` are built
+    once per distinct operand tuple and kept only for this call, and every
+    gate's temporary lives in one spare buffer of half the state's size: a
+    fresh temporary as large as half a unitary costs a page fault per page
+    on each gate.
 
     Deliberately built from elementwise slice arithmetic instead of matrix
     contraction: every gate but H moves slices and multiplies them by a power
-    of ω (the ``_MONOMIAL`` table), which is exact, and the H combinations
+    of ω (its table entry), which is exact, and the H combinations
     (a + b) / (a - b) cancel equal amplitudes to an exact float zero.
     BLAS-backed contractions fuse multiply-adds and lose that property, which
     the exact Born distributions rely on.
     """
     views: dict[tuple[int, ...], tuple[list[np.ndarray], np.ndarray]] = {}
     spare = np.empty(state.size // 2, dtype=state.dtype)
-    for g in gates:
-        if g.kind is GateKind.BARRIER:
-            continue
-        if g.kind is GateKind.MEASURE:
-            raise SimulationError(
-                "circuit contains measurements; use measure_distribution"
-            )
-        cached = views.get(g.qubits)
+    for table, qubits in gates:
+        cached = views.get(qubits)
         if cached is None:
-            cached = views[g.qubits] = _operand_views(state, g.qubits, n, spare)
+            cached = views[qubits] = _operand_views(state, qubits, n, spare)
         local, tmp = cached
-        if g.kind is GateKind.H:
+        if table is None:  # H
             # (a + b) / √2 and (a - b) / √2, a + b held in the temporary
             a, b = local
             np.add(a, b, out=tmp)
@@ -176,7 +170,6 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
             np.multiply(tmp, _SQRT1_2, out=a)
             b *= _SQRT1_2
             continue
-        table = _MONOMIAL[g.kind]
         for v, (w, e) in enumerate(table):
             if w == v:
                 if e:
@@ -200,9 +193,10 @@ def _apply_gates(state: np.ndarray, gates: Sequence[GateApp], n: int) -> np.ndar
     return state
 
 
-def _run(gates: Sequence[GateApp], n: int,
+def _run(gates: Sequence[tuple], n: int,
          columns: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Evolve the states ``columns(2**n)`` builds through ``gates``.
+    """Evolve the states ``columns(2**n)`` builds through ``gates``, the
+    kernel's (table entry, qubits) pairs.
 
     ``columns`` returns a C-contiguous (2**n,) state or (2**n, k) batch of
     column states; it is called only after the simulator cap is checked, so
@@ -231,7 +225,7 @@ def simulate(circuit: Circuit, initial: int = 0) -> np.ndarray:
     if not 0 <= initial < 2**n:
         raise SimulationError(f"initial basis index {initial} out of range for {n} qubits")
     state = None
-    for qubits, gates in _components(circuit.gates, n):
+    for qubits, gates in _kernel._components(_kernel_gates(circuit.gates), n):
         start = sum(((initial >> q) & 1) << i for i, q in enumerate(qubits))
         part = _run(gates, len(qubits), partial(_basis, start))
         # ascending qubits keep the component's axes in the global axis order,
@@ -258,7 +252,7 @@ def unitary_of(obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | 
     if n > MAX_UNITARY_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
     # every basis column evolves at once
-    return _run(gates, n, lambda dim: np.eye(dim, dtype=complex))
+    return _run(_kernel_gates(gates), n, lambda dim: np.eye(dim, dtype=complex))
 
 
 def strip_measures(circuit: Circuit) -> Circuit:
@@ -284,8 +278,9 @@ def measure_distribution(circuit: Circuit) -> dict[str, float]:
     Measurements may appear mid-circuit; because no gate may touch a qubit
     after it is measured (an IR invariant), deferring them to the end is exact.
     """
-    width, parts = _measured_components(circuit)
     _check_cap(circuit.n_qubits)
+    unitary = _kernel_gates(g for g in circuit.gates if g.kind is not GateKind.MEASURE)
+    width, parts = _kernel._measured_parts(unitary, _key_pairs(circuit), circuit.n_qubits)
     keys = np.zeros(1, dtype=np.int64)
     probs = np.ones(1)
     for qubits, gates, measured in parts:
@@ -389,7 +384,7 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
     if mode in ("statevector", "unitary") and not same_measurements:
         mode = "distribution"  # those two modes strip measurements
     if mode == "statevector":
-        return _miter_check(c1, c2, lambda c: _run(c.gates, c.n_qubits, _stimulus))
+        return _miter_check(c1, c2, lambda c: _run(_kernel_gates(c.gates), c.n_qubits, _stimulus))
     if mode == "unitary":
         return _miter_check(c1, c2, unitary_of)
     if mode == "distribution":

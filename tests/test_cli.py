@@ -732,6 +732,31 @@ class TestUnwritableOutput:
         assert list(out.iterdir()) == []
 
 
+class TestUndecodableInput:
+    """An input that is not UTF-8 is named in a ``cannot read`` error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obfuscate", "--method", "inverse", "{bad}", "-o", "{out}/o.qasm"],
+            ["verify", "{bv6}", "{bad}"],
+            ["report", "--methods", "inverse", "{bad}"],
+            ["wrap", "--payload", "{bad}", "--kind", "bell", "-o", "{out}/w.py"],
+        ],
+        ids=["obfuscate", "verify", "report", "wrap-payload"],
+    )
+    def test_cannot_read_exit_2(self, argv, qasm_dir, capsys):
+        bad = qasm_dir / "latin1.qasm"
+        bad.write_bytes(b"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\n// \xff\nx q[0];\n")
+        out = qasm_dir / "out"
+        out.mkdir()
+        names = {"bv6": qasm_dir / "bv6.qasm", "out": out, "bad": bad}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qobf: error: cannot read {bad}: 'utf-8' codec can't decode")
+        assert list(out.iterdir()) == []
+
+
 class TestOutputsToOneFile:
     """Two outputs that name one file, however spelled, exit 2 before
     anything is written; otherwise the second would replace the first."""

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qobf._kernel
 import qobf.sim
+from qobf._kernel import _components, _measured_parts
 from qobf.fixtures import standard_fixtures
-from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS
+from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS, _kernel_gates
 from qobf.predicates import multi_pair_predicate
 from qobf.qasm import emit
 from qobf.sim import (
     MAX_UNITARY_QUBITS,
     SimulationError,
     _basis,
-    _components,
     _run,
     _stimulus,
     equivalent,
@@ -123,6 +124,21 @@ class TestSimulate:
         with pytest.raises(SimulationError, match="cap"):
             simulate(Circuit(25))
 
+    @pytest.mark.parametrize("run", [simulate, unitary_of], ids=["simulate", "unitary_of"])
+    def test_measure_rejected_before_any_state(self, run, monkeypatch):
+        runs = []
+
+        def recording_run(gates, n, columns):
+            runs.append(n)
+            return _run(gates, n, columns)
+
+        monkeypatch.setattr(qobf.sim, "_run", recording_run)
+        c = Circuit(3, 1, (GateApp(K.H, (0,)), GateApp(K.CX, (0, 1)), GateApp(K.CX, (1, 2)),
+                           GateApp(K.MEASURE, (2,), cbit=0)))
+        with pytest.raises(SimulationError, match="measurements"):
+            run(c)
+        assert runs == []
+
     def test_normalization(self):
         rng = random.Random(3)
         for _ in range(25):
@@ -204,7 +220,7 @@ class TestUnitaryOf:
             by_hand = self._embed_by_hand(kind, qubits, n)
             assert np.array_equal(unitary_of(gates, n_qubits=n), by_hand), (kind, qubits)
             for j in range(2**n):
-                column = _run(gates, n, lambda dim: _basis(j, dim))
+                column = _run(_kernel_gates(gates), n, lambda dim: _basis(j, dim))
                 assert np.array_equal(column, by_hand[:, j]), (kind, qubits, j)
 
     @pytest.mark.parametrize("kind", [K.X, K.SWAP, K.CX, K.CCX])
@@ -217,7 +233,7 @@ class TestUnitaryOf:
         state = np.empty(2**n, dtype=complex)
         state.real, state.imag = rng.choice([0.0, -0.0, 0.5, -0.5], (2, 2**n))
         qubits = tuple(range(ARITY[kind]))
-        moved = _run([GateApp(kind, qubits)], n, lambda dim: state.copy())
+        moved = _run(_kernel_gates([GateApp(kind, qubits)]), n, lambda dim: state.copy())
         source = np.argmax(np.abs(self._embed_by_hand(kind, qubits, n)), axis=1)
         assert moved.tobytes() == state[source].tobytes()
 
@@ -403,7 +419,8 @@ class TestEquivalent:
 
 def _dense_state(circuit: Circuit, initial: int = 0) -> np.ndarray:
     """The whole circuit on one 2^n state: the unfactored reference path."""
-    return _run(strip_measures(circuit).gates, circuit.n_qubits, lambda dim: _basis(initial, dim))
+    return _run(_kernel_gates(strip_measures(circuit).gates), circuit.n_qubits,
+                lambda dim: _basis(initial, dim))
 
 
 def _dense_distribution(circuit: Circuit) -> dict[str, float]:
@@ -484,9 +501,9 @@ class TestFactoredSimulation:
             GateApp(K.BARRIER, (0, 1, 2, 3)),
             GateApp(K.CX, (3, 2)),
         ))
-        parts = _components(c.gates, c.n_qubits)
+        parts = _components(_kernel_gates(c.gates), c.n_qubits)
         assert [qubits for qubits, _ in parts] == [[0, 1], [2, 3]]
-        assert all(g.kind is not K.BARRIER for _, gates in parts for g in gates)
+        assert sum(len(gates) for _, gates in parts) == 3
 
     def test_untouched_measured_qubit_reads_zero(self):
         c = Circuit(3, 2, (
@@ -532,6 +549,19 @@ class TestFactoredSimulation:
         with pytest.raises(SimulationError, match="cap"):
             measure_distribution(_pairs(13, measured=True))
 
+    def test_distribution_cap_checked_before_split(self, monkeypatch):
+        splits = []
+
+        def recording_parts(gates, measured, n):
+            splits.append(n)
+            return _measured_parts(gates, measured, n)
+
+        monkeypatch.setattr(qobf._kernel, "_measured_parts", recording_parts)
+        c = Circuit(25, 1, (GateApp(K.H, (0,)), GateApp(K.MEASURE, (0,), cbit=0)))
+        with pytest.raises(SimulationError, match="cap"):
+            measure_distribution(c)
+        assert splits == []
+
 
 #: sha256 over the dense oracle's raw results below. Every float the oracle
 #: returns is pinned bit for bit, so a rewrite of the applier that reorders or
@@ -551,7 +581,7 @@ def test_dense_oracle_bits_pinned():
         bare = strip_measures(c)
         digest.update(simulate(bare).tobytes())
         digest.update(simulate(bare, initial=2**c.n_qubits - 1).tobytes())
-        digest.update(_run(bare.gates, c.n_qubits, _stimulus).tobytes())
+        digest.update(_run(_kernel_gates(bare.gates), c.n_qubits, _stimulus).tobytes())
         if c.n_qubits <= 8:
             digest.update(unitary_of(bare).tobytes())
         digest.update(repr(measure_distribution(c)).encode())
