@@ -58,7 +58,7 @@ def main() -> int:
             for method in METHODS:
                 reports = []
                 for seed in range(args.seeds):
-                    cfg = ObfuscationConfig(seed=seed, intensity=args.intensity, method=method)
+                    cfg = ObfuscationConfig(seed=seed, intensity=args.intensity)
                     out = apply_pass(method, circuit, cfg)
                     reports.append(
                         measure_circuit_run(circuit, out, method, input_id=name, seed=seed)

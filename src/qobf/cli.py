@@ -162,7 +162,7 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.input)
     if circuit is None:
         return EXIT_INPUT
-    cfg = ObfuscationConfig(seed=args.seed, intensity=args.intensity, method=args.method)
+    cfg = ObfuscationConfig(seed=args.seed, intensity=args.intensity)
     ruleset = None
     if args.ruleset and args.method != "cloaked":
         print("qobf: warning: --ruleset is ignored unless --method cloaked", file=sys.stderr)
@@ -321,7 +321,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if circuit is None:
             return EXIT_INPUT
         for method in methods:
-            cfg = ObfuscationConfig(seed=args.seed, intensity=args.intensity, method=method)
+            cfg = ObfuscationConfig(seed=args.seed, intensity=args.intensity)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 obfuscated = apply_pass(method, circuit, cfg)

@@ -1,12 +1,14 @@
 """Circuit intermediate representation shared by every transform and oracle.
 
 A Circuit is an immutable ordered list of gate applications over flat qubit
-and classical-bit index spaces (registers are flattened on parse). Provenance
-tags (original / inserted / substituted), composite-box ids, substitution
-groups and insertion windows are internal metadata: they never survive QASM
-emission. They record how a pass derived its output, so that
-:func:`qobf.passes.check_translation` can check it window by window and tests
-can check that transforms only touch what they claim to touch.
+and classical-bit index spaces (registers are flattened on parse). Insertion
+windows, substitution groups and composite-box ids are internal metadata
+(box ids reach QASM only as ``grp<id>`` comments); a gate's provenance
+(original / inserted / substituted) is derived from its window and group, so
+its tags cannot contradict each other. They record how a pass derived its
+output, so that :func:`qobf.passes.check_translation` can check it window by
+window and tests can check that transforms only touch what they claim to
+touch.
 
 :func:`validate` checks each distinct gate's qubit operands once, and runs
 the checks that depend on earlier gates for every gate.
@@ -117,19 +119,27 @@ class GateApp(NamedTuple):
     """One gate application.
 
     ``cbit`` is set only for MEASURE. ``box`` groups gates into a composite
-    box (emitted as comment markers); ``group`` ties substituted gates back to
-    the original gate they replaced (see Circuit.subst_originals); ``window``
-    ties inserted gates to the insertion they belong to: an inverse pair, an
-    auxiliary/restore box pair, or both copies of a delayed wrapper.
+    box (emitted as ``grp<id>`` comment markers); ``group`` ties substituted
+    gates back to the original gate they replaced (see
+    Circuit.subst_originals); ``window`` ties inserted gates to the insertion
+    they belong to: an inverse pair, an auxiliary/restore box pair, or both
+    copies of a delayed wrapper.
     """
 
     kind: GateKind
     qubits: tuple[int, ...]
     cbit: int | None = None
-    origin: str = "original"
     box: int | None = None
     group: int | None = None
     window: int | None = None
+
+    @property
+    def origin(self) -> str:
+        """Provenance, derived from the tags: "inserted" when ``window`` is
+        set, "substituted" when ``group`` is set, else "original"."""
+        if self.window is not None:
+            return "inserted"
+        return "original" if self.group is None else "substituted"
 
     @property
     def signature(self) -> tuple:
@@ -138,9 +148,9 @@ class GateApp(NamedTuple):
 
 
 class _NoEntries(abc.Mapping):
-    """The default of Circuit's two tables: an empty mapping that cannot be
-    written to, so one instance serves every Circuit, and that pickles,
-    which a ``types.MappingProxyType`` does not."""
+    """The default of ``Circuit.subst_originals``: an empty mapping that
+    cannot be written to, so one instance serves every Circuit, and that
+    pickles, which a ``types.MappingProxyType`` does not."""
 
     __slots__ = ()
 
@@ -164,7 +174,6 @@ class Circuit(NamedTuple):
     n_qubits: int
     n_cbits: int = 0
     gates: tuple[GateApp, ...] = ()
-    boxes: Mapping[int, str] = _NO_ENTRIES
     #: substitution-group id -> the original gate the group replaced
     subst_originals: Mapping[int, GateApp] = _NO_ENTRIES
 
@@ -212,13 +221,12 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
 
     Violations are reported, not raised, so malformed circuits can be
     inspected. Checks: index ranges, operand arity and distinctness, MEASURE
-    classical targets (present, in range, written once), that no gate
-    touches a qubit after that qubit has been measured, and that each box id
-    is in the box table.
+    classical targets (present, in range, written once), and that no gate
+    touches a qubit after that qubit has been measured.
 
     The checks on qubit operands (arity, distinctness, range) run once per
     distinct (kind, qubits); a gate that passes them has only the cheap
-    classical-target and box checks and the checks that depend on earlier
+    classical-target checks and the checks that depend on earlier
     gates left to run. A gate that fails them runs every check, so the
     diagnostics and their order are those of checking every gate in full.
     """
@@ -268,8 +276,6 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
             measured.update(q for q in g.qubits if 0 <= q < circuit.n_qubits)
         elif g.cbit is not None:
             gate_err(pos, g, "classical target on a non-measurement gate")
-        if g.box is not None and g.box not in circuit.boxes:
-            gate_err(pos, g, f"box id {g.box} missing from box table")
     return diags
 
 
@@ -302,12 +308,9 @@ def gate_count(circuit: Circuit) -> GateCounts:
 
 def flatten(circuit: Circuit) -> Circuit:
     """Drop all composite-box grouping; gate order and identity are unchanged."""
-    if not circuit.boxes and all(g.box is None for g in circuit.gates):
+    if all(g.box is None for g in circuit.gates):
         return circuit
-    return circuit._replace(
-        gates=tuple(g._replace(box=None) for g in circuit.gates),
-        boxes={},
-    )
+    return circuit.with_gates(g._replace(box=None) for g in circuit.gates)
 
 
 def same_gates(a: Circuit, b: Circuit) -> bool:

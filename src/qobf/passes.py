@@ -16,12 +16,12 @@ ring Z[1/√2, i] and with no tolerance, whether a rule's replacement followed
 by the target's inverse, or D.B.D.B⁻¹, is a global phase times the identity
 on its own few qubits.
 
-Every insertion carries a window id and every substitution a group id, so
-:func:`check_translation` can check a pass's output against its input window
-by window, exactly and in time linear in the gates, with no dense simulation
-(translation validation). This module does not load numpy: only
-``RejectedRule.effective`` and :func:`effective_unitary` build matrices, and
-they import the dense simulator when called.
+Every insertion carries a window id and every substitution a group id, the
+only provenance a gate has, so :func:`check_translation` can check a pass's
+output against its input window by window, exactly and in time linear in the
+gates, with no dense simulation (translation validation). This module does
+not load numpy: only ``RejectedRule.effective`` and :func:`effective_unitary`
+build matrices, and they import the dense simulator when called.
 
 Insertion sites are chosen by an independent coin per site with probability
 equal to ``intensity``, drawn from a generator seeded by ``seed``, so a given
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .exact import identity_phase
 from .ir import (
     ARITY,
-    METHODS,
+    METHODS,  # noqa: F401 (re-exported)
     Circuit,
     GateApp,
     GateKind,
@@ -68,7 +68,6 @@ class RulesetError(ValueError):
 class _ObfuscationConfig(NamedTuple):
     seed: int
     intensity: float = 1.0
-    method: str = "inverse"
 
 
 class ObfuscationConfig(_ObfuscationConfig):
@@ -80,8 +79,6 @@ class ObfuscationConfig(_ObfuscationConfig):
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0 < self.intensity <= 1:
             raise ValueError("intensity must lie in (0, 1]")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         return self
 
 
@@ -300,17 +297,16 @@ def _measured_before(circuit: Circuit) -> list[set[int]]:
     return sites
 
 
-def _instantiate(seq: GateSequence, qubits: Sequence[int], origin: str, box: int | None = None,
+def _instantiate(seq: GateSequence, qubits: Sequence[int], box: int | None = None,
                  group: int | None = None, window: int | None = None) -> list[GateApp]:
     return [
-        GateApp(kind, tuple(qubits[s] for s in slots), origin=origin, box=box, group=group,
-                window=window)
+        GateApp(kind, tuple(qubits[s] for s in slots), box=box, group=group, window=window)
         for kind, slots in seq.gates
     ]
 
 
 def _next_box_id(circuit: Circuit) -> int:
-    return 1 + max(circuit.boxes.keys(), default=-1)
+    return 1 + max((g.box for g in circuit.gates if g.box is not None), default=-1)
 
 
 def _next_group_id(circuit: Circuit) -> int:
@@ -348,7 +344,7 @@ def inverse_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
                     if pair.n_slots > len(available):
                         continue  # redraw: no qubits of the required arity here
                     qubits = rng.sample(available, pair.n_slots)
-                    out.extend(_instantiate(pair, qubits, origin="inserted", window=window))
+                    out.extend(_instantiate(pair, qubits, window=window))
                     window += 1
                     break
         if site < len(circuit.gates):
@@ -372,7 +368,6 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     if all(len(measured[s]) >= circuit.n_qubits for s in range(n_sites)):
         warnings.warn("composite pass: no eligible insertion site", PassWarning)
         return circuit
-    boxes = dict(circuit.boxes)
     next_box = _next_box_id(circuit)
     window = _next_window_id(circuit)
 
@@ -393,11 +388,9 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             ):
                 j += 1
             if j - i >= 2:
-                box_id = next_box
-                next_box += 1
-                boxes[box_id] = f"grp{box_id}"
                 for k in range(i, j):
-                    grouped[k] = grouped[k]._replace(box=box_id)
+                    grouped[k] = grouped[k]._replace(box=next_box)
+                next_box += 1
                 i = j
                 continue
         i += 1
@@ -414,18 +407,13 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             available = [q for q in range(circuit.n_qubits) if q not in measured[site]]
             if available:
                 q = rng.choice(available)
-                aux_box, restore_box = next_box, next_box + 1
+                out.extend(_instantiate(AUXILIARY_SEQUENCE, [q], next_box, window=window))
+                out.extend(_instantiate(RESTORE_SEQUENCE, [q], next_box + 1, window=window))
                 next_box += 2
-                boxes[aux_box] = f"grp{aux_box}"
-                boxes[restore_box] = f"grp{restore_box}"
-                out.extend(_instantiate(AUXILIARY_SEQUENCE, [q], "inserted", aux_box, window=window))
-                out.extend(
-                    _instantiate(RESTORE_SEQUENCE, [q], "inserted", restore_box, window=window)
-                )
                 window += 1
         if site < len(grouped):
             out.append(grouped[site])
-    return circuit.with_gates(out, boxes=boxes)
+    return circuit.with_gates(out)
 
 
 def cloaked_gates_pass(
@@ -456,12 +444,7 @@ def cloaked_gates_pass(
         if rules and rng.random() < cfg.intensity:
             rule = rng.choice(rules)
             subst[next_group] = g
-            out.extend(
-                _instantiate(
-                    rule.replacement, g.qubits, origin="substituted",
-                    box=g.box, group=next_group,
-                )
-            )
+            out.extend(_instantiate(rule.replacement, g.qubits, box=g.box, group=next_group))
             next_group += 1
         else:
             out.append(g)
@@ -548,7 +531,8 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     window = _next_window_id(circuit)
     for start in range(len(work) - 1, -1, -1):
         g = work[start]
-        if g.origin != "original" or g.kind not in UNITARY_KINDS:
+        # only original unitary gates, in no window or group, start a block
+        if g.window is not None or g.group is not None or g.kind not in UNITARY_KINDS:
             continue
         if rng.random() >= cfg.intensity:
             continue
@@ -557,7 +541,7 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             length = rng.randint(1, 3)
             block: list[GateApp] = []
             for g2 in work[start : start + length]:
-                if g2.origin != "original" or g2.kind not in UNITARY_KINDS:
+                if g2.window is not None or g2.group is not None or g2.kind not in UNITARY_KINDS:
                     break
                 block.append(g2)
             if not block:
@@ -575,8 +559,8 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             if not _delayed_commit_check(wrapper, wrapper_qubits, block):
                 continue
             # both copies of the wrapper, and the block between them, form one window
-            before = _instantiate(wrapper, wrapper_qubits, origin="inserted", window=window)
-            after = _instantiate(wrapper, wrapper_qubits, origin="inserted", window=window)
+            before = _instantiate(wrapper, wrapper_qubits, window=window)
+            after = _instantiate(wrapper, wrapper_qubits, window=window)
             work[start:start] = before
             work[start + len(before) + len(block) : start + len(before) + len(block)] = after
             committed += 1
@@ -628,13 +612,13 @@ def undo(circuit: Circuit) -> Circuit:
                 if original.origin != "inserted":
                     out.append(original._replace(box=None))
             continue
-        if g.origin == "inserted":
+        if g.window is not None:  # inserted
             continue
         out.append(g._replace(box=None))
     remaining = {
         gid: g for gid, g in circuit.subst_originals.items() if gid not in seen_groups
     }
-    return circuit.with_gates(out, boxes={}, subst_originals=remaining)
+    return circuit.with_gates(out, subst_originals=remaining)
 
 
 # --------------------------------------------------------------------------
@@ -645,14 +629,10 @@ def undo(circuit: Circuit) -> Circuit:
 def _span_of(g: GateApp) -> tuple[str, int] | None | bool:
     """The span a gate belongs to: None for an original gate standing alone,
     ("window", id) for an inserted gate, ("group", id) for a substituted one,
-    or False when its provenance tags do not fit together."""
-    if g.origin == "original" and g.window is None and g.group is None:
-        return None
-    if g.origin == "inserted" and g.window is not None and g.group is None:
-        return ("window", g.window)
-    if g.origin == "substituted" and g.group is not None and g.window is None:
-        return ("group", g.group)
-    return False
+    or False for a gate with both a window and a group."""
+    if g.group is None:
+        return None if g.window is None else ("window", g.window)
+    return ("group", g.group) if g.window is None else False
 
 
 def _span_problem(span: Sequence[GateApp], originals: Sequence[GateApp]) -> str | None:
@@ -741,7 +721,7 @@ def check_translation(source: Circuit, output: Circuit) -> str | None:
                 return f"{what} appears in two separate runs, split by gate {inner}"
         span = gates[pos : end + 1]
         if key[0] == "window":
-            originals = [g for g in span if g.origin == "original"]
+            originals = [g for g in span if g.window is None]
         else:
             recorded = output.subst_originals.get(key[1])
             if recorded is None or recorded.origin != "original":

@@ -473,9 +473,9 @@ def _statement(g: GateApp) -> str:
 def emit(circuit: Circuit, *, _checked: bool = False) -> str:
     """Canonical QASM text: one statement per line, LF endings, registers
     named q/c. Composite boxes are emitted flattened between a
-    ``// begin composite <name>`` / ``// end composite`` comment pair; the
-    markers are regenerated from IR structure and are discarded on re-parse,
-    so emit/parse round trips to the flattened circuit.
+    ``// begin composite grp<id>`` / ``// end composite`` comment pair, named
+    by box id; the markers are regenerated from IR structure and are
+    discarded on re-parse, so emit/parse round trips to the flattened circuit.
 
     An invalid circuit raises ValueError. ``_checked`` skips that check for
     a caller that has just run :func:`validate` on the circuit itself.
@@ -494,7 +494,7 @@ def emit(circuit: Circuit, *, _checked: bool = False) -> str:
             if open_box is not None:
                 lines.append("// end composite")
             if g.box is not None:
-                lines.append(f"// begin composite {circuit.boxes.get(g.box, f'box{g.box}')}")
+                lines.append(f"// begin composite grp{g.box}")
             open_box = g.box
         lines.append(_statement(g))
     if open_box is not None:

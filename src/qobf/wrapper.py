@@ -6,10 +6,11 @@ Each branch body sits directly under its ``if``/``elif``/``else`` guard at
 module scope, so the payload's names bind in the module as they do when it
 runs alone. The branches are the rows the predicate's generator declares,
 and nothing here names a predicate kind. Live branches carry the payload
-byte-exact (modulo one uniform indent prefix), dead branches get generated
-decoys shaped like the payload, and restart branches get restart logic. A
-manifest describes every branch so the whole construction can be checked,
-and branches resolved, without ever executing the emitted program.
+byte-exact (modulo one uniform indent prefix on each line, where lines end
+as Python's tokenizer ends them), dead branches get generated decoys shaped
+like the payload, and restart branches get restart logic. A manifest
+describes every branch so the whole construction can be checked, and
+branches resolved, without ever executing the emitted program.
 
 The payload is handled as text. Only shroud parses it (with :mod:`ast`), to
 cut it at the top-level statement boundary nearest its middle line.
@@ -26,6 +27,7 @@ alone.
 
 from __future__ import annotations
 
+import itertools
 import keyword
 import os
 import random
@@ -45,6 +47,10 @@ END_MARKER = "pass  # :: end branch"
 
 _PLACEHOLDERS = frozenset({"PREDICATE_CIRCUIT_QASM", "BRANCH_TABLE"})
 _PLACEHOLDER_RE = re.compile(r"\{(PREDICATE_CIRCUIT_QASM|BRANCH_TABLE|EVALUATOR)\}")
+#: one line with its ending. Lines end where Python's tokenizer ends them, at
+#: "\n", "\r\n" or "\r"; ``str.splitlines`` also ends them at "\f", "\v",
+#: "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029", which may sit in a literal
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 #: the exact kernel a template's {EVALUATOR} placeholder receives
 _KERNEL = Path(__file__).with_name("_kernel.py")
 
@@ -59,11 +65,10 @@ class TemplateWarning(UserWarning):
 
 class _SourceBlock(NamedTuple):
     text: str
-    language_tag: str = "python"
 
 
 class SourceBlock(_SourceBlock):
-    """The payload: raw source text held byte-exact, plus an informational tag."""
+    """The payload: raw source text held byte-exact."""
 
     __slots__ = ()
 
@@ -75,7 +80,7 @@ class SourceBlock(_SourceBlock):
 
     @property
     def line_count(self) -> int:
-        return len(self.text.splitlines())
+        return len(_lines(self.text))
 
     @property
     def sha256(self) -> str:
@@ -271,7 +276,7 @@ def generate_decoy(src: SourceBlock, policy: DecoyPolicy) -> str:
     # never let a decoy line collide with the branch end marker
     return "".join(
         END_MARKER + " _" + ln[len(END_MARKER):] if _is_end_marker(ln) else ln
-        for ln in out.splitlines(keepends=True)
+        for ln in _lines(out)
     )
 
 
@@ -280,8 +285,14 @@ def generate_decoy(src: SourceBlock, policy: DecoyPolicy) -> str:
 # --------------------------------------------------------------------------
 
 
+def _lines(text: str) -> list[str]:
+    """``text`` cut into lines that keep their endings (see ``_LINE_RE``), as
+    emission, extraction and the end-marker checks all cut it."""
+    return _LINE_RE.findall(text)
+
+
 def _branch(guard: str, branch: BranchSpec, body_text: str) -> str:
-    body = "".join(INDENT + ln for ln in body_text.splitlines(keepends=True))
+    body = "".join(INDENT + ln for ln in _lines(body_text))
     if body_text and not body_text.endswith("\n"):
         body += "\n"
     return f"{guard}:  # branch {branch.id} [{branch.role}]\n{body}{INDENT}{END_MARKER}"
@@ -317,13 +328,12 @@ def _branch_table(sem: BranchSemantics, bodies: Mapping[str, str]) -> str:
 
 
 def _is_end_marker(line: str) -> bool:
-    """Is ``line``, with or without its ending (``str.splitlines`` ends lines,
-    as emission and extraction do), the branch end marker?"""
-    return line.splitlines() == [END_MARKER]
+    """Is ``line``, one of :func:`_lines`' lines, the branch end marker?"""
+    return line.rstrip("\r\n") == END_MARKER
 
 
 def _check_marker_collision(text: str, what: str) -> None:
-    if any(_is_end_marker(line) for line in text.splitlines()):
+    if any(_is_end_marker(line) for line in _lines(text)):
         raise WrapError(f"payload collides with template markers ({what})")
 
 
@@ -340,8 +350,9 @@ def _shroud_split(text: str) -> tuple[str, str]:
             body = ast.parse(text).body
     except (SyntaxError, ValueError):
         return text, ""
-    # offset of each line as ast counts lines
-    starts = [0] + [m.end() for m in re.finditer(r"\r\n?|\n", text)]
+    # offset of each line; ast counts lines as _lines cuts them
+    lines = _lines(text)
+    starts = list(itertools.accumulate(map(len, lines), initial=0))
     cuts = []
     for prev, stmt in zip(body, body[1:]):
         line = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
@@ -350,8 +361,7 @@ def _shroud_split(text: str) -> tuple[str, str]:
             cuts.append(line - 1)
     if not cuts:
         return text, ""
-    n_lines = len(text.splitlines())
-    cut = starts[min(cuts, key=lambda c: abs(2 * c - n_lines))]
+    cut = starts[min(cuts, key=lambda c: abs(2 * c - len(lines)))]
     return text[:cut], text[cut:]
 
 
@@ -433,11 +443,13 @@ def extract_branch_body(emitted: str, manifest: WrapManifest, branch_id: str) ->
     """Recover one branch's body text: the lines between its guard line and its
     end marker, with the uniform indent removed. Exact inverse of emission
     except for the single newline added when a payload did not end with one.
+    Only the lines without the indent, the guards among them, are searched
+    for the guard, so a body line that quotes a guard is not taken for one.
     """
     indent = manifest.indent
     needle = f"# branch {branch_id} ["
-    lines = emitted.splitlines(keepends=True)
-    starts = [i for i, ln in enumerate(lines) if needle in ln]
+    lines = _lines(emitted)
+    starts = [i for i, ln in enumerate(lines) if not ln.startswith(indent) and needle in ln]
     if len(starts) != 1:
         raise WrapError(f"branch {branch_id!r} appears {len(starts)} times in emitted text")
     body: list[str] = []

@@ -75,7 +75,7 @@ def pass_sweep() -> list[tuple[str, str, int, Circuit, Circuit]]:
         for name, circuit in standard_fixtures().items():
             for method in METHODS:
                 for seed in SWEEP_SEEDS:
-                    cfg = ObfuscationConfig(seed=seed, intensity=0.5, method=method)
+                    cfg = ObfuscationConfig(seed=seed, intensity=0.5)
                     records.append(
                         (name, method, seed, circuit, apply_pass(method, circuit, cfg))
                     )
@@ -292,7 +292,7 @@ def test_criterion_09_overhead_direction():
         warnings.simplefilter("ignore", PassWarning)
         for name, circuit in standard_fixtures().items():
             for method in METHODS:
-                cfg = ObfuscationConfig(seed=2, intensity=1.0, method=method)
+                cfg = ObfuscationConfig(seed=2, intensity=1.0)
                 out = apply_pass(method, circuit, cfg)
                 grew_depth = depth(out) > depth(circuit)
                 grew_total = gate_count(out).total > gate_count(circuit).total
@@ -301,7 +301,7 @@ def test_criterion_09_overhead_direction():
                     details.append(f"{name}/{method} not strict")
     report = measure_circuit_run(
         standard_fixtures()["bv6"],
-        apply_pass("inverse", standard_fixtures()["bv6"], ObfuscationConfig(seed=2, method="inverse")),
+        apply_pass("inverse", standard_fixtures()["bv6"], ObfuscationConfig(seed=2)),
         "inverse",
         input_id="bv6",
         seed=2,
@@ -327,7 +327,7 @@ def test_criterion_10_cli_end_to_end(tmp_path, monkeypatch):
 
     def corrupting_pass(method, circuit, cfg, ruleset=None):
         out = apply_pass(method, circuit, cfg, ruleset)
-        return out.with_gates(out.gates + (GateApp(GateKind.X, (0,), origin="inserted"),))
+        return out.with_gates(out.gates + (GateApp(GateKind.X, (0,), window=-1),))
 
     monkeypatch.setattr(qobf.cli, "apply_pass", corrupting_pass)
     rc = cli_main(

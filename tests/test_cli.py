@@ -306,7 +306,7 @@ def _inject_after_pass(kind: GateKind, seed: int):
             (i for i, g in enumerate(out.gates) if g.kind is GateKind.MEASURE), len(out.gates)
         )
         pos = rng.randrange(first_measure + 1)
-        stray = GateApp(kind, tuple(rng.sample(range(out.n_qubits), ARITY[kind])), origin="inserted")
+        stray = GateApp(kind, tuple(rng.sample(range(out.n_qubits), ARITY[kind])), window=-1)
         return out.with_gates(out.gates[:pos] + (stray,) + out.gates[pos:])
 
     return broken

@@ -114,8 +114,6 @@ def reference_validate(circuit: Circuit) -> list[Diagnostic]:
             measured.update(q for q in g.qubits if 0 <= q < circuit.n_qubits)
         elif g.cbit is not None:
             err(f"{where}: classical target on a non-measurement gate")
-        if g.box is not None and g.box not in circuit.boxes:
-            err(f"{where}: box id {g.box} missing from box table")
     return diags
 
 
@@ -131,8 +129,8 @@ WELL_FORMED = (
 def gate_soups(draw):
     """Circuits drawn from a small pool of gates, valid or not, so gates
     repeat: wrong arity, repeated or out-of-range qubits, missing, stray or
-    out-of-range classical targets, box ids absent from the table, gates
-    after measurement and classical bits measured twice."""
+    out-of-range classical targets, gates after measurement and classical
+    bits measured twice."""
     n_qubits = draw(st.integers(0, 4))
     n_cbits = draw(st.integers(-1, 4))
     anything = st.builds(
@@ -144,8 +142,7 @@ def gate_soups(draw):
     )
     pool = draw(st.lists(st.sampled_from(WELL_FORMED) | anything, min_size=1, max_size=6))
     gates = draw(st.lists(st.sampled_from(pool), max_size=24))
-    boxes = {i: f"box{i}" for i in draw(st.sets(st.integers(0, 2)))}
-    return Circuit(n_qubits, n_cbits, tuple(gates), boxes=boxes)
+    return Circuit(n_qubits, n_cbits, tuple(gates))
 
 
 class TestValidateAgainstReference:
@@ -235,15 +232,13 @@ class TestFlatten:
             1,
             0,
             (GateApp(K.H, (0,), box=0), GateApp(K.X, (0,), box=0)),
-            boxes={0: "grp0"},
         )
         flat = flatten(c)
-        assert flat.boxes == {}
         assert all(g.box is None for g in flat.gates)
         assert same_gates(flat, c)
 
     def test_idempotent(self):
-        c = Circuit(1, 0, (GateApp(K.H, (0,), box=0),), boxes={0: "grp0"})
+        c = Circuit(1, 0, (GateApp(K.H, (0,), box=0),))
         assert flatten(flatten(c)) == flatten(c)
 
 

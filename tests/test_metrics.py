@@ -20,7 +20,7 @@ from qobf.wrapper import SourceBlock, wrap
 
 @pytest.fixture
 def bv_reports(bv6):
-    out = inverse_gates_pass(bv6, ObfuscationConfig(seed=42, intensity=1.0, method="inverse"))
+    out = inverse_gates_pass(bv6, ObfuscationConfig(seed=42, intensity=1.0))
     return [measure_circuit_run(bv6, out, "inverse", input_id="bv6", seed=42)]
 
 

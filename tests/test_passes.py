@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import warnings
 
 import numpy as np
@@ -52,7 +53,9 @@ def _float_verdict(wrapper, wrapper_slots, block) -> bool:
 
 
 def cfg(method: str, seed: int = 1, intensity: float = 1.0) -> ObfuscationConfig:
-    return ObfuscationConfig(seed=seed, intensity=intensity, method=method)
+    """A config for a run of ``method``, which names the run only: the
+    config does not hold the method."""
+    return ObfuscationConfig(seed=seed, intensity=intensity)
 
 
 def single_x() -> Circuit:
@@ -245,7 +248,11 @@ class TestCompositePass:
 
     def test_box_names_are_uniform(self, bv6):
         out = composite_gates_pass(bv6, cfg("composite", seed=5))
-        assert all(name.startswith("grp") for name in out.boxes.values())
+        boxes = sorted({g.box for g in out.gates if g.box is not None})
+        assert boxes == list(range(len(boxes)))
+        markers = [ln for ln in emit(out).splitlines() if ln.startswith("// begin composite")]
+        assert len(markers) == len(boxes)
+        assert all(re.fullmatch(r"// begin composite grp\d+", ln) for ln in markers)
 
 
 class TestCloakedPass:
@@ -464,9 +471,14 @@ class TestPassProperties:
         assert equivalent(bv6, step3)[0]
 
     def test_undo_names_a_group_with_no_recorded_original(self):
-        out = Circuit(1, 0, (GateApp(K.X, (0,), origin="substituted", group=0),))
+        out = Circuit(1, 0, (GateApp(K.X, (0,), group=0),))
         with pytest.raises(ValueError, match="gate 0: group 0 has no recorded original"):
             undo(out)
+
+    def test_undo_keeps_only_the_unused_originals(self):
+        out = Circuit(1, 0, (GateApp(K.H, (0,), group=0),),
+                      subst_originals={0: GateApp(K.X, (0,)), 1: GateApp(K.Z, (0,))})
+        assert undo(out).subst_originals == {1: GateApp(K.Z, (0,))}
 
 
 class TestCheckTranslation:
@@ -507,14 +519,28 @@ class TestCheckTranslation:
 
     def test_refuses_a_window_past_three_qubits(self):
         # two inverse pairs under one window id: the identity, but on 4 qubits
-        pair = [GateApp(K.CX, (0, 1), origin="inserted", window=0),
-                GateApp(K.CX, (2, 3), origin="inserted", window=0)] * 2
+        pair = [GateApp(K.CX, (0, 1), window=0),
+                GateApp(K.CX, (2, 3), window=0)] * 2
         problem = check_translation(Circuit(4), Circuit(4, 0, tuple(pair)))
         assert problem == "window 0 (gates 0-3) touches 4 qubits; at most 3 allowed"
 
     def test_refuses_a_group_with_no_recorded_original(self):
-        out = Circuit(1, 0, (GateApp(K.X, (0,), origin="substituted", group=0),))
+        out = Circuit(1, 0, (GateApp(K.X, (0,), group=0),))
         assert check_translation(single_x(), out) == "group 0 replaces no recorded original gate"
+
+    def test_refuses_a_gate_with_a_window_and_a_group(self):
+        out = Circuit(1, 0, (GateApp(K.X, (0,), group=0, window=0),),
+                      subst_originals={0: GateApp(K.X, (0,))})
+        assert check_translation(single_x(), out) == (
+            "gate 0 (x, inserted, window 0, group 0) fits no window or group"
+        )
+
+    def test_refuses_a_measurement_inside_a_window(self):
+        measure = GateApp(K.MEASURE, (1,), cbit=0)
+        out = Circuit(2, 1, (GateApp(K.X, (0,), window=0), measure, GateApp(K.X, (0,), window=0)))
+        assert check_translation(Circuit(2, 1, (measure,)), out) == (
+            "window 0 (gates 0-2) holds a measure"
+        )
 
     def test_rule_verdicts_serve_cloaked_groups(self, period7, monkeypatch):
         # verify_ruleset decides each rule through the same cached miter that
@@ -548,5 +574,5 @@ class TestConfig:
             ObfuscationConfig(seed=2**64)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            ObfuscationConfig(seed=0, method="mystery")
+        with pytest.raises(ValueError, match="unknown method 'mystery'"):
+            apply_pass("mystery", single_x(), cfg("inverse"))

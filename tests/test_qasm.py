@@ -237,7 +237,6 @@ class TestEmit:
                 GateApp(K.X, (0,), box=0),
                 GateApp(K.Z, (0,)),
             ),
-            boxes={0: "grp0"},
         )
         text = emit(c)
         assert "// begin composite grp0\nh q[0];\nx q[0];\n// end composite\nz q[0];\n" in text

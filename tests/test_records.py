@@ -30,11 +30,11 @@ RECORDS = [
     (SourceSpan, {"start_line": 1, "start_col": 4, "end_line": 2, "end_col": 1}),
     (Diagnostic, {"severity": "error", "message": "m", "span": SourceSpan(1, 1, 1, 1)}),
     (GateApp, {"kind": GateKind.MEASURE, "qubits": (0,), "cbit": 0, "window": 3}),
-    (Circuit, {"n_qubits": 1, "n_cbits": 1, "gates": (_X,), "boxes": {0: "b"}}),
+    (Circuit, {"n_qubits": 1, "n_cbits": 1, "gates": (_X,), "subst_originals": {0: _X}}),
     (GateSequence, {"name": "x-x", "gates": _XX.gates}),
     (GateCounts, {"counts": {GateKind.X: 1}, "total": 1}),
     (ParseResult, {"circuit": Circuit(1, gates=(_X,))}),
-    (ObfuscationConfig, {"seed": 3, "intensity": 0.5, "method": "delayed"}),
+    (ObfuscationConfig, {"seed": 3, "intensity": 0.5}),
     (SubstitutionRule, {"target": GateKind.X, "replacement": _XX, "verified": False,
                         "phase_factor": 1j}),
     (RejectedRule, {"target": GateKind.X, "replacement": _XX}),
@@ -89,10 +89,8 @@ def test_record_semantics(cls, fields):
     (lambda: ObfuscationConfig(2**64), ValueError, "seed must fit in 64 unsigned bits"),
     (lambda: ObfuscationConfig(0, intensity=0), ValueError, "intensity must lie in (0, 1]"),
     (lambda: ObfuscationConfig(0, 1.5), ValueError, "intensity must lie in (0, 1]"),
-    (lambda: ObfuscationConfig(0, method="magic"), ValueError, "unknown method 'magic'"),
     (lambda: SourceBlock(""), WrapError, "payload text must be non-empty"),
-    (lambda: SourceBlock(text="", language_tag="python"), WrapError,
-     "payload text must be non-empty"),
+    (lambda: SourceBlock(text=""), WrapError, "payload text must be non-empty"),
     (lambda: DecoyPolicy("magic"), WrapError, "unknown decoy mode 'magic'"),
     (lambda: DecoyPolicy("restart", decoy_seed=-1), WrapError, "decoy_seed must be non-negative"),
     (lambda: DecoyPolicy("restart", 0, -1), WrapError,
@@ -106,12 +104,11 @@ def test_checked_record_refuses(build, error, message):
 
 def test_circuit_default_tables_are_not_shared():
     first, second = Circuit(1), Circuit(2)
-    for table in (first.boxes, first.subst_originals):
-        with pytest.raises(TypeError):
-            table[0] = "box"
-    assert second.boxes == {} and second.subst_originals == {}
-    assert Circuit(1) == Circuit(1, boxes={}, subst_originals={})
-    assert repr(Circuit(1)) == "Circuit(n_qubits=1, n_cbits=0, gates=(), boxes={}, subst_originals={})"
+    with pytest.raises(TypeError):
+        first.subst_originals[0] = _X
+    assert second.subst_originals == {}
+    assert Circuit(1) == Circuit(1, subst_originals={})
+    assert repr(Circuit(1)) == "Circuit(n_qubits=1, n_cbits=0, gates=(), subst_originals={})"
 
 
 def test_parse_result_diagnostics_fresh_per_result():

@@ -160,6 +160,11 @@ ADVERSARIAL_PAYLOADS = [
     "a = 'multi\\nline-ish string'\nb = \"quotes ' inside\"\n",
     "\n\nstarts blank\n",
     "x = 1\r\ny = 2\r\n",
+    # only "\n", "\r\n" and "\r" end a line, as in Python's tokenizer
+    'msg = "a\u2028b"\nprint(repr(msg))\n',
+    'msg = "a\fb"\nprint(repr(msg))\n',
+    # a body line that quotes a guard is not a guard
+    "x = 1  # branch bell-00 [live]\nprint(x)\n",
 ]
 
 
@@ -236,6 +241,9 @@ CORPUS = {
     ),
     "exit-3": "import sys\nprint('leaving')\nsys.stdout.flush()\nsys.exit(3)\nprint('unreachable')\n",
     "one-statement": "for i in range(3):\n    square = i * i\n    print(i, square)\n",
+    # str.splitlines ends lines at these; Python's tokenizer does not
+    "line-separator-in-string": 'msg = "a\u2028b"\nprint(repr(msg))\n',
+    "form-feed-in-string": 'msg = "a\fb"\nprint(repr(msg))\n',
     # the pasted kernel imports math, and qobf.exact has a _run; a wrapped
     # program binds neither
     "unbound-names": (
@@ -283,8 +291,8 @@ class TestWrappedProgramRuns:
         restart branch re-runs the program before the payload, so only the
         last run's output is seen."""
         payload, program = tmp_path / "payload.py", tmp_path / "wrapped.py"
-        payload.write_text(CORPUS[name])
-        program.write_text(wrap(SourceBlock(CORPUS[name]), kind, params)[0])
+        payload.write_text(CORPUS[name], encoding="utf-8")
+        program.write_text(wrap(SourceBlock(CORPUS[name]), kind, params)[0], encoding="utf-8")
         want, got = run_python(payload), run_python(program)
         assert (got.stdout, got.stderr, got.returncode) == (
             want.stdout,
@@ -344,7 +352,7 @@ class TestExtraction:
 
     @pytest.mark.parametrize("newline", ["\r", "\r\n"])
     def test_marker_collision_rejected_after_any_line_ending(self, newline):
-        # emission and extraction split lines with splitlines(), so the check must too
+        # emission and extraction end lines at "\r" and "\r\n" too, so the check must too
         with pytest.raises(WrapError, match="collides with template markers"):
             wrap(SourceBlock(f"a = 1{newline}{END_MARKER}"), "bell")
 
