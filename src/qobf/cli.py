@@ -215,17 +215,13 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .ir import SimulationError
     from .sim import equivalent
 
     a = _load_circuit(args.a)
     b = _load_circuit(args.b)
     if a is None or b is None:
         return EXIT_INPUT
-    try:
-        ok, fidelity = equivalent(a, b, args.mode)
-    except SimulationError as exc:
-        return _fail(str(exc))
+    ok, fidelity = equivalent(a, b, args.mode)
     print(f"equivalent={ok} fidelity={fidelity:.12f} mode={args.mode}")
     return EXIT_OK if ok else 1
 
@@ -247,10 +243,7 @@ def cmd_predicate(args: argparse.Namespace) -> int:
     from .predicates import make_predicate
     from .qasm import emit
 
-    try:
-        pred = make_predicate(args.kind, _predicate_params(args))
-    except ValueError as exc:
-        return _fail(str(exc))
+    pred = make_predicate(args.kind, _predicate_params(args))
     # make_predicate has checked the model; its exact distribution is memoised
     doc = {"kind": pred.kind, "params": dict(pred.params)}
     if pred.semantics.kind == "measured":
@@ -283,17 +276,14 @@ def cmd_wrap(args: argparse.Namespace) -> int:
         decoy_seed=args.decoy_seed,
         decoy_statement_count=args.decoy_statements,
     )
-    try:
-        emitted, manifest = wrap(
-            SourceBlock(payload),
-            args.kind,
-            _predicate_params(args),
-            policy,
-            template_id=args.template,
-            template_dir=args.template_dir,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    emitted, manifest = wrap(
+        SourceBlock(payload),
+        args.kind,
+        _predicate_params(args),
+        policy,
+        template_id=args.template,
+        template_dir=args.template_dir,
+    )
     manifest_path = args.manifest or (str(Path(args.output)) + ".manifest.json")
     problem = _write_outputs(
         [(args.output, emitted), (manifest_path, json.dumps(manifest.to_dict(), indent=2) + "\n")]
@@ -417,6 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. A ``ValueError`` or ``SimulationError`` that escapes
+    its handler is an input error: ``qobf: error: <message>``, exit 2. The
+    handlers leave both to this one place."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

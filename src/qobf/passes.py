@@ -286,14 +286,17 @@ def default_verified_rules() -> RulesetReport:
 # --------------------------------------------------------------------------
 
 
-def _measured_before(circuit: Circuit) -> list[set[int]]:
-    """For each insertion site s (0..len(gates)), the qubits measured before s."""
-    sites: list[set[int]] = [set()]
-    seen: set[int] = set()
+def _free_qubits(circuit: Circuit) -> list[list[int]]:
+    """For each insertion site s (0..len(gates)), the qubits not measured
+    before s, ascending. The sites between two measurements share one list,
+    which no caller changes. Site 0 comes before every gate, so every qubit
+    is free there."""
+    free = list(range(circuit.n_qubits))
+    sites = [free]
     for g in circuit.gates:
         if g.kind is GateKind.MEASURE:
-            seen = seen | set(g.qubits)
-        sites.append(seen)
+            free = [q for q in free if q not in g.qubits]
+        sites.append(free)
     return sites
 
 
@@ -321,32 +324,27 @@ def inverse_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     """Insert adjacent gate/inverse pairs between existing gates.
 
     Every boundary between consecutive gate positions (including before the
-    first and after the last gate) is a candidate site. An empty circuit has
-    no sites and is returned unchanged with a warning.
+    first and after the last gate) is a candidate site, and a pair goes on
+    qubits that are not measured before its site (:func:`_free_qubits`). An
+    empty circuit has no sites and is returned unchanged with a warning.
     """
     rng = random.Random(cfg.seed)
     if not circuit.gates:
         warnings.warn("inverse pass: no eligible insertion site", PassWarning)
         return circuit
-    measured = _measured_before(circuit)
-    n_sites = len(circuit.gates) + 1
-    if all(len(measured[s]) >= circuit.n_qubits for s in range(n_sites)):
-        warnings.warn("inverse pass: no eligible insertion site", PassWarning)
-        return circuit
+    free = _free_qubits(circuit)
     out: list[GateApp] = []
     window = _next_window_id(circuit)
-    for site in range(n_sites):
-        if rng.random() < cfg.intensity:
-            available = [q for q in range(circuit.n_qubits) if q not in measured[site]]
-            if available:
-                for _ in range(MAX_DRAWS):
-                    pair = rng.choice(INVERSE_PAIRS)
-                    if pair.n_slots > len(available):
-                        continue  # redraw: no qubits of the required arity here
-                    qubits = rng.sample(available, pair.n_slots)
-                    out.extend(_instantiate(pair, qubits, window=window))
-                    window += 1
-                    break
+    for site, available in enumerate(free):
+        if rng.random() < cfg.intensity and available:
+            for _ in range(MAX_DRAWS):
+                pair = rng.choice(INVERSE_PAIRS)
+                if pair.n_slots > len(available):
+                    continue  # redraw: no qubits of the required arity here
+                qubits = rng.sample(available, pair.n_slots)
+                out.extend(_instantiate(pair, qubits, window=window))
+                window += 1
+                break
         if site < len(circuit.gates):
             out.append(circuit.gates[site])
     return circuit.with_gates(out)
@@ -359,15 +357,12 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     in as two adjacent boxes on one random qubit (their product is the
     identity). Afterwards random runs of 2-4 consecutive box-free original
     gates are grouped into decoy boxes so inserted and original boxes look
-    alike. Unlike the inverse pass, an empty circuit still has one site, so a
-    bare identity block can be produced.
+    alike. The pair goes on a qubit that is not measured before its site
+    (:func:`_free_qubits`). Unlike the inverse pass, an empty circuit still
+    has one site, so a bare identity block can be produced.
     """
     rng = random.Random(cfg.seed)
-    measured = _measured_before(circuit)
-    n_sites = len(circuit.gates) + 1
-    if all(len(measured[s]) >= circuit.n_qubits for s in range(n_sites)):
-        warnings.warn("composite pass: no eligible insertion site", PassWarning)
-        return circuit
+    free = _free_qubits(circuit)
     next_box = _next_box_id(circuit)
     window = _next_window_id(circuit)
 
@@ -402,15 +397,13 @@ def composite_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
         return left is not None and left == right
 
     out: list[GateApp] = []
-    for site in range(n_sites):
-        if not splits_a_box(site) and rng.random() < cfg.intensity:
-            available = [q for q in range(circuit.n_qubits) if q not in measured[site]]
-            if available:
-                q = rng.choice(available)
-                out.extend(_instantiate(AUXILIARY_SEQUENCE, [q], next_box, window=window))
-                out.extend(_instantiate(RESTORE_SEQUENCE, [q], next_box + 1, window=window))
-                next_box += 2
-                window += 1
+    for site, available in enumerate(free):
+        if not splits_a_box(site) and rng.random() < cfg.intensity and available:
+            q = rng.choice(available)
+            out.extend(_instantiate(AUXILIARY_SEQUENCE, [q], next_box, window=window))
+            out.extend(_instantiate(RESTORE_SEQUENCE, [q], next_box + 1, window=window))
+            next_box += 2
+            window += 1
         if site < len(grouped):
             out.append(grouped[site])
     return circuit.with_gates(out)
@@ -515,9 +508,10 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     For each candidate block start (coin per original unitary gate), up to
     MAX_DRAWS (wrapper, block, qubit-mapping) combinations are tried; an
     insertion is committed only when the wrapped block acts exactly like the
-    block alone, up to global phase (:func:`_commit_verdict`). Sites
-    are processed right to left so committed insertions do not shift pending
-    candidate positions.
+    block alone, up to global phase (:func:`_commit_verdict`). A wrapper
+    reaches past the block's qubits only onto qubits not measured before the
+    block (:func:`_free_qubits`). Sites are processed right to left so
+    committed insertions do not shift pending candidate positions.
     """
     rng = random.Random(cfg.seed)
     if not circuit.gates:
@@ -526,7 +520,7 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     work: list[GateApp] = list(circuit.gates)
     # sites run right to left and insertions land at ``start`` or later, so
     # work[:start] is always circuit.gates[:start]
-    measured = _measured_before(circuit)
+    free = _free_qubits(circuit)
     committed = 0
     window = _next_window_id(circuit)
     for start in range(len(work) - 1, -1, -1):
@@ -536,7 +530,6 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             continue
         if rng.random() >= cfg.intensity:
             continue
-        free = [q for q in range(circuit.n_qubits) if q not in measured[start]]
         for _ in range(MAX_DRAWS):
             length = rng.randint(1, 3)
             block: list[GateApp] = []
@@ -544,15 +537,13 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
                 if g2.window is not None or g2.group is not None or g2.kind not in UNITARY_KINDS:
                     break
                 block.append(g2)
-            if not block:
-                break
             wrapper = rng.choice(DELAYED_SEQUENCES)
             block_qubits = list(_first_touch(block))
             need = wrapper.n_slots
             if need <= len(block_qubits):
                 wrapper_qubits = rng.sample(block_qubits, need)
             else:
-                extras = [q for q in free if q not in block_qubits]
+                extras = [q for q in free[start] if q not in block_qubits]
                 if not extras:
                     continue
                 wrapper_qubits = block_qubits + rng.sample(extras, need - len(block_qubits))

@@ -269,8 +269,6 @@ def generate_decoy(src: SourceBlock, policy: DecoyPolicy) -> str:
         if policy.decoy_statement_count >= 1:
             lines.append(filler)
         else:
-            if lines[0] == filler:
-                filler += " _"
             lines[0] = filler
         out = "\n".join(lines)
     # never let a decoy line collide with the branch end marker
@@ -332,9 +330,11 @@ def _is_end_marker(line: str) -> bool:
     return line.rstrip("\r\n") == END_MARKER
 
 
-def _check_marker_collision(text: str, what: str) -> None:
+def _check_marker_collision(text: str) -> None:
+    """Refuse a payload with a line equal to the branch end marker, which
+    would close its branch early."""
     if any(_is_end_marker(line) for line in _lines(text)):
-        raise WrapError(f"payload collides with template markers ({what})")
+        raise WrapError("payload collides with template markers (payload)")
 
 
 def _shroud_split(text: str) -> tuple[str, str]:
@@ -393,7 +393,7 @@ def wrap(
             f"policy mode {policy.mode!r} is invalid for kind {kind!r}"
             f" (expected {REQUIRED_MODE[kind]!r})"
         )
-    _check_marker_collision(src.text, "payload")
+    _check_marker_collision(src.text)
     sem = pred.semantics
     live = [b for b in sem.branches if b.role == "live"]
     if sem.kind == "amplitude_read":
@@ -411,8 +411,8 @@ def wrap(
                 decoy_seed=policy.decoy_seed + i,
                 decoy_statement_count=policy.decoy_statement_count,
             )
+            # generate_decoy rewrites every line equal to the end marker
             bodies[branch.id] = generate_decoy(src, decoy_policy)
-            _check_marker_collision(bodies[branch.id], f"decoy {branch.id}")
     fills = {
         "PREDICATE_CIRCUIT_QASM": emit(pred.circuit),
         "BRANCH_TABLE": _branch_table(sem, bodies),
