@@ -17,9 +17,11 @@ Exit codes (stable for scripting):
   0 - success
   1 - ``verify`` only: the two circuits are not equivalent
   2 - usage error, unreadable/unparsable input, an output path that cannot
-      be written, two outputs to one file, or qubit mismatch
-  3 - internal soundness failure: a pass produced a circuit the check cannot
-      prove equivalent (the tool refuses to write semantics-breaking output)
+      be written, two outputs to one file, qubit mismatch, or numpy missing
+      for a command that needs it
+  3 - internal failure: a pass produced a circuit the check cannot prove
+      equivalent (the tool refuses to write semantics-breaking output), or
+      a command crashed
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ EXIT_SOUNDNESS = 3
 def _fail(message: str, code: int = EXIT_INPUT) -> int:
     print(f"qobf: error: {message}", file=sys.stderr)
     return code
+
+
+@contextmanager
+def _needs_numpy(command: str):
+    """Report a failed import in the block, which loads the dense simulator,
+    as ``command`` needing numpy: a ``ValueError``, which ``main`` turns into
+    exit 2."""
+    try:
+        yield
+    except ImportError as exc:
+        raise ValueError(f"{command} needs numpy: {exc}") from None
 
 
 @contextmanager
@@ -159,6 +172,9 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
     from .passes import ObfuscationConfig, check_translation, load_ruleset, verify_ruleset
     from .qasm import emit
 
+    if args.report:
+        with _needs_numpy("obfuscate --report"):
+            from .metrics import measure_circuit_run, render_report
     circuit = _load_circuit(args.input)
     if circuit is None:
         return EXIT_INPUT
@@ -180,25 +196,25 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         if not report.accepted:
             print("qobf: warning: no applicable rules; output equals input", file=sys.stderr)
         ruleset = report.accepted
-    with _warnings_to_stderr():
-        obfuscated = apply_pass(args.method, circuit, cfg, ruleset)
-    problems = [str(d) for d in validate(obfuscated) if d.is_error]
-    if problems:
+    # whatever the pass or the check of its output raises is qobf's fault
+    try:
+        with _warnings_to_stderr():
+            obfuscated = apply_pass(args.method, circuit, cfg, ruleset)
+        problems = [str(d) for d in validate(obfuscated) if d.is_error]
+        if problems:
+            problem = f"pass broke the circuit ({'; '.join(problems)})"
+        else:
+            problem = check_translation(circuit, obfuscated)
+            problem = problem and f"pass broke circuit semantics ({problem})"
+    except Exception as exc:
         return _fail(
-            f"pass broke the circuit ({'; '.join(problems)}); refusing to write output",
-            EXIT_SOUNDNESS,
+            f"internal error in pass {args.method}: {type(exc).__name__}: {exc}", EXIT_SOUNDNESS
         )
-    problem = check_translation(circuit, obfuscated)
     if problem:
-        return _fail(
-            f"pass broke circuit semantics ({problem}); refusing to write output",
-            EXIT_SOUNDNESS,
-        )
+        return _fail(f"{problem}; refusing to write output", EXIT_SOUNDNESS)
     # _load_circuit validated the input and the check above the output
     outputs = [(args.output, emit(obfuscated, _checked=True))]
     if args.report:
-        from .metrics import measure_circuit_run, render_report
-
         report_obj = measure_circuit_run(
             circuit, obfuscated, args.method, input_id=args.input, seed=args.seed,
             _checked=("input", "output"),
@@ -215,7 +231,8 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .sim import equivalent
+    with _needs_numpy("verify"):
+        from .sim import equivalent
 
     a = _load_circuit(args.a)
     b = _load_circuit(args.b)
@@ -296,8 +313,10 @@ def cmd_wrap(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .metrics import measure_circuit_run, render_report
     from .passes import ObfuscationConfig
+
+    with _needs_numpy("report"):
+        from .metrics import measure_circuit_run, render_report
 
     if not args.inputs:
         return _fail("no inputs given")
@@ -409,7 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. A ``ValueError`` or ``SimulationError`` that escapes
     its handler is an input error: ``qobf: error: <message>``, exit 2. The
-    handlers leave both to this one place."""
+    handlers leave both to this one place. Any other exception is a crash:
+    its traceback, then ``qobf: error: internal error: ...``, exit 3.
+    ``KeyboardInterrupt`` and ``SystemExit`` pass through."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -419,6 +440,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, _simulation_error()) as exc:
         return _fail(str(exc))
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_SOUNDNESS)
 
 
 def console_main() -> None:

@@ -12,11 +12,14 @@ like the payload, and restart branches get restart logic. A manifest
 describes every branch so the whole construction can be checked, and
 branches resolved, without ever executing the emitted program.
 
-The payload is handled as text. Only shroud parses it (with :mod:`ast`), to
-cut it at the top-level statement boundary nearest its middle line.
+The payload is handled as text. ``wrap`` tokenizes it once, to refuse what
+wrapping would change: a string literal across lines and a ``from
+__future__`` import. Only shroud parses it (with :mod:`ast`), to cut it at
+the top-level statement boundary nearest its middle line.
 
-The predicates, the QASM emitter, :mod:`hashlib` and :mod:`ast` load inside
-the functions that use them, so listing templates loads none of them.
+The predicates, the QASM emitter, :mod:`hashlib`, :mod:`tokenize` and
+:mod:`ast` load inside the functions that use them, so listing templates
+loads none of them.
 
 Templates are text files with two required placeholders,
 {PREDICATE_CIRCUIT_QASM} and {BRANCH_TABLE}, and one optional one,
@@ -56,7 +59,8 @@ _KERNEL = Path(__file__).with_name("_kernel.py")
 
 
 class WrapError(ValueError):
-    """Invalid wrap request: bad template, policy/kind mismatch, marker collision."""
+    """Invalid wrap request: bad template, policy/kind mismatch, marker
+    collision, or a payload that wrapping would change."""
 
 
 class TemplateWarning(UserWarning):
@@ -337,6 +341,43 @@ def _check_marker_collision(text: str) -> None:
         raise WrapError("payload collides with template markers (payload)")
 
 
+def _check_wrappable(text: str) -> None:
+    """Refuse a payload that wrapping would change. A string literal across
+    lines would gain the branch indent on its later lines, so its value
+    would change; a ``from __future__`` import must open the program, and
+    the template's code comes first. The payload is tokenized as
+    :func:`_lines` cuts it; one the tokenizer rejects stays opaque text."""
+    import tokenize
+
+    fstring_start = getattr(tokenize, "FSTRING_START", None)  # Python 3.12+
+    fstring_end = getattr(tokenize, "FSTRING_END", None)
+    lines = iter(_lines(text))
+    try:
+        tokens = list(tokenize.generate_tokens(lambda: next(lines, "")))
+    except (tokenize.TokenError, SyntaxError):
+        return
+    opened: list[int] = []  # the rows where the open f-strings start
+    starts_line = True
+    for tok, after in zip(tokens, tokens[1:]):
+        row = tok.start[0]
+        if tok.type == fstring_start:
+            opened.append(row)
+        elif tok.type == fstring_end:
+            row = opened.pop()
+        if tok.type in (tokenize.STRING, fstring_end) and tok.end[0] != row:
+            raise WrapError(
+                f"payload line {row}: a string literal across lines would gain the branch indent"
+            )
+        if starts_line and (tok.string, after.string) == ("from", "__future__"):
+            raise WrapError(
+                f"payload line {row}: a from __future__ import must open the program,"
+                " and the template's code comes first"
+            )
+        starts_line = tok.type == tokenize.NEWLINE or starts_line and tok.type in (
+            tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT
+        )
+
+
 def _shroud_split(text: str) -> tuple[str, str]:
     """Cut the payload at the top-level statement start nearest its middle
     line, so both halves are whole statements. A decorated definition starts
@@ -394,6 +435,7 @@ def wrap(
             f" (expected {REQUIRED_MODE[kind]!r})"
         )
     _check_marker_collision(src.text)
+    _check_wrappable(src.text)
     sem = pred.semantics
     live = [b for b in sem.branches if b.role == "live"]
     if sem.kind == "amplitude_read":

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import qobf.cli
+import qobf.passes
 import qobf.sim
 from qobf.cli import main
 from qobf.exact import identity_phase
@@ -654,6 +655,26 @@ class TestWrapCommand:
         assert "decoy_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["bell", "branch", "multi_pair", "shroud"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('msg = """a\nb"""\nprint(repr(msg))\n', "a string literal across lines"),
+            ('s = "a\\\nb"\nprint(repr(s))\n', "a string literal across lines"),
+            ("from __future__ import annotations\nprint(1)\n", "a from __future__ import"),
+        ],
+        ids=["triple-quoted", "backslash-continued", "future-import"],
+    )
+    def test_unwrappable_payload_exit_2(self, payload, message, kind, tmp_path, capsys):
+        """Wrapped, the first two would print another string and the third
+        would not compile: refused before anything is written."""
+        src = tmp_path / "payload.py"
+        src.write_text(payload)
+        rc = main(["wrap", "--payload", str(src), "--kind", kind, "-o", str(tmp_path / "w.py")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"qobf: error: payload line 1: {message}")
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_missing_payload_exit_2(self, tmp_path):
         rc = main(
             ["wrap", "--payload", str(tmp_path / "nope.py"), "--kind", "bell", "-o", str(tmp_path / "w.py")]
@@ -690,6 +711,49 @@ class TestReportCommand:
         assert main(["report", "--methods", "inverse", str(qasm_dir / "x.qasm")]) == 2
         assert capsys.readouterr().err == (
             "qobf: error: output circuit invalid: gate 1 (x): qubit index 5 out of range [0, 1)\n"
+        )
+
+
+def _raise(exc: Exception):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+class TestCrashExit3:
+    """A crash is qobf's fault: exit 3, never 2 (input error) or 1 (``verify``'s
+    "not equivalent"), and nothing written."""
+
+    @pytest.mark.parametrize(
+        "module, name, exc",
+        [
+            (qobf.cli, "apply_pass", IndexError("list index out of range")),
+            (qobf.cli, "apply_pass", ValueError("not enough values to unpack")),
+            (qobf.passes, "check_translation", KeyError(7)),
+        ],
+        ids=["pass-IndexError", "pass-ValueError", "check-KeyError"],
+    )
+    def test_obfuscate(self, module, name, exc, qasm_dir, monkeypatch, capsys):
+        monkeypatch.setattr(module, name, _raise(exc))
+        out, report = qasm_dir / "out.qasm", qasm_dir / "r.json"
+        rc = main(["obfuscate", "--method", "delayed", str(qasm_dir / "bv6.qasm"), "-o", str(out),
+                   "--report", str(report)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"qobf: error: internal error in pass delayed: {type(exc).__name__}: {exc}\n"
+        )
+        assert not out.exists() and not report.exists()
+
+    def test_verify(self, qasm_dir, monkeypatch, capsys):
+        monkeypatch.setattr(qobf.sim, "equivalent", _raise(RuntimeError("injected")))
+        f = str(qasm_dir / "x.qasm")
+        assert main(["verify", f, f]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.endswith(
+            "RuntimeError: injected\nqobf: error: internal error: RuntimeError: injected\n"
         )
 
 
@@ -830,6 +894,35 @@ class TestEntryPoints:
         assert not out.exists()
 
 
+class TestWithoutNumpy:
+    """With numpy blocked, the commands that need it exit 2, name it and
+    write nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["verify", "{src}", "{src}"], "verify"),
+            (["report", "--out", "{out}", "{src}"], "report"),
+            (["obfuscate", "--method", "inverse", "{src}", "-o", "{out}", "--report", "{report}"],
+             "obfuscate --report"),
+        ],
+        ids=["verify", "report", "obfuscate-report"],
+    )
+    def test_exit_2(self, argv, command, qasm_dir):
+        paths = {"src": qasm_dir / "bv6.qasm", "out": qasm_dir / "out", "report": qasm_dir / "r.json"}
+        proc = _run_python(
+            "-c",
+            'import sys\nsys.modules["numpy"] = None\n'
+            "from qobf.cli import main\nsys.exit(main(sys.argv[1:]))",
+            *(arg.format(**paths) for arg in argv),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"qobf: error: {command} needs numpy: import of numpy halted; None in sys.modules\n"
+        )
+        assert not paths["out"].exists() and not paths["report"].exists()
+
+
 class TestImportsPerEntryPoint:
     """Each entry point loads only the modules it runs: the predicate side
     (templates, predicate, wrap and wrapped programs) and obfuscate without
@@ -871,7 +964,7 @@ class TestImportsPerEntryPoint:
     def test_templates_run(self):
         loaded = self.loaded_after("from qobf.cli import main\nassert main(['templates']) == 0")
         assert self.package_modules(loaded) == {"qobf", "qobf.cli", "qobf.wrapper"}
-        assert not loaded & ({"numpy", "hashlib", "ast"} | self.INTROSPECTION)
+        assert not loaded & ({"numpy", "hashlib", "tokenize", "ast"} | self.INTROSPECTION)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_obfuscate_run(self, method, qasm_dir):

@@ -179,6 +179,23 @@ class TestVerifyRuleset:
             load_ruleset(bad)
 
     @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("h z h", r"expected 'target: gate gate \.\.\.'"),
+            ("frob: h", "unknown target gate 'frob'"),
+            ("measure: h", "unknown target gate 'measure'"),
+            ("x: cx(0)", r"cx takes 2 slot\(s\)"),
+            ("x:  # nothing", "empty replacement sequence"),
+        ],
+        ids=["no-colon", "unknown-target", "non-unitary-target", "slot-count", "empty"],
+    )
+    def test_malformed_rule_lines_rejected_with_location(self, rule, message, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(f"h: h h h\n{rule}\n")
+        with pytest.raises(RulesetError, match=f"bad.rules:2: {message}$"):
+            load_ruleset(bad)
+
+    @pytest.mark.parametrize(
         "gate, message",
         [
             ((K.CX, (0, 0)), "distinct non-negative slots"),

@@ -13,6 +13,7 @@ from qobf.ir import PREDICATE_KINDS
 import qobf.predicates
 from qobf.predicates import make_predicate
 from qobf.wrapper import (
+    INDENT,
     DecoyPolicy,
     END_MARKER,
     SourceBlock,
@@ -165,6 +166,12 @@ ADVERSARIAL_PAYLOADS = [
     'msg = "a\fb"\nprint(repr(msg))\n',
     # a body line that quotes a guard is not a guard
     "x = 1  # branch bell-00 [live]\nprint(x)\n",
+    # wrapping refuses none of these: strings on one line, a continued line
+    # outside a string, the __future__ module, and what the tokenizer rejects
+    'msg = f"{1}" "two"\nprint(msg)\n',
+    "x = 1 + \\\n    2\nprint(x)\n",
+    "import __future__\nprint(__future__.annotations)\n",
+    's = """never closed\n',
 ]
 
 
@@ -365,6 +372,23 @@ class TestExtraction:
             emitted, manifest = wrap(SourceBlock(payload), "branch", {"seed": 3}, policy)
             assert extract_payload(emitted, manifest) == payload
 
+    def test_damaged_program_refused(self):
+        """Each way an edited program can lose a branch body is refused."""
+        emitted, manifest = wrap(SourceBlock("x = 1"), "bell")
+        damaged = {
+            "appears 0 times": emitted.replace("  # branch bell-00 [live]", ""),
+            "body line lost its indent": emitted.replace(f"{INDENT}x = 1\n", "x = 1\n"),
+            "has no end marker": emitted[: emitted.rindex(INDENT + END_MARKER)],
+        }
+        for message, text in damaged.items():
+            branch = "bell-11" if message == "has no end marker" else "bell-00"
+            with pytest.raises(WrapError, match=f"branch '{branch}' {message}"):
+                extract_branch_body(text, manifest, branch)
+        # the payload had no final newline, so emission added the one it strips
+        text = emitted.replace(f"{INDENT}x = 1\n", f"{INDENT}x = 1\r")
+        with pytest.raises(WrapError, match="expected the emission-added trailing newline"):
+            extract_payload(text, manifest)
+
     def test_branch_ids_appear_exactly_once(self):
         for kind in ("bell", "multi_pair", "shroud", "branch"):
             emitted, manifest = wrap(SourceBlock(PAYLOAD), kind)
@@ -372,6 +396,29 @@ class TestExtraction:
                 assert emitted.count(f"# branch {b.id} [") == 1
             # and no branch markers beyond the manifest's
             assert emitted.count("# branch ") == len(manifest.branches)
+
+
+class TestUnwrappablePayloads:
+    """A payload whose meaning wrapping would change is refused, naming its line."""
+
+    @pytest.mark.parametrize("kind", ["bell", "shroud"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # a docstring's value, f.__doc__, would gain the indent too
+            ('def f():\n    """one\n    two"""\n', "a string literal across lines"),
+            ('x = 1\nmsg = f"""{x}\n"""\n', "a string literal across lines"),
+            ('x = 1\nmsg = f"""{f"{x}"}\n"""\n', "a string literal across lines"),
+            # a bare "\r" ends a line for Python's tokenizer, so the indent follows it
+            ('msg = """a\rb"""\nprint(repr(msg))\n', "a string literal across lines"),
+            ('"""Doc."""\nfrom __future__ import annotations\n', "a from __future__ import"),
+        ],
+        ids=["docstring", "f-string", "nested-f-string", "bare-cr", "future-after-docstring"],
+    )
+    def test_refused(self, payload, message, kind):
+        line = 1 if payload.startswith("msg") else 2
+        with pytest.raises(WrapError, match=f"^payload line {line}: {message}"):
+            wrap(SourceBlock(payload), kind)
 
 
 class TestManifest:
@@ -505,6 +552,14 @@ class TestDecoys:
         # the manifest schema requires decoy_seed >= 0
         with pytest.raises(WrapError, match="decoy_seed must be non-negative"):
             DecoyPolicy(mode="dead_decoy", decoy_seed=-3)
+
+    def test_no_statement_added_when_bound_is_zero(self):
+        # nothing to rename or perturb: the filler replaces the first line
+        src = SourceBlock("...\n...\n")
+        for seed in range(20):
+            decoy = generate_decoy(src, self.policy(seed, bound=0))
+            assert decoy != src.text
+            assert decoy.count("\n") == 2 and decoy.endswith("\n...\n")
 
     def test_no_identifier_payload_still_differs(self):
         src = SourceBlock("...\n")
