@@ -285,7 +285,9 @@ def cmd_wrap(args: argparse.Namespace) -> int:
     from .wrapper import DecoyPolicy, SourceBlock, resolve_branches, wrap
 
     try:
-        payload = Path(args.payload).read_text(encoding="utf-8")
+        # bytes, then text: read_text would turn \r\n and \r into \n, and
+        # the manifest's digest and extract_payload carry the file byte-exact
+        payload = Path(args.payload).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {args.payload}: {exc}")
     policy = DecoyPolicy(

@@ -25,15 +25,20 @@ whose whole-circuit states are too large for the ring.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from typing import Sequence
 
 from ._kernel import _ZERO_AMPLITUDE, _Dyadic, _basis_run, _complex, _distribution, _measured_parts
-from .ir import Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
+from .ir import _INVERSE, Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
 
 #: widest component simulated; the widest predicate (branch) has five qubits,
 #: so it stays in range even if a pass joins its two segments
 MAX_EXACT_QUBITS = 5
+
+#: the longest one-qubit run :func:`reduced_miter` multiplies out: in a miter,
+#: a delayed block b and wrapper w meet b, w⁻¹, b⁻¹, w⁻¹ (1 + 7 + 1 + 7 gates)
+MAX_RUN = 16
 
 #: an amplitude's numerator a + bω + cω² + dω³, as (a, b, c, d)
 Amplitude = tuple[int, int, int, int]
@@ -79,6 +84,62 @@ def identity_phase(gates: Sequence[GateApp], n: int) -> complex | None:
         if phase == _ZERO_AMPLITUDE or state != column:
             return None
     return _complex(phase, k)
+
+
+def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[GateApp]:
+    """The miter of two gate lists, less what exact rewrites cancel: gates
+    that act as a phase times the identity exactly when ``first`` and
+    ``second`` act alike up to a global phase.
+
+    The miter, ``first`` then ``second`` reversed and inverted (barriers
+    dropped, a measurement refused), is built from the middle, as in
+    Burgholzer & Wille (IEEE TCAD 2021). With a stack of kept gates per
+    qubit, one pass cancels a gate against the last kept gate on its qubits
+    when that gate is the last on every one of them and is its inverse on
+    the same operand tuple, and drops a run (kept one-qubit gates on one
+    qubit, no kept gate on more qubits between them) of 3 to MAX_RUN gates
+    when :func:`identity_phase` finds its product a phase, memoised by
+    kinds. Two one-qubit kinds make a phase only as an inverse pair.
+    """
+    miter = [(g.kind, g.qubits) for g in first if g.kind is not GateKind.BARRIER]
+    miter += [(_INVERSE.get(g.kind, g.kind), g.qubits)
+              for g in reversed(second) if g.kind is not GateKind.BARRIER]
+    kept: list[tuple[GateKind, tuple[int, ...]] | None] = []
+    # per qubit, each kept gate's index in kept and the kinds of the one-qubit
+    # run it ends: () for a gate on more qubits, None past MAX_RUN
+    stacks: dict[int, list[tuple[int, tuple[GateKind, ...] | None]]] = defaultdict(list)
+    for gate in miter:
+        kind, qubits = gate
+        if kind is GateKind.MEASURE:
+            raise SimulationError("circuit contains measurements; strip them first")
+        stack = stacks[qubits[0]]
+        below = ()
+        if stack:
+            top, below = stack[-1]
+            if kept[top] == (_INVERSE.get(kind, kind), qubits) and (
+                    len(qubits) == 1 or all(stacks[q][-1][0] == top for q in qubits[1:])):
+                kept[top] = None
+                for q in qubits:
+                    stacks[q].pop()
+                continue
+        index = len(kept)
+        kept.append(gate)
+        if len(qubits) > 1:
+            for q in qubits:
+                stacks[q].append((index, ()))
+            continue
+        run = None if below is None or len(below) == MAX_RUN else below + (kind,)
+        stack.append((index, run))
+        if run is not None and len(run) > 2 and _is_phase(run):
+            for i, _ in stack[-len(run):]:
+                kept[i] = None
+            del stack[-len(run):]
+    return [GateApp(*gate) for gate in kept if gate is not None]
+
+
+@lru_cache(maxsize=2**14)
+def _is_phase(run: tuple[GateKind, ...]) -> bool:
+    return identity_phase([GateApp(kind, (0,)) for kind in run], 1) is not None
 
 
 def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:

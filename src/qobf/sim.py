@@ -1,17 +1,19 @@
 """Dense state-vector simulator, unitary builder, and equivalence oracle.
 
-It gives Born-rule outcome distributions (no shot noise) and decides
-circuit equivalence up to global phase in three modes (statevector, unitary,
-distribution), as an independent check of whole circuits. It is the only
-float simulator and the only one that needs numpy; ``verify``, ``report``,
-``obfuscate --report``, ``simulate`` and the tests use it. ``obfuscate``
-itself checks its output window by window, and predicate models use the
-exact simulator in :mod:`qobf.exact`. Both simulators run the same gates:
-``ir._kernel_gates`` turns a circuit into the (table entry, qubits) pairs of
-the gate table of :mod:`qobf._kernel`, and the kernel's ``_components`` and
-``_measured_parts`` split those pairs into components and lay out measured
-keys. The textbook matrices of :func:`gate_matrix` are kept apart from that
-table, as the independent reference the applier is tested against.
+It gives Born-rule outcome distributions (no shot noise) and decides circuit
+equivalence up to global phase in three modes (statevector, unitary,
+distribution), as an independent check of whole circuits; two of them run one
+miter of the circuits, less what :func:`qobf.exact.reduced_miter` cancels
+exactly. It is the only float simulator and the only one that needs numpy;
+``verify``, ``report``, ``obfuscate --report``, ``simulate`` and the tests use
+it. ``obfuscate`` itself checks its output window by window, and predicate
+models use the exact simulator in :mod:`qobf.exact`. Both simulators run the
+same gates: ``ir._kernel_gates`` turns a circuit into the (table entry,
+qubits) pairs of the gate table of :mod:`qobf._kernel`, and the kernel's
+``_components`` and ``_measured_parts`` split those pairs into components and
+lay out measured keys. The textbook matrices of :func:`gate_matrix` are kept
+apart from that table, as the independent reference the applier is tested
+against.
 
 Index convention (fixed, see README): qubit 0 is the least significant bit of
 a basis-state index, and classical bit 0 is the rightmost character of an
@@ -29,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernel
+from .exact import reduced_miter
 from .ir import (  # MAX_SIM_QUBITS and _check_cap are re-exported
     MAX_SIM_QUBITS,
     Circuit,
@@ -249,10 +252,17 @@ def unitary_of(obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | 
         raise SimulationError("cannot infer qubit count; pass n_qubits")
     if implied is not None and n < implied:
         raise SimulationError(f"gates touch qubit {implied - 1}, beyond n_qubits={n}")
+    _check_unitary_cap(n)
+    # every basis column evolves at once
+    return _run(_kernel_gates(gates), n, _identity)
+
+
+def _check_unitary_cap(n: int) -> None:
     if n > MAX_UNITARY_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
-    # every basis column evolves at once
-    return _run(_kernel_gates(gates), n, lambda dim: np.eye(dim, dtype=complex))
+
+
+_identity = partial(np.eye, dtype=complex)
 
 
 def strip_measures(circuit: Circuit) -> Circuit:
@@ -334,20 +344,22 @@ def _stimulus(dim: int) -> np.ndarray:
 
 
 def _miter_check(c1: Circuit, c2: Circuit,
-                 run: Callable[[Circuit], np.ndarray]) -> tuple[bool, float]:
-    """Run both circuits, measurements stripped, on the same columns X: equal
-    when U1 X == phase * U2 X.
+                 columns: Callable[[int], np.ndarray]) -> tuple[bool, float]:
+    """Run the reduced miter W of the two circuits, measurements stripped,
+    once on the columns X: equal when W X == phase * X.
 
-    ``run`` evolves either one dense random state psi (statevector mode) or
-    every basis column at once (unitary mode, where the outputs are U1 and U2).
-    A dense psi has weight on every basis state, so relative phases show up.
-    Fidelity is |<U1 X, U2 X>| over the number of columns, which for the
-    identity's columns is |tr(U1^dagger U2)| / 2**n.
+    W is c1's gates, then c2's reversed and inverted, less what
+    :func:`qobf.exact.reduced_miter` cancels exactly, so W = c * U2^dagger U1
+    for a global phase c. ``columns`` builds one dense random state psi
+    (statevector mode), whose weight on every basis state shows relative
+    phases, or the identity's columns (unitary mode). Fidelity is
+    |<X, W X>| = |<U1 X, U2 X>| over the number of columns.
     """
-    out1 = run(strip_measures(c1))
-    out2 = run(strip_measures(c2))
-    ok, _ = proportional(out1, out2)
-    return ok, float(abs(np.vdot(out1, out2)) / (out1.size // len(out1)))
+    miter = reduced_miter(strip_measures(c1).gates, strip_measures(c2).gates)
+    out = _run(_kernel_gates(miter), c1.n_qubits, columns)
+    x = columns(len(out))
+    ok, _ = proportional(out, x)
+    return ok, float(abs(np.vdot(x, out)) / (x.size // len(x)))
 
 
 def _distribution_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
@@ -364,12 +376,12 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
     """Decide circuit equivalence up to global phase; returns (equal, fidelity).
 
     Modes:
-      * ``statevector`` - both circuits (measurements stripped) run once on
-        one dense random state psi drawn from a fixed seed; equal when
-        U1 psi == phase * U2 psi within 1e-9 per entry. Relative phases count.
-        Fidelity is the overlap |<U1 psi|U2 psi>|.
-      * ``unitary``     - U1 == phase * U2 within 1e-9 per entry (n <= 10);
-        fidelity is |tr(U1^dagger U2)| / 2**n.
+      * ``statevector`` - the reduced miter W (:func:`_miter_check`) runs
+        once on one dense random state psi drawn from a fixed seed; equal
+        when W psi == phase * psi within 1e-9 per entry. Relative phases
+        count. Fidelity is the overlap |<psi|W psi>| = |<U1 psi|U2 psi>|.
+      * ``unitary``     - W == phase * I within 1e-9 per entry (n <= 10);
+        fidelity is |tr W| / 2**n = |tr(U1^dagger U2)| / 2**n.
       * ``distribution`` - total-variation distance of exact outcome
         distributions <= 1e-9; fidelity is 1 - TV.
 
@@ -384,9 +396,10 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
     if mode in ("statevector", "unitary") and not same_measurements:
         mode = "distribution"  # those two modes strip measurements
     if mode == "statevector":
-        return _miter_check(c1, c2, lambda c: _run(_kernel_gates(c.gates), c.n_qubits, _stimulus))
+        return _miter_check(c1, c2, _stimulus)
     if mode == "unitary":
-        return _miter_check(c1, c2, unitary_of)
+        _check_unitary_cap(c1.n_qubits)
+        return _miter_check(c1, c2, _identity)
     if mode == "distribution":
         return _distribution_check(c1, c2)
     raise SimulationError(f"unknown equivalence mode {mode!r}")

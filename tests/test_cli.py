@@ -15,12 +15,12 @@ import qobf.cli
 import qobf.passes
 import qobf.sim
 from qobf.cli import main
-from qobf.exact import identity_phase
+from qobf.exact import identity_phase, reduced_miter
 from qobf.fixtures import standard_fixtures
 from qobf.ir import _INVERSE, ARITY, UNITARY_KINDS, GateApp, GateKind
 from qobf.passes import METHODS, apply_pass
 from qobf.qasm import emit, parse
-from qobf.sim import equivalent, measure_distribution
+from qobf.sim import equivalent, measure_distribution, strip_measures
 from strategies import random_circuit
 
 
@@ -294,6 +294,28 @@ def test_verify_corpus_stdout_pinned(qasm_dir, capsys):
                         label = f"{name} {method} {seed} {candidate.stem} {mode} rc={rc}\n"
                         digest.update(label.encode() + capsys.readouterr().out.encode())
     assert digest.hexdigest() == VERIFY_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("method", ["inverse", "composite", "cloaked"])
+@pytest.mark.parametrize("name", ["bv6", "qaoa_ring4", "period7"])
+def test_verify_miter_reduces_to_nothing(name, method, seed, qasm_dir, capsys):
+    """Every gate these passes write cancels in the miter of input and
+    output, so ``verify`` multiplies out no gate in floats; one stray T
+    survives the reduction, and ``verify`` refuses it."""
+    source, out, stray = qasm_dir / f"{name}.qasm", qasm_dir / "out.qasm", qasm_dir / "stray.qasm"
+    assert main(["obfuscate", "--method", method, "--seed", str(seed), str(source), "-o", str(out)]) == 0
+    a, b = (strip_measures(parse(path.read_text(encoding="utf-8")).circuit) for path in (source, out))
+    assert reduced_miter(a.gates, b.gates) == []
+    gates = b.gates
+    b = b.with_gates(gates[:len(gates) // 2] + (GateApp(GateKind.T, (0,)),) + gates[len(gates) // 2:])
+    assert reduced_miter(a.gates, b.gates) != []
+    written = parse(out.read_text(encoding="utf-8")).circuit
+    measures = tuple(g for g in written.gates if g.kind is GateKind.MEASURE)
+    stray.write_text(emit(written.with_gates(b.gates + measures)), encoding="utf-8")
+    for mode in ["statevector", "unitary"]:
+        assert main(["verify", str(source), str(stray), "--mode", mode]) == 1
+    capsys.readouterr()
 
 
 def _inject_after_pass(kind: GateKind, seed: int):
@@ -680,6 +702,25 @@ class TestWrapCommand:
             ["wrap", "--payload", str(tmp_path / "nope.py"), "--kind", "bell", "-o", str(tmp_path / "w.py")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_payload_line_endings_kept(self, ending, tmp_path):
+        """The manifest digest and the extracted payload are the file's own
+        bytes, and the wrapped program prints what the payload prints."""
+        from qobf.wrapper import WrapManifest, extract_payload
+
+        payload, program = tmp_path / "p.py", tmp_path / "w.py"
+        payload.write_bytes(f"x = 1{ending}print(x){ending}".encode())
+        assert main(["wrap", "--payload", str(payload), "--kind", "bell", "-o", str(program),
+                     "--manifest", str(tmp_path / "w.json")]) == 0
+        manifest = json.loads((tmp_path / "w.json").read_text())
+        assert manifest["payload"]["sha256"] == hashlib.sha256(payload.read_bytes()).hexdigest()
+        emitted = program.read_bytes().decode()
+        assert extract_payload(emitted, WrapManifest.from_dict(manifest)) == payload.read_bytes().decode()
+        want, got = (subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                                    timeout=60, env={**os.environ, "PYTHONPATH": ""})
+                     for path in (payload, program))
+        assert (got.returncode, got.stdout) == (want.returncode, want.stdout) == (0, "1\n")
 
 
 class TestReportCommand:

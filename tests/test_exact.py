@@ -15,8 +15,9 @@ from qobf.exact import (
     exact_distribution,
     exact_probabilities,
     identity_phase,
+    reduced_miter,
 )
-from qobf.ir import Circuit, GateApp, GateKind, SimulationError
+from qobf.ir import _INVERSE, ARITY, Circuit, GateApp, GateKind, SimulationError
 from qobf.predicates import (
     bell_predicate,
     branch_predicate,
@@ -200,3 +201,74 @@ class TestIdentityPhase:
     def test_measurement_refused(self):
         with pytest.raises(SimulationError, match="measurements"):
             identity_phase([GateApp(GateKind.MEASURE, (0,), cbit=0)], 1)
+
+
+def _kinds(gates):
+    return [(g.kind.value, g.qubits) for g in gates]
+
+
+class TestReducedMiter:
+    """Each rewrite of :func:`reduced_miter`, on miters of ``first`` and
+    ``second``; an empty ``second`` leaves ``first`` as the whole miter."""
+
+    def test_inverse_pair_cancels_across_other_qubits(self):
+        first = _gates(("s", (0,)), ("h", (1,)), ("cx", (1, 2)), ("ccx", (1, 2, 3)))
+        second = _gates(("s", (0,)))
+        # s · (h, cx, ccx) · sdg: s meets sdg past the gates on qubits 1-3
+        assert _kinds(reduced_miter(first, second)) == [("h", (1,)), ("cx", (1, 2)), ("ccx", (1, 2, 3))]
+
+    def test_gate_on_shared_qubit_blocks(self):
+        first = _gates(("cx", (0, 1)), ("h", (1,)), ("cx", (0, 1)))
+        assert len(reduced_miter(first, [])) == 3
+
+    def test_operand_order_must_match(self):
+        first = _gates(("cx", (0, 1)), ("cx", (1, 0)))
+        assert len(reduced_miter(first, [])) == 2
+        assert reduced_miter(_gates(("cx", (0, 1))), _gates(("cx", (0, 1)))) == []
+
+    def test_x_against_hzh_drops_as_one_run(self):
+        assert reduced_miter(_gates(("x", (0,))), _gates(("h", (0,)), ("z", (0,)), ("h", (0,)))) == []
+
+    def test_collapse_from_the_middle(self):
+        # x and h z h drop as a run, which leaves the cx pair, then the t
+        # pair, at the top of the stacks
+        first = _gates(("t", (0,)), ("cx", (0, 1)), ("x", (0,)))
+        second = _gates(("t", (0,)), ("cx", (0, 1)), ("h", (0,)), ("z", (0,)), ("h", (0,)))
+        assert reduced_miter(first, second) == []
+
+    @pytest.mark.parametrize("a", [k for k in GateKind if ARITY[k] == 1 and k is not GateKind.MEASURE],
+                             ids=lambda k: k.value)
+    def test_two_one_qubit_kinds_make_a_phase_only_as_inverses(self, a):
+        """Why runs of two are left to the inverse-pair rule."""
+        for b in GateKind:
+            if ARITY[b] == 1 and b is not GateKind.MEASURE:
+                pair = [GateApp(a, (0,)), GateApp(b, (0,))]
+                assert (identity_phase(pair, 1) is not None) == (b is _INVERSE.get(a, a))
+
+    def test_hsh_kept(self):
+        first = _gates(("h", (0,)), ("s", (0,)), ("h", (0,)))
+        assert _kinds(reduced_miter(first, [])) == [("h", (0,)), ("s", (0,)), ("h", (0,))]
+
+    def test_stray_t_survives(self):
+        circuit = _gates(("h", (0,)), ("cx", (0, 1)), ("s", (1,)), ("h", (1,)))
+        stray = circuit[:2] + _gates(("t", (1,))) + circuit[2:]
+        # the tdg stays, and the cx pair on its qubit stays around it
+        assert _kinds(reduced_miter(circuit, stray)) == [
+            ("h", (0,)), ("cx", (0, 1)), ("tdg", (1,)), ("cx", (0, 1)), ("h", (0,))]
+
+    def test_barriers_dropped_measurements_refused(self):
+        first = _gates(("x", (0,)), ("barrier", (0, 1)), ("x", (0,)))
+        assert reduced_miter(first, []) == []
+        with pytest.raises(SimulationError, match="measurements"):
+            reduced_miter([GateApp(GateKind.MEASURE, (0,), cbit=0)], [])
+
+    @given(circuits(max_qubits=3, max_gates=14), circuits(max_qubits=3, max_gates=14))
+    @settings(max_examples=60, deadline=None)
+    def test_reduction_keeps_the_miter_up_to_phase(self, a, b):
+        """The reduced miter is the unreduced one up to a global phase."""
+        n = 1 + max(q for g in (*a.gates, *b.gates, GateApp(GateKind.H, (0,))) for q in g.qubits)
+        inverted = [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(b.gates)]
+        reduced = reduced_miter(a.gates, b.gates)
+        check = reduced + [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits)
+                           for g in reversed([*a.gates, *inverted])]
+        assert identity_phase(check, n) is not None

@@ -15,7 +15,8 @@ import qobf._kernel
 import qobf.sim
 from qobf._kernel import _components, _measured_parts
 from qobf.fixtures import standard_fixtures
-from qobf.ir import Circuit, GateApp, GateKind, UNITARY_KINDS, _kernel_gates
+from qobf.ir import ARITY, Circuit, GateApp, GateKind, UNITARY_KINDS, _kernel_gates
+from qobf.passes import METHODS, ObfuscationConfig, apply_pass
 from qobf.predicates import multi_pair_predicate
 from qobf.qasm import emit
 from qobf.sim import (
@@ -27,6 +28,7 @@ from qobf.sim import (
     equivalent,
     gate_matrix,
     measure_distribution,
+    proportional,
     simulate,
     strip_measures,
     unitary_of,
@@ -415,6 +417,70 @@ class TestEquivalent:
     def test_statevector_cap_fails_before_allocating(self):
         with pytest.raises(SimulationError, match="cap"):
             equivalent(Circuit(40), Circuit(40), "statevector")
+
+
+def _two_run_check(a: Circuit, b: Circuit, mode: str) -> tuple[bool, float]:
+    """The oracle without a miter: each circuit, measurements stripped, run
+    on its own, and the two outputs compared."""
+    if mode == "unitary":
+        out_a, out_b = unitary_of(strip_measures(a)), unitary_of(strip_measures(b))
+    else:
+        out_a, out_b = (_run(_kernel_gates(strip_measures(c).gates), c.n_qubits, _stimulus)
+                        for c in (a, b))
+    ok, _ = proportional(out_a, out_b)
+    return ok, float(abs(np.vdot(out_a, out_b)) / (out_a.size // len(out_a)))
+
+
+@st.composite
+def unrelated_pairs(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = random_circuit(rng, max_qubits=5, max_gates=20)
+    return a, random_circuit(rng, min_qubits=a.n_qubits, max_qubits=a.n_qubits, max_gates=20)
+
+
+#: the pass inputs of the differential test below: the fixtures, and random
+#: measured circuits up to the unitary mode's width
+_PASS_INPUTS = list(standard_fixtures().values()) + [
+    random_circuit(random.Random(seed), min_qubits=2, max_qubits=MAX_UNITARY_QUBITS,
+                   max_gates=40, measure=True, barriers=True)
+    for seed in range(6)
+]
+
+
+class TestMiterAgainstTwoRuns:
+    """The reduced miter decides as running both circuits did: the same
+    verdict and the same fidelity within 1e-12."""
+
+    @staticmethod
+    def assert_agrees(a: Circuit, b: Circuit) -> None:
+        for mode in ("statevector", "unitary"):
+            ok, fidelity = equivalent(a, b, mode)
+            want_ok, want_fidelity = _two_run_check(a, b, mode)
+            assert ok == want_ok, mode
+            assert abs(fidelity - want_fidelity) <= 1e-12, mode
+
+    @given(unrelated_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_unrelated_pairs(self, pair):
+        self.assert_agrees(*pair)
+
+    @given(st.sampled_from(range(len(_PASS_INPUTS))), st.sampled_from(sorted(METHODS)),
+           st.integers(min_value=0, max_value=2**16), st.none() | st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_pass_outputs_with_and_without_stray_gate(self, which, method, seed, stray):
+        source = _PASS_INPUTS[which]
+        out = apply_pass(method, source, ObfuscationConfig(seed=seed))
+        if stray is not None:
+            rng, gates = stray, out.gates
+            end = next((i for i, g in enumerate(gates) if g.kind is K.MEASURE), len(gates))
+            kind = rng.choice(sorted((k for k in UNITARY_KINDS if ARITY[k] <= out.n_qubits),
+                                     key=lambda k: k.value))
+            gate = GateApp(kind, tuple(rng.sample(range(out.n_qubits), ARITY[kind])))
+            at = rng.randint(0, end)
+            out = out.with_gates(gates[:at] + (gate,) + gates[at:])
+        self.assert_agrees(source, out)
+        if stray is None:
+            assert equivalent(source, out, "unitary")[0]
 
 
 def _dense_state(circuit: Circuit, initial: int = 0) -> np.ndarray:
