@@ -3,8 +3,9 @@
 The package splits into:
   * :mod:`qobf.qasm`       - OpenQASM 2.0 subset parser and canonical emitter
   * :mod:`qobf.ir`         - the circuit IR, validation, and structural metrics
-  * :mod:`qobf.sim`        - dense statevector simulator and equivalence oracle
-  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicates and windows
+  * :mod:`qobf.sim`        - dense statevector simulator and the oracle's float checks
+  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicates and windows,
+    and the equivalence oracle
   * :mod:`qobf._kernel`    - its standard-library ring kernel, which wrapped
     programs embed
   * :mod:`qobf.passes`     - the four circuit obfuscation passes
@@ -20,7 +21,8 @@ exact simulator, not numpy, the dense simulator, the passes, the wrapper or
 the reports; wrapped programs import no part of the package. numpy loads
 only with :mod:`qobf.sim` and the module that uses it, :mod:`qobf.metrics`;
 :mod:`qobf.passes` loads the dense simulator only to build a matrix on
-request.
+request, and :func:`equivalent` only for a pair whose miter keeps a gate or
+in distribution mode. numpy is the ``dense`` extra.
 """
 
 from importlib import import_module
@@ -40,11 +42,8 @@ _EXPORTS = {
         "depth", "flatten", "gate_count", "same_gates", "validate",
     ),
     "qasm": ("ParseResult", "QasmError", "emit", "loads", "parse", "tokenize"),
-    "exact": ("exact_amplitudes", "exact_distribution"),
-    "sim": (
-        "equivalent", "gate_matrix", "measure_distribution",
-        "simulate", "strip_measures", "unitary_of",
-    ),
+    "exact": ("equivalent", "exact_amplitudes", "exact_distribution"),
+    "sim": ("gate_matrix", "measure_distribution", "simulate", "strip_measures", "unitary_of"),
     "passes": (
         "ObfuscationConfig", "apply_pass", "cloaked_gates_pass",
         "composite_gates_pass", "default_verified_rules", "delayed_gates_pass",

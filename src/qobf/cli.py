@@ -6,7 +6,8 @@ commands that use them, and importing this module loads none of them. So
 ``templates`` loads the wrapper alone, ``verify`` and ``obfuscate`` never
 load the wrapper, ``verify`` never loads the passes, and ``obfuscate``
 (without ``--report``), ``templates``, ``predicate`` and ``wrap`` never load
-numpy.
+numpy. ``verify`` loads numpy only for a pair whose miter keeps a gate, or in
+distribution mode, but refuses to run where numpy is missing.
 
 ``obfuscate`` checks what it writes without the dense simulator: every
 window the pass inserted or substituted must act as the original gates it
@@ -231,15 +232,21 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with _needs_numpy("verify"):
-        from .sim import equivalent
+    from importlib.util import find_spec
+
+    # a pair reduced to no gate needs no numpy, but verify refuses to run
+    # without it all the same, with the message the failed import gives
+    if find_spec("numpy") is None:
+        with _needs_numpy("verify"):
+            import numpy  # noqa: F401
+    from .exact import _deciding_mode, equivalent
 
     a = _load_circuit(args.a)
     b = _load_circuit(args.b)
     if a is None or b is None:
         return EXIT_INPUT
     ok, fidelity = equivalent(a, b, args.mode)
-    print(f"equivalent={ok} fidelity={fidelity:.12f} mode={args.mode}")
+    print(f"equivalent={ok} fidelity={fidelity:.12f} mode={_deciding_mode(a, b, args.mode)}")
     return EXIT_OK if ok else 1
 
 

@@ -18,9 +18,14 @@ resolution use it. It also decides the circuit passes' small equivalences:
 :func:`identity_phase` tells whether a substitution rule, a delayed wrapper
 with its block, or any window ``obfuscate`` checks
 (:func:`qobf.passes.check_translation`) acts as the identity up to a global
-phase, by exact equality, with no tolerance. The dense float simulator in
-:mod:`qobf.sim` serves ``verify``, the reports and the tests' cross-check,
-whose whole-circuit states are too large for the ring.
+phase, by exact equality, with no tolerance.
+
+:func:`equivalent`, the oracle of ``verify`` and the reports, lives here
+too. It reduces the miter of two whole circuits exactly
+(:func:`reduced_miter`); a miter reduced to no gate is equal, decided
+without numpy. Only a miter that keeps a gate, or distribution mode, loads
+the dense float simulator in :mod:`qobf.sim`, whose whole-circuit states are
+too large for the ring.
 """
 
 from __future__ import annotations
@@ -30,7 +35,18 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._kernel import _ZERO_AMPLITUDE, _Dyadic, _basis_run, _complex, _distribution, _measured_parts
-from .ir import _INVERSE, Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
+from .ir import (
+    _INVERSE,
+    Circuit,
+    GateApp,
+    GateKind,
+    SimulationError,
+    _check_cap,
+    _check_unitary_cap,
+    _kernel_gates,
+    _key_pairs,
+    measured_pairs,
+)
 
 #: widest component simulated; the widest predicate (branch) has five qubits,
 #: so it stays in range even if a pass joins its two segments
@@ -135,6 +151,55 @@ def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[G
                 kept[i] = None
             del stack[-len(run):]
     return [GateApp(*gate) for gate in kept if gate is not None]
+
+
+def _deciding_mode(c1: Circuit, c2: Circuit, mode: str) -> str:
+    """The mode :func:`equivalent` decides in: ``distribution`` in place of
+    ``statevector`` or ``unitary``, which strip measurements, when the sorted
+    (qubit, classical bit) measurement pairs differ; else ``mode``."""
+    if mode in ("statevector", "unitary") and sorted(measured_pairs(c1)) != sorted(measured_pairs(c2)):
+        return "distribution"
+    return mode
+
+
+def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[bool, float]:
+    """Decide circuit equivalence up to global phase; returns (equal, fidelity).
+
+    Modes:
+      * ``statevector`` - the miter W of the two circuits, measurements
+        stripped, less what :func:`reduced_miter` cancels exactly, runs once
+        on one dense random state psi drawn from a fixed seed; equal when
+        W psi == phase * psi within 1e-9 per entry. Relative phases count.
+        Fidelity is the overlap |<psi|W psi>| = |<U1 psi|U2 psi>|.
+      * ``unitary``     - W == phase * I within 1e-9 per entry (n <= 10);
+        fidelity is |tr W| / 2**n = |tr(U1^dagger U2)| / 2**n.
+      * ``distribution`` - total-variation distance of exact outcome
+        distributions <= 1e-9; fidelity is 1 - TV.
+
+    When the sorted (qubit, classical bit) measurement pairs differ,
+    ``distribution`` decides in place of the two modes that strip
+    measurements. Every mode keeps the dense simulator's caps. A miter
+    reduced to no gate is W = phase * I exactly, so it gives (True, 1.0)
+    without the dense simulator or numpy; any other miter, and distribution
+    mode, run on :mod:`qobf.sim`.
+    """
+    n = c1.n_qubits
+    if n != c2.n_qubits:
+        raise SimulationError(f"qubit-count mismatch: {n} vs {c2.n_qubits}")
+    mode = _deciding_mode(c1, c2, mode)
+    if mode not in ("statevector", "unitary", "distribution"):
+        raise SimulationError(f"unknown equivalence mode {mode!r}")
+    (_check_unitary_cap if mode == "unitary" else _check_cap)(n)
+    if mode == "distribution":
+        from .sim import _distribution_check
+
+        return _distribution_check(c1, c2)
+    miter = reduced_miter(*([g for g in c.gates if g.kind is not GateKind.MEASURE] for c in (c1, c2)))
+    if not miter:
+        return True, 1.0
+    from . import sim
+
+    return sim._miter_check(miter, n, sim._stimulus if mode == "statevector" else sim._identity)
 
 
 @lru_cache(maxsize=2**14)

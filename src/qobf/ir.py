@@ -48,9 +48,18 @@ class SimulationError(Exception):
 MAX_SIM_QUBITS = 24
 
 
+#: widest circuit whose full unitary the dense simulator builds or compares
+MAX_UNITARY_QUBITS = 10
+
+
 def _check_cap(n: int) -> None:
     if n > MAX_SIM_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the {MAX_SIM_QUBITS}-qubit simulator cap")
+
+
+def _check_unitary_cap(n: int) -> None:
+    if n > MAX_UNITARY_QUBITS:
+        raise SimulationError(f"{n} qubits exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
 
 
 class GateKind(Enum):

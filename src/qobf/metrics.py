@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .ir import Circuit, depth, gate_count, validate
 from .qasm import emit
-from .sim import equivalent, simulate, strip_measures
+from .exact import equivalent
+from .sim import simulate, strip_measures
 
 if TYPE_CHECKING:  # an annotation only, so reports do not load the wrapper
     from .wrapper import SourceBlock

@@ -1,19 +1,21 @@
-"""Dense state-vector simulator, unitary builder, and equivalence oracle.
+"""Dense state-vector simulator, unitary builder, and the equivalence
+oracle's float checks.
 
-It gives Born-rule outcome distributions (no shot noise) and decides circuit
-equivalence up to global phase in three modes (statevector, unitary,
-distribution), as an independent check of whole circuits; two of them run one
-miter of the circuits, less what :func:`qobf.exact.reduced_miter` cancels
-exactly. It is the only float simulator and the only one that needs numpy;
-``verify``, ``report``, ``obfuscate --report``, ``simulate`` and the tests use
-it. ``obfuscate`` itself checks its output window by window, and predicate
-models use the exact simulator in :mod:`qobf.exact`. Both simulators run the
-same gates: ``ir._kernel_gates`` turns a circuit into the (table entry,
-qubits) pairs of the gate table of :mod:`qobf._kernel`, and the kernel's
-``_components`` and ``_measured_parts`` split those pairs into components and
-lay out measured keys. The textbook matrices of :func:`gate_matrix` are kept
-apart from that table, as the independent reference the applier is tested
-against.
+It gives Born-rule outcome distributions (no shot noise) and runs the dense
+side of :func:`qobf.exact.equivalent`, which this module re-exports: the
+reduced miter of two circuits in statevector and unitary mode, when
+:func:`qobf.exact.reduced_miter` leaves a gate, and both circuits' measured
+distributions in distribution mode. A pair whose miter reduces to no gate is
+decided without this module. It is the only float simulator and the only one
+that needs numpy; ``verify`` on a pair that keeps a gate, ``report``,
+``obfuscate --report``, ``simulate`` and the tests use it. ``obfuscate``
+itself checks its output window by window, and predicate models use the
+exact simulator in :mod:`qobf.exact`. Both simulators run the same gates:
+``ir._kernel_gates`` turns a circuit into the (table entry, qubits) pairs of
+the gate table of :mod:`qobf._kernel`, and the kernel's ``_components`` and
+``_measured_parts`` split those pairs into components and lay out measured
+keys. The textbook matrices of :func:`gate_matrix` are kept apart from that
+table, as the independent reference the applier is tested against.
 
 Index convention (fixed, see README): qubit 0 is the least significant bit of
 a basis-state index, and classical bit 0 is the rightmost character of an
@@ -31,9 +33,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernel
-from .exact import reduced_miter
-from .ir import (  # MAX_SIM_QUBITS and _check_cap are re-exported
+from .exact import equivalent  # noqa: F401 (re-exported)
+from .ir import (  # MAX_SIM_QUBITS, MAX_UNITARY_QUBITS and their checks are re-exported
     MAX_SIM_QUBITS,
+    MAX_UNITARY_QUBITS,
     Circuit,
     GateApp,
     GateKind,
@@ -41,12 +44,10 @@ from .ir import (  # MAX_SIM_QUBITS and _check_cap are re-exported
     SimulationError,
     UNITARY_KINDS,
     _check_cap,
+    _check_unitary_cap,
     _kernel_gates,
     _key_pairs,
-    measured_pairs,
 )
-
-MAX_UNITARY_QUBITS = 10
 
 #: max entry deviation of the phase-aligned output states (statevector mode)
 #: or unitaries (unitary mode)
@@ -257,11 +258,6 @@ def unitary_of(obj: Circuit | GateSequence | Iterable[GateApp], n_qubits: int | 
     return _run(_kernel_gates(gates), n, _identity)
 
 
-def _check_unitary_cap(n: int) -> None:
-    if n > MAX_UNITARY_QUBITS:
-        raise SimulationError(f"{n} qubits exceeds the {MAX_UNITARY_QUBITS}-qubit unitary cap")
-
-
 _identity = partial(np.eye, dtype=complex)
 
 
@@ -343,20 +339,19 @@ def _stimulus(dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _miter_check(c1: Circuit, c2: Circuit,
+def _miter_check(miter: Sequence[GateApp], n: int,
                  columns: Callable[[int], np.ndarray]) -> tuple[bool, float]:
-    """Run the reduced miter W of the two circuits, measurements stripped,
-    once on the columns X: equal when W X == phase * X.
+    """Run a reduced miter W (:func:`qobf.exact.reduced_miter`) of two
+    n-qubit circuits once on the columns X: equal when W X == phase * X.
 
-    W is c1's gates, then c2's reversed and inverted, less what
-    :func:`qobf.exact.reduced_miter` cancels exactly, so W = c * U2^dagger U1
-    for a global phase c. ``columns`` builds one dense random state psi
+    W is the first circuit's gates, then the second's reversed and inverted,
+    less what the reduction cancels exactly, so W = c * U2^dagger U1 for a
+    global phase c. ``columns`` builds one dense random state psi
     (statevector mode), whose weight on every basis state shows relative
     phases, or the identity's columns (unitary mode). Fidelity is
     |<X, W X>| = |<U1 X, U2 X>| over the number of columns.
     """
-    miter = reduced_miter(strip_measures(c1).gates, strip_measures(c2).gates)
-    out = _run(_kernel_gates(miter), c1.n_qubits, columns)
+    out = _run(_kernel_gates(miter), n, columns)
     x = columns(len(out))
     ok, _ = proportional(out, x)
     return ok, float(abs(np.vdot(x, out)) / (x.size // len(x)))
@@ -370,36 +365,3 @@ def _distribution_check(c1: Circuit, c2: Circuit) -> tuple[bool, float]:
     keys = sorted(d1.keys() | d2.keys())
     tv = 0.5 * math.fsum(abs(d1.get(k, 0.0) - d2.get(k, 0.0)) for k in keys)
     return tv <= DIST_TOL, 1.0 - tv
-
-
-def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[bool, float]:
-    """Decide circuit equivalence up to global phase; returns (equal, fidelity).
-
-    Modes:
-      * ``statevector`` - the reduced miter W (:func:`_miter_check`) runs
-        once on one dense random state psi drawn from a fixed seed; equal
-        when W psi == phase * psi within 1e-9 per entry. Relative phases
-        count. Fidelity is the overlap |<psi|W psi>| = |<U1 psi|U2 psi>|.
-      * ``unitary``     - W == phase * I within 1e-9 per entry (n <= 10);
-        fidelity is |tr W| / 2**n = |tr(U1^dagger U2)| / 2**n.
-      * ``distribution`` - total-variation distance of exact outcome
-        distributions <= 1e-9; fidelity is 1 - TV.
-
-    ``statevector`` and ``unitary`` strip measurements, so when the sorted
-    (qubit, classical bit) measurement pairs differ, ``distribution`` decides.
-    """
-    if c1.n_qubits != c2.n_qubits:
-        raise SimulationError(
-            f"qubit-count mismatch: {c1.n_qubits} vs {c2.n_qubits}"
-        )
-    same_measurements = sorted(measured_pairs(c1)) == sorted(measured_pairs(c2))
-    if mode in ("statevector", "unitary") and not same_measurements:
-        mode = "distribution"  # those two modes strip measurements
-    if mode == "statevector":
-        return _miter_check(c1, c2, _stimulus)
-    if mode == "unitary":
-        _check_unitary_cap(c1.n_qubits)
-        return _miter_check(c1, c2, _identity)
-    if mode == "distribution":
-        return _distribution_check(c1, c2)
-    raise SimulationError(f"unknown equivalence mode {mode!r}")

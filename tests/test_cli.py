@@ -318,6 +318,20 @@ def test_verify_miter_reduces_to_nothing(name, method, seed, qasm_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("method", ["inverse", "composite", "cloaked"])
+@pytest.mark.parametrize("name", ["bv6", "qaoa_ring4", "period7"])
+def test_equivalent_decides_reduced_pairs_exactly(name, method, seed, qasm_dir, monkeypatch):
+    """The pairs above need no dense run: in both modes ``equivalent`` gives
+    exactly (True, 1.0), with the dense checks out of reach."""
+    source, out = qasm_dir / f"{name}.qasm", qasm_dir / "out.qasm"
+    assert main(["obfuscate", "--method", method, "--seed", str(seed), str(source), "-o", str(out)]) == 0
+    a, b = (parse(path.read_text(encoding="utf-8")).circuit for path in (source, out))
+    monkeypatch.setattr(qobf.sim, "_miter_check", _raise(AssertionError("dense run")))
+    for mode in ["statevector", "unitary"]:
+        assert equivalent(a, b, mode) == (True, 1.0)
+
+
 def _inject_after_pass(kind: GateKind, seed: int):
     """A stand-in for apply_pass that runs the real pass, then inserts one
     ``kind`` gate at a seeded position before the first measurement."""
@@ -547,6 +561,38 @@ class TestVerify:
     def test_qubit_mismatch_exit_2(self, qasm_dir):
         rc = main(["verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "bv6.qasm")])
         assert rc == 2
+
+    @pytest.mark.parametrize("mode", ["statevector", "unitary", "distribution"])
+    def test_qubit_mismatch_of_equal_gates_exit_2(self, tmp_path, capsys, mode):
+        """The miter of these two reduces to no gate; the widths still differ."""
+        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
+        a.write_text("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n")
+        b.write_text("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n")
+        assert main(["verify", str(a), str(b), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qobf: error: qubit-count mismatch: 1 vs 2\n"
+
+    def test_unitary_cap_of_identical_files_exit_2(self, tmp_path, capsys):
+        """The miter of a file with itself reduces to no gate; unitary mode
+        still refuses a register past its cap."""
+        f = tmp_path / "wide.qasm"
+        f.write_text("OPENQASM 2.0;\nqreg q[12];\nh q[0];\ncx q[0],q[11];\n")
+        assert main(["verify", str(f), str(f), "--mode", "unitary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qobf: error: 12 qubits exceeds the 10-qubit unitary cap\n"
+
+    @pytest.mark.parametrize("mode", ["statevector", "unitary"])
+    def test_prints_the_mode_that_decided(self, tmp_path, capsys, mode):
+        """The measured pairs differ, so distribution decides; the unitaries
+        (H on q0 against H on q1) differ, the distributions do not."""
+        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
+        head = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+        a.write_text(f"{head}h q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+        b.write_text(f"{head}h q[1];\nmeasure q[1] -> c[0];\nmeasure q[0] -> c[1];\n")
+        assert main(["verify", str(a), str(b), "--mode", mode]) == 0
+        assert capsys.readouterr().out == "equivalent=True fidelity=1.000000000000 mode=distribution\n"
 
     def test_prints_fidelity(self, qasm_dir, capsys):
         main(["verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "hzh.qasm"), "--mode", "unitary"])
@@ -787,9 +833,9 @@ class TestCrashExit3:
         assert not out.exists() and not report.exists()
 
     def test_verify(self, qasm_dir, monkeypatch, capsys):
-        monkeypatch.setattr(qobf.sim, "equivalent", _raise(RuntimeError("injected")))
-        f = str(qasm_dir / "x.qasm")
-        assert main(["verify", f, f]) == 3
+        # x against z: the miter keeps both gates, so the dense check runs
+        monkeypatch.setattr(qobf.sim, "_miter_check", _raise(RuntimeError("injected")))
+        assert main(["verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "z.qasm")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("Traceback (most recent call last):")
@@ -963,13 +1009,42 @@ class TestWithoutNumpy:
         )
         assert not paths["out"].exists() and not paths["report"].exists()
 
+    def test_venv_without_numpy(self, qasm_dir, tmp_path):
+        """numpy missing, not blocked: a venv made without pip (no download)
+        runs the checkout. ``find_spec`` finds no spec there, where the
+        blocker above gives it a None module."""
+        venv = tmp_path / "venv"
+        subprocess.run([sys.executable, "-m", "venv", "--without-pip", str(venv)],
+                       check=True, capture_output=True, timeout=60)
+        python = venv / ("Scripts/python.exe" if os.name == "nt" else "bin/python")
+        env = {**os.environ, "PYTHONPATH": str(Path(qobf.__file__).parents[1])}
+
+        def run(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run([str(python), *args], capture_output=True, text=True,
+                                  timeout=60, env=env, cwd=tmp_path)
+
+        assert "No module named 'numpy'" in run("-c", "import numpy").stderr
+        src = str(qasm_dir / "bv6.qasm")
+        proc = run("-m", "qobf", "verify", src, src)
+        assert proc.returncode == 2
+        assert proc.stderr == "qobf: error: verify needs numpy: No module named 'numpy'\n"
+        (tmp_path / "payload.py").write_text("print('hi')\n")
+        for argv in (["obfuscate", "--method", "cloaked", src, "-o", "out.qasm"],
+                     ["predicate", "--kind", "bell", "-o", "bell.qasm"],
+                     ["wrap", "--payload", "payload.py", "--kind", "bell", "-o", "wrapped.py"],
+                     ["templates"]):
+            proc = run("-m", "qobf", *argv)
+            assert proc.returncode == 0, (argv, proc.stderr)
+        assert run("wrapped.py").stdout == "hi\n"
+
 
 class TestImportsPerEntryPoint:
     """Each entry point loads only the modules it runs: the predicate side
     (templates, predicate, wrap and wrapped programs) and obfuscate without
     --report never load numpy, nor ``dataclasses`` and ``inspect``, which
     cost those commands a fifth of their start-up; verify never loads the
-    passes."""
+    passes, and loads numpy only for a pair whose miter keeps a gate or in
+    distribution mode."""
 
     DENSE = {"numpy", "qobf.sim", "qobf.passes", "qobf.metrics"}
     INTROSPECTION = {"dataclasses", "inspect"}
@@ -1025,11 +1100,34 @@ class TestImportsPerEntryPoint:
         )
         assert {"numpy", "qobf.sim", "qobf.metrics"} <= loaded
 
+    def verify_loads(self, a: Path, b: Path, mode: str, rc: int) -> set[str]:
+        return self.loaded_after(
+            f"from qobf.cli import main\n"
+            f"assert main(['verify', {str(a)!r}, {str(b)!r}, '--mode', {mode!r}]) == {rc}"
+        )
+
     def test_verify_run(self, qasm_dir):
-        f = str(qasm_dir / "x.qasm")
-        loaded = self.loaded_after(f"from qobf.cli import main\nassert main(['verify', {f!r}, {f!r}]) == 0")
-        assert "qobf.sim" in loaded
-        assert not loaded & {"qobf.passes", "qobf.wrapper", "qobf.metrics"}
+        x, bv6, stray = qasm_dir / "x.qasm", qasm_dir / "bv6.qasm", qasm_dir / "xt.qasm"
+        stray.write_text("OPENQASM 2.0;\nqreg q[1];\nx q[0];\nt q[0];\n")
+        # a miter reduced to no gate is decided without the dense simulator
+        for mode in ["statevector", "unitary"]:
+            loaded = self.verify_loads(x, x, mode, 0)
+            assert "qobf.exact" in loaded
+            assert not loaded & (self.DENSE | {"qobf.wrapper"})
+        # a miter that keeps a gate, and distribution mode, run it
+        for a, b, mode, rc in [(x, stray, "statevector", 1), (x, stray, "unitary", 1),
+                               (bv6, bv6, "distribution", 0)]:
+            loaded = self.verify_loads(a, b, mode, rc)
+            assert {"numpy", "qobf.sim"} <= loaded
+            assert not loaded & {"qobf.passes", "qobf.wrapper", "qobf.metrics"}
+
+    @pytest.mark.parametrize("method", ["inverse", "composite", "cloaked"])
+    def test_verify_pass_output_run(self, method, qasm_dir):
+        """These passes' outputs reduce to no gate against their input."""
+        src, out = qasm_dir / "bv6.qasm", qasm_dir / "out.qasm"
+        assert main(["obfuscate", "--method", method, str(src), "-o", str(out)]) == 0
+        for mode in ["statevector", "unitary"]:
+            assert not self.verify_loads(src, out, mode, 0) & self.DENSE
 
     @pytest.mark.parametrize("kind", ["bell", "multi_pair"])
     def test_predicate_run(self, kind, tmp_path):

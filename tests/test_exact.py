@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qobf
+import qobf.sim
 from qobf.exact import (
     MAX_EXACT_QUBITS,
     ONE,
     ZERO,
     Dyadic,
+    equivalent,
     exact_amplitudes,
     exact_distribution,
     exact_probabilities,
@@ -272,3 +275,8 @@ class TestReducedMiter:
         check = reduced + [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits)
                            for g in reversed([*a.gates, *inverted])]
         assert identity_phase(check, n) is not None
+
+
+class TestEquivalent:
+    def test_one_object(self):
+        assert qobf.equivalent is qobf.sim.equivalent is equivalent
