@@ -4,8 +4,8 @@ The package splits into:
   * :mod:`qobf.qasm`       - OpenQASM 2.0 subset parser and canonical emitter
   * :mod:`qobf.ir`         - the circuit IR, validation, and structural metrics
   * :mod:`qobf.sim`        - dense statevector simulator and the oracle's float checks
-  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicates and windows,
-    and the equivalence oracle
+  * :mod:`qobf.exact`      - exact Clifford+T simulator for predicates and windows
+  * :mod:`qobf.miter`      - the equivalence oracle: exactly reduced miters
   * :mod:`qobf._kernel`    - its standard-library ring kernel, which wrapped
     programs embed
   * :mod:`qobf.passes`     - the four circuit obfuscation passes
@@ -21,8 +21,9 @@ exact simulator, not numpy, the dense simulator, the passes, the wrapper or
 the reports; wrapped programs import no part of the package. numpy loads
 only with :mod:`qobf.sim` and the module that uses it, :mod:`qobf.metrics`;
 :mod:`qobf.passes` loads the dense simulator only to build a matrix on
-request, and :func:`equivalent` only for a pair whose miter keeps a gate or
-in distribution mode. numpy is the ``dense`` extra.
+request, and :func:`equivalent` only for a pair whose miter keeps a gate,
+or in distribution mode for circuits that measure different pairs. numpy is
+the ``dense`` extra.
 """
 
 from importlib import import_module
@@ -42,7 +43,8 @@ _EXPORTS = {
         "depth", "flatten", "gate_count", "same_gates", "validate",
     ),
     "qasm": ("ParseResult", "QasmError", "emit", "loads", "parse", "tokenize"),
-    "exact": ("equivalent", "exact_amplitudes", "exact_distribution"),
+    "exact": ("exact_amplitudes", "exact_distribution"),
+    "miter": ("equivalent",),
     "sim": ("gate_matrix", "measure_distribution", "simulate", "strip_measures", "unitary_of"),
     "passes": (
         "ObfuscationConfig", "apply_pass", "cloaked_gates_pass",

@@ -55,12 +55,12 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
 @contextmanager
 def _needs_numpy(command: str):
     """Report a failed import in the block, which loads the dense simulator,
-    as ``command`` needing numpy: a ``ValueError``, which ``main`` turns into
-    exit 2."""
+    as ``command`` needing numpy, the ``dense`` extra: a ``ValueError``,
+    which ``main`` turns into exit 2."""
     try:
         yield
     except ImportError as exc:
-        raise ValueError(f"{command} needs numpy: {exc}") from None
+        raise ValueError(f"{command} needs numpy (the 'dense' extra): {exc}") from None
 
 
 @contextmanager
@@ -232,20 +232,16 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from importlib.util import find_spec
-
-    # a pair reduced to no gate needs no numpy, but verify refuses to run
-    # without it all the same, with the message the failed import gives
-    if find_spec("numpy") is None:
-        with _needs_numpy("verify"):
-            import numpy  # noqa: F401
-    from .exact import _deciding_mode, equivalent
+    from .miter import _deciding_mode, equivalent
 
     a = _load_circuit(args.a)
     b = _load_circuit(args.b)
     if a is None or b is None:
         return EXIT_INPUT
-    ok, fidelity = equivalent(a, b, args.mode)
+    # only a pair whose miter keeps a gate, or whose measurements differ in
+    # distribution mode, loads the dense simulator
+    with _needs_numpy("verify"):
+        ok, fidelity = equivalent(a, b, args.mode)
     print(f"equivalent={ok} fidelity={fidelity:.12f} mode={_deciding_mode(a, b, args.mode)}")
     return EXIT_OK if ok else 1
 

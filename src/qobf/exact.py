@@ -20,41 +20,31 @@ with its block, or any window ``obfuscate`` checks
 (:func:`qobf.passes.check_translation`) acts as the identity up to a global
 phase, by exact equality, with no tolerance.
 
-:func:`equivalent`, the oracle of ``verify`` and the reports, lives here
-too. It reduces the miter of two whole circuits exactly
-(:func:`reduced_miter`); a miter reduced to no gate is equal, decided
-without numpy. Only a miter that keeps a gate, or distribution mode, loads
-the dense float simulator in :mod:`qobf.sim`, whose whole-circuit states are
-too large for the ring.
+The same phase test, on the kernel's pairs, lets :mod:`qobf.miter` reduce
+the miter of two whole circuits exactly for the equivalence oracle; whole-circuit states
+are too large for the ring, so what it leaves runs on the dense float
+simulator in :mod:`qobf.sim`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from typing import Sequence
 
-from ._kernel import _ZERO_AMPLITUDE, _Dyadic, _basis_run, _complex, _distribution, _measured_parts
-from .ir import (
-    _INVERSE,
-    Circuit,
-    GateApp,
-    GateKind,
-    SimulationError,
-    _check_cap,
-    _check_unitary_cap,
-    _kernel_gates,
-    _key_pairs,
-    measured_pairs,
+from ._kernel import (
+    _ZERO_AMPLITUDE,
+    _Dyadic,
+    _basis_run,
+    _complex,
+    _distribution,
+    _measured_parts,
+    _times_omega,
 )
+from .ir import Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
 
 #: widest component simulated; the widest predicate (branch) has five qubits,
 #: so it stays in range even if a pass joins its two segments
 MAX_EXACT_QUBITS = 5
-
-#: the longest one-qubit run :func:`reduced_miter` multiplies out: in a miter,
-#: a delayed block b and wrapper w meet b, w⁻¹, b⁻¹, w⁻¹ (1 + 7 + 1 + 7 gates)
-MAX_RUN = 16
 
 #: an amplitude's numerator a + bω + cω² + dω³, as (a, b, c, d)
 Amplitude = tuple[int, int, int, int]
@@ -89,7 +79,15 @@ def identity_phase(gates: Sequence[GateApp], n: int) -> complex | None:
     modulus and is a power of ω. It is rounded once, as an amplitude is.
     """
     _check_width(n)
-    pairs = _kernel_gates(gates)
+    phase = _phase_numerator(_kernel_gates(gates), n)
+    return None if phase is None else _complex(*phase)
+
+
+def _phase_numerator(pairs: Sequence[tuple], n: int) -> tuple[Amplitude, int] | None:
+    """:func:`identity_phase` on the kernel's (table entry, qubits) pairs:
+    c's numerator and k, or None."""
+    if all(table is not None for table, _ in pairs):
+        return _monomial_phase(pairs, n)
     phase = None
     for s in range(1 << n):
         state, k = _basis_run(pairs, n, s)
@@ -99,112 +97,29 @@ def identity_phase(gates: Sequence[GateApp], n: int) -> complex | None:
         column[s] = phase
         if phase == _ZERO_AMPLITUDE or state != column:
             return None
-    return _complex(phase, k)
+    return phase, k
 
 
-def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[GateApp]:
-    """The miter of two gate lists, less what exact rewrites cancel: gates
-    that act as a phase times the identity exactly when ``first`` and
-    ``second`` act alike up to a global phase.
-
-    The miter, ``first`` then ``second`` reversed and inverted (barriers
-    dropped, a measurement refused), is built from the middle, as in
-    Burgholzer & Wille (IEEE TCAD 2021). With a stack of kept gates per
-    qubit, one pass cancels a gate against the last kept gate on its qubits
-    when that gate is the last on every one of them and is its inverse on
-    the same operand tuple, and drops a run (kept one-qubit gates on one
-    qubit, no kept gate on more qubits between them) of 3 to MAX_RUN gates
-    when :func:`identity_phase` finds its product a phase, memoised by
-    kinds. Two one-qubit kinds make a phase only as an inverse pair.
-    """
-    miter = [(g.kind, g.qubits) for g in first if g.kind is not GateKind.BARRIER]
-    miter += [(_INVERSE.get(g.kind, g.kind), g.qubits)
-              for g in reversed(second) if g.kind is not GateKind.BARRIER]
-    kept: list[tuple[GateKind, tuple[int, ...]] | None] = []
-    # per qubit, each kept gate's index in kept and the kinds of the one-qubit
-    # run it ends: () for a gate on more qubits, None past MAX_RUN
-    stacks: dict[int, list[tuple[int, tuple[GateKind, ...] | None]]] = defaultdict(list)
-    for gate in miter:
-        kind, qubits = gate
-        if kind is GateKind.MEASURE:
-            raise SimulationError("circuit contains measurements; strip them first")
-        stack = stacks[qubits[0]]
-        below = ()
-        if stack:
-            top, below = stack[-1]
-            if kept[top] == (_INVERSE.get(kind, kind), qubits) and (
-                    len(qubits) == 1 or all(stacks[q][-1][0] == top for q in qubits[1:])):
-                kept[top] = None
-                for q in qubits:
-                    stacks[q].pop()
-                continue
-        index = len(kept)
-        kept.append(gate)
-        if len(qubits) > 1:
+def _monomial_phase(pairs: Sequence[tuple], n: int) -> tuple[Amplitude, int] | None:
+    """:func:`_phase_numerator` without H: each gate takes a basis state to
+    one basis state times a power of ω, so one index and one exponent
+    follow each basis state through the gates."""
+    phase = None
+    for s in range(1 << n):
+        i, e = s, 0
+        for table, qubits in pairs:
+            v = 0
             for q in qubits:
-                stacks[q].append((index, ()))
-            continue
-        run = None if below is None or len(below) == MAX_RUN else below + (kind,)
-        stack.append((index, run))
-        if run is not None and len(run) > 2 and _is_phase(run):
-            for i, _ in stack[-len(run):]:
-                kept[i] = None
-            del stack[-len(run):]
-    return [GateApp(*gate) for gate in kept if gate is not None]
-
-
-def _deciding_mode(c1: Circuit, c2: Circuit, mode: str) -> str:
-    """The mode :func:`equivalent` decides in: ``distribution`` in place of
-    ``statevector`` or ``unitary``, which strip measurements, when the sorted
-    (qubit, classical bit) measurement pairs differ; else ``mode``."""
-    if mode in ("statevector", "unitary") and sorted(measured_pairs(c1)) != sorted(measured_pairs(c2)):
-        return "distribution"
-    return mode
-
-
-def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[bool, float]:
-    """Decide circuit equivalence up to global phase; returns (equal, fidelity).
-
-    Modes:
-      * ``statevector`` - the miter W of the two circuits, measurements
-        stripped, less what :func:`reduced_miter` cancels exactly, runs once
-        on one dense random state psi drawn from a fixed seed; equal when
-        W psi == phase * psi within 1e-9 per entry. Relative phases count.
-        Fidelity is the overlap |<psi|W psi>| = |<U1 psi|U2 psi>|.
-      * ``unitary``     - W == phase * I within 1e-9 per entry (n <= 10);
-        fidelity is |tr W| / 2**n = |tr(U1^dagger U2)| / 2**n.
-      * ``distribution`` - total-variation distance of exact outcome
-        distributions <= 1e-9; fidelity is 1 - TV.
-
-    When the sorted (qubit, classical bit) measurement pairs differ,
-    ``distribution`` decides in place of the two modes that strip
-    measurements. Every mode keeps the dense simulator's caps. A miter
-    reduced to no gate is W = phase * I exactly, so it gives (True, 1.0)
-    without the dense simulator or numpy; any other miter, and distribution
-    mode, run on :mod:`qobf.sim`.
-    """
-    n = c1.n_qubits
-    if n != c2.n_qubits:
-        raise SimulationError(f"qubit-count mismatch: {n} vs {c2.n_qubits}")
-    mode = _deciding_mode(c1, c2, mode)
-    if mode not in ("statevector", "unitary", "distribution"):
-        raise SimulationError(f"unknown equivalence mode {mode!r}")
-    (_check_unitary_cap if mode == "unitary" else _check_cap)(n)
-    if mode == "distribution":
-        from .sim import _distribution_check
-
-        return _distribution_check(c1, c2)
-    miter = reduced_miter(*([g for g in c.gates if g.kind is not GateKind.MEASURE] for c in (c1, c2)))
-    if not miter:
-        return True, 1.0
-    from . import sim
-
-    return sim._miter_check(miter, n, sim._stimulus if mode == "statevector" else sim._identity)
-
-
-@lru_cache(maxsize=2**14)
-def _is_phase(run: tuple[GateKind, ...]) -> bool:
-    return identity_phase([GateApp(kind, (0,)) for kind in run], 1) is not None
+                v = v << 1 | (i >> q) & 1
+            w, shift = table[v]
+            e += shift
+            for q in reversed(qubits):
+                i = i & ~(1 << q) | (w & 1) << q
+                w >>= 1
+        if i != s or phase not in (None, e % 8):
+            return None
+        phase = e % 8
+    return _times_omega((1, 0, 0, 0), phase), 0
 
 
 def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:

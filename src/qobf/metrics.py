@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .ir import Circuit, depth, gate_count, validate
 from .qasm import emit
-from .exact import equivalent
+from .miter import equivalent
 from .sim import simulate, strip_measures
 
 if TYPE_CHECKING:  # an annotation only, so reports do not load the wrapper

@@ -2,11 +2,12 @@
 oracle's float checks.
 
 It gives Born-rule outcome distributions (no shot noise) and runs the dense
-side of :func:`qobf.exact.equivalent`, which this module re-exports: the
+side of :func:`qobf.miter.equivalent`, which this module re-exports: the
 reduced miter of two circuits in statevector and unitary mode, when
-:func:`qobf.exact.reduced_miter` leaves a gate, and both circuits' measured
+:func:`qobf.miter.reduced_miter` leaves a gate, and both circuits' measured
 distributions in distribution mode. A pair whose miter reduces to no gate is
-decided without this module. It is the only float simulator and the only one
+decided without this module, in distribution mode too when both circuits
+measure the same pairs. It is the only float simulator and the only one
 that needs numpy; ``verify`` on a pair that keeps a gate, ``report``,
 ``obfuscate --report``, ``simulate`` and the tests use it. ``obfuscate``
 itself checks its output window by window, and predicate models use the
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernel
-from .exact import equivalent  # noqa: F401 (re-exported)
+from .miter import equivalent  # noqa: F401 (re-exported)
 from .ir import (  # MAX_SIM_QUBITS, MAX_UNITARY_QUBITS and their checks are re-exported
     MAX_SIM_QUBITS,
     MAX_UNITARY_QUBITS,
@@ -341,7 +342,7 @@ def _stimulus(dim: int) -> np.ndarray:
 
 def _miter_check(miter: Sequence[GateApp], n: int,
                  columns: Callable[[int], np.ndarray]) -> tuple[bool, float]:
-    """Run a reduced miter W (:func:`qobf.exact.reduced_miter`) of two
+    """Run a reduced miter W (:func:`qobf.miter.reduced_miter`) of two
     n-qubit circuits once on the columns X: equal when W X == phase * X.
 
     W is the first circuit's gates, then the second's reversed and inverted,

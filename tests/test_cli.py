@@ -15,9 +15,10 @@ import qobf.cli
 import qobf.passes
 import qobf.sim
 from qobf.cli import main
-from qobf.exact import identity_phase, reduced_miter
+from qobf.exact import identity_phase
 from qobf.fixtures import standard_fixtures
 from qobf.ir import _INVERSE, ARITY, UNITARY_KINDS, GateApp, GateKind
+from qobf.miter import reduced_miter
 from qobf.passes import METHODS, apply_pass
 from qobf.qasm import emit, parse
 from qobf.sim import equivalent, measure_distribution, strip_measures
@@ -297,7 +298,7 @@ def test_verify_corpus_stdout_pinned(qasm_dir, capsys):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("method", ["inverse", "composite", "cloaked"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", ["bv6", "qaoa_ring4", "period7"])
 def test_verify_miter_reduces_to_nothing(name, method, seed, qasm_dir, capsys):
     """Every gate these passes write cancels in the miter of input and
@@ -319,16 +320,17 @@ def test_verify_miter_reduces_to_nothing(name, method, seed, qasm_dir, capsys):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("method", ["inverse", "composite", "cloaked"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", ["bv6", "qaoa_ring4", "period7"])
 def test_equivalent_decides_reduced_pairs_exactly(name, method, seed, qasm_dir, monkeypatch):
-    """The pairs above need no dense run: in both modes ``equivalent`` gives
+    """The pairs above need no dense run: in every mode ``equivalent`` gives
     exactly (True, 1.0), with the dense checks out of reach."""
     source, out = qasm_dir / f"{name}.qasm", qasm_dir / "out.qasm"
     assert main(["obfuscate", "--method", method, "--seed", str(seed), str(source), "-o", str(out)]) == 0
     a, b = (parse(path.read_text(encoding="utf-8")).circuit for path in (source, out))
     monkeypatch.setattr(qobf.sim, "_miter_check", _raise(AssertionError("dense run")))
-    for mode in ["statevector", "unitary"]:
+    monkeypatch.setattr(qobf.sim, "_distribution_check", _raise(AssertionError("dense run")))
+    for mode in ["statevector", "unitary", "distribution"]:
         assert equivalent(a, b, mode) == (True, 1.0)
 
 
@@ -981,14 +983,19 @@ class TestEntryPoints:
         assert not out.exists()
 
 
+#: stderr of a command that needs numpy without it
+NEEDS_NUMPY = "qobf: error: {command} needs numpy (the 'dense' extra): {reason}\n"
+
+
 class TestWithoutNumpy:
     """With numpy blocked, the commands that need it exit 2, name it and
-    write nothing."""
+    its extra, and write nothing; verify needs it only for a pair whose
+    miter keeps a gate."""
 
     @pytest.mark.parametrize(
         "argv, command",
         [
-            (["verify", "{src}", "{src}"], "verify"),
+            (["verify", "{x}", "{z}"], "verify"),
             (["report", "--out", "{out}", "{src}"], "report"),
             (["obfuscate", "--method", "inverse", "{src}", "-o", "{out}", "--report", "{report}"],
              "obfuscate --report"),
@@ -996,18 +1003,32 @@ class TestWithoutNumpy:
         ids=["verify", "report", "obfuscate-report"],
     )
     def test_exit_2(self, argv, command, qasm_dir):
-        paths = {"src": qasm_dir / "bv6.qasm", "out": qasm_dir / "out", "report": qasm_dir / "r.json"}
-        proc = _run_python(
+        paths = {"src": qasm_dir / "bv6.qasm", "out": qasm_dir / "out", "report": qasm_dir / "r.json",
+                 "x": qasm_dir / "x.qasm", "z": qasm_dir / "z.qasm"}
+        proc = self.run_blocked(*(arg.format(**paths) for arg in argv))
+        assert proc.returncode == 2
+        assert proc.stderr == NEEDS_NUMPY.format(
+            command=command, reason="import of numpy halted; None in sys.modules")
+        assert not paths["out"].exists() and not paths["report"].exists()
+
+    @staticmethod
+    def run_blocked(*argv: str) -> subprocess.CompletedProcess:
+        return _run_python(
             "-c",
             'import sys\nsys.modules["numpy"] = None\n'
             "from qobf.cli import main\nsys.exit(main(sys.argv[1:]))",
-            *(arg.format(**paths) for arg in argv),
+            *argv,
         )
-        assert proc.returncode == 2
-        assert proc.stderr == (
-            f"qobf: error: {command} needs numpy: import of numpy halted; None in sys.modules\n"
-        )
-        assert not paths["out"].exists() and not paths["report"].exists()
+
+    @pytest.mark.parametrize("mode", ["statevector", "unitary", "distribution"])
+    def test_verify_decides_reduced_pairs(self, mode, qasm_dir):
+        """A pair whose miter reduces to no gate, here a fixture against its
+        delayed output, is decided as with numpy."""
+        src, out = qasm_dir / "qaoa_ring4.qasm", qasm_dir / "out.qasm"
+        assert main(["obfuscate", "--method", "delayed", "--seed", "1", str(src), "-o", str(out)]) == 0
+        proc = self.run_blocked("verify", str(src), str(out), "--mode", mode)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"equivalent=True fidelity=1.000000000000 mode={mode}\n"
 
     def test_venv_without_numpy(self, qasm_dir, tmp_path):
         """numpy missing, not blocked: a venv made without pip (no download)
@@ -1026,8 +1047,10 @@ class TestWithoutNumpy:
         assert "No module named 'numpy'" in run("-c", "import numpy").stderr
         src = str(qasm_dir / "bv6.qasm")
         proc = run("-m", "qobf", "verify", src, src)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        proc = run("-m", "qobf", "verify", str(qasm_dir / "x.qasm"), str(qasm_dir / "z.qasm"))
         assert proc.returncode == 2
-        assert proc.stderr == "qobf: error: verify needs numpy: No module named 'numpy'\n"
+        assert proc.stderr == NEEDS_NUMPY.format(command="verify", reason="No module named 'numpy'")
         (tmp_path / "payload.py").write_text("print('hi')\n")
         for argv in (["obfuscate", "--method", "cloaked", src, "-o", "out.qasm"],
                      ["predicate", "--kind", "bell", "-o", "bell.qasm"],
@@ -1043,11 +1066,13 @@ class TestImportsPerEntryPoint:
     (templates, predicate, wrap and wrapped programs) and obfuscate without
     --report never load numpy, nor ``dataclasses`` and ``inspect``, which
     cost those commands a fifth of their start-up; verify never loads the
-    passes, and loads numpy only for a pair whose miter keeps a gate or in
-    distribution mode."""
+    passes, and loads numpy only for a pair whose miter keeps a gate, or in
+    distribution mode for circuits that measure different pairs. Only
+    verify and the reports load the miter code, ``qobf.miter``."""
 
     DENSE = {"numpy", "qobf.sim", "qobf.passes", "qobf.metrics"}
     INTROSPECTION = {"dataclasses", "inspect"}
+    MITER = {"qobf.miter"}
 
     @staticmethod
     @functools.cache
@@ -1066,7 +1091,7 @@ class TestImportsPerEntryPoint:
     def test_wrapped_program_import(self):
         loaded = self.loaded_after("from qobf import exact_amplitudes, exact_distribution, loads")
         assert {"qobf.qasm", "qobf.exact"} <= loaded
-        assert not loaded & (self.DENSE | {"qobf.predicates", "qobf.wrapper", "qobf.cli"})
+        assert not loaded & (self.DENSE | self.MITER | {"qobf.predicates", "qobf.wrapper", "qobf.cli"})
 
     @staticmethod
     def package_modules(loaded: set[str]) -> set[str]:
@@ -1090,7 +1115,8 @@ class TestImportsPerEntryPoint:
             f"assert main(['obfuscate', '--method', {method!r}, {src!r}, '-o', {out!r}]) == 0"
         )
         assert {"qobf.passes", "qobf.exact"} <= loaded
-        assert not loaded & ({"numpy", "qobf.sim", "qobf.metrics", "qobf.wrapper"} | self.INTROSPECTION)
+        assert not loaded & ({"numpy", "qobf.sim", "qobf.metrics", "qobf.wrapper"} | self.MITER
+                             | self.INTROSPECTION)
 
     def test_obfuscate_report_run(self, qasm_dir):
         src, out, report = (str(qasm_dir / name) for name in ("bv6.qasm", "out.qasm", "r.json"))
@@ -1109,25 +1135,42 @@ class TestImportsPerEntryPoint:
     def test_verify_run(self, qasm_dir):
         x, bv6, stray = qasm_dir / "x.qasm", qasm_dir / "bv6.qasm", qasm_dir / "xt.qasm"
         stray.write_text("OPENQASM 2.0;\nqreg q[1];\nx q[0];\nt q[0];\n")
-        # a miter reduced to no gate is decided without the dense simulator
-        for mode in ["statevector", "unitary"]:
-            loaded = self.verify_loads(x, x, mode, 0)
+        xm, xtm = qasm_dir / "xm.qasm", qasm_dir / "xtm.qasm"
+        xm.write_text("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n")
+        xtm.write_text("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx q[0];\nt q[0];\nmeasure q[0] -> c[0];\n")
+        # a miter reduced to no gate is decided without the dense simulator,
+        # in distribution mode when both circuits measure alike
+        for a, b, mode in [(x, x, "statevector"), (x, x, "unitary"), (bv6, bv6, "distribution")]:
+            loaded = self.verify_loads(a, b, mode, 0)
             assert "qobf.exact" in loaded
             assert not loaded & (self.DENSE | {"qobf.wrapper"})
-        # a miter that keeps a gate, and distribution mode, run it
+        # a miter that keeps a gate runs it
         for a, b, mode, rc in [(x, stray, "statevector", 1), (x, stray, "unitary", 1),
-                               (bv6, bv6, "distribution", 0)]:
+                               (xm, xtm, "distribution", 0)]:
             loaded = self.verify_loads(a, b, mode, rc)
             assert {"numpy", "qobf.sim"} <= loaded
             assert not loaded & {"qobf.passes", "qobf.wrapper", "qobf.metrics"}
 
-    @pytest.mark.parametrize("method", ["inverse", "composite", "cloaked"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_verify_pass_output_run(self, method, qasm_dir):
-        """These passes' outputs reduce to no gate against their input."""
+        """Every pass's output reduces to no gate against its input."""
         src, out = qasm_dir / "bv6.qasm", qasm_dir / "out.qasm"
         assert main(["obfuscate", "--method", method, str(src), "-o", str(out)]) == 0
         for mode in ["statevector", "unitary"]:
             assert not self.verify_loads(src, out, mode, 0) & self.DENSE
+
+    @pytest.mark.parametrize("name", sorted(standard_fixtures()))
+    def test_verify_delayed_output_run(self, name, qasm_dir):
+        """Each fixture's delayed output, in every mode, in one process."""
+        src, out = str(qasm_dir / f"{name}.qasm"), str(qasm_dir / "out.qasm")
+        assert main(["obfuscate", "--method", "delayed", "--seed", "1", src, "-o", out]) == 0
+        loaded = self.loaded_after(
+            "from qobf.cli import main\n"
+            f"for mode in ['statevector', 'unitary', 'distribution']:\n"
+            f"    assert main(['verify', {src!r}, {out!r}, '--mode', mode]) == 0"
+        )
+        assert "qobf.exact" in loaded
+        assert not loaded & self.DENSE
 
     @pytest.mark.parametrize("kind", ["bell", "multi_pair"])
     def test_predicate_run(self, kind, tmp_path):
@@ -1136,7 +1179,7 @@ class TestImportsPerEntryPoint:
             f"from qobf.cli import main\nassert main(['predicate', '--kind', {kind!r}, '-o', {out!r}]) == 0"
         )
         assert {"qobf.predicates", "qobf.exact"} <= loaded
-        assert not loaded & (self.DENSE | {"qobf.wrapper"} | self.INTROSPECTION)
+        assert not loaded & (self.DENSE | self.MITER | {"qobf.wrapper"} | self.INTROSPECTION)
 
     @pytest.mark.parametrize("kind", ["bell", "multi_pair", "shroud"])
     def test_wrap_and_wrapped_program_run(self, kind, tmp_path):
@@ -1147,7 +1190,7 @@ class TestImportsPerEntryPoint:
             f"assert main(['wrap', '--payload', {str(payload)!r}, '--kind', {kind!r}, '-o', {program!r}]) == 0"
         )
         assert "qobf.wrapper" in loaded
-        assert not loaded & (self.DENSE | self.INTROSPECTION)
+        assert not loaded & (self.DENSE | self.MITER | self.INTROSPECTION)
         # only shroud cuts the payload, and only that cut parses it
         assert ("ast" in loaded) == (kind == "shroud")
         loaded = self.loaded_after(f"import runpy\nrunpy.run_path({program!r}, run_name='__main__')")

@@ -3,24 +3,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qobf
+import qobf.exact
+import qobf.miter
 import qobf.sim
 from qobf.exact import (
     MAX_EXACT_QUBITS,
     ONE,
     ZERO,
     Dyadic,
-    equivalent,
     exact_amplitudes,
     exact_distribution,
     exact_probabilities,
     identity_phase,
-    reduced_miter,
 )
-from qobf.ir import _INVERSE, ARITY, Circuit, GateApp, GateKind, SimulationError
+from qobf._kernel import _basis_run
+from qobf.ir import _INVERSE, ARITY, UNITARY_KINDS, Circuit, GateApp, GateKind, SimulationError, _kernel_gates
+from qobf.miter import equivalent, reduced_miter
+from qobf.passes import DELAYED_SEQUENCES, _delayed_commit_check, _instantiate
 from qobf.predicates import (
     bell_predicate,
     branch_predicate,
@@ -205,6 +208,27 @@ class TestIdentityPhase:
         with pytest.raises(SimulationError, match="measurements"):
             identity_phase([GateApp(GateKind.MEASURE, (0,), cbit=0)], 1)
 
+    @given(circuits(max_qubits=3, max_gates=10), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_without_h_agrees_with_the_basis_run(self, c, closed):
+        """Without H, the phase test follows one index per basis state; it
+        returns what the kernel's basis-state run of every column gives.
+        ``closed`` appends the gates' inverse, so phases come up too."""
+        gates = [g for g in c.gates if g.kind is not GateKind.H]
+        if closed:
+            gates += [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(gates)]
+        pairs = _kernel_gates(gates)
+        expected = None
+        for s in range(1 << c.n_qubits):
+            state, k = _basis_run(pairs, c.n_qubits, s)
+            column = [(0, 0, 0, 0)] * len(state)
+            column[s] = state[0] if expected is None else expected[0]
+            if state[s] == (0, 0, 0, 0) or state != column:
+                expected = None
+                break
+            expected = (state[s], k)
+        assert qobf.exact._monomial_phase(pairs, c.n_qubits) == expected
+
 
 def _kinds(gates):
     return [(g.kind.value, g.qubits) for g in gates]
@@ -277,6 +301,111 @@ class TestReducedMiter:
         assert identity_phase(check, n) is not None
 
 
+    #: a delayed window with the longest wrapper and a three-gate block: in
+    #: the miter it meets its block as b, w⁻¹, b⁻¹, w⁻¹, MAX_SPAN = 20 gates
+    BLOCK = _gates(("y", (1,)), ("s", (0,)), ("cz", (1, 0)))
+    WRAPPER = _gates(*[(kind, (1,)) for kind in ("h", "t", "t", "h", "t", "t", "h")])
+
+    def test_delayed_window_drops_as_one_span(self):
+        first, second = self.BLOCK, self.WRAPPER + self.BLOCK + self.WRAPPER
+        assert reduced_miter(first, second) == []
+        # the stack pass alone drops none of it: the cz meets its inverse
+        # only across the wrapper on qubit 1
+        miter = [(g.kind, g.qubits) for g in first]
+        miter += [(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(second)]
+        assert len(qobf.miter._cancel_on_stacks(miter)) == 20
+
+    def test_span_limit(self):
+        """The window's miter with its sdg written as tdg tdg is a phase of
+        21 gates, none of whose runs of 2 to 20 gates is one: past MAX_SPAN,
+        every gate stays."""
+        miter = [(g.kind, g.qubits) for g in self.BLOCK]
+        miter += [(_INVERSE.get(g.kind, g.kind), g.qubits)
+                  for g in reversed(self.WRAPPER + self.BLOCK + self.WRAPPER)]
+        at = miter.index((GateKind.SDG, (0,)))
+        gates = _gates(*[(k.value, q) for k, q in miter[:at] + [(GateKind.TDG, (0,))] * 2 + miter[at + 1:]])
+        assert len(gates) == 21 and identity_phase(gates, 2) is not None
+        assert len(reduced_miter(gates, [])) == 21
+
+    def test_stray_t_in_a_window_survives(self):
+        second = self.WRAPPER + _gates(("t", (0,))) + self.BLOCK + self.WRAPPER
+        assert reduced_miter(self.BLOCK, second) != []
+
+    def test_first_circuit_gates_wait_for_their_windows(self):
+        """The first window the miter meets (around ``x q[2]``) makes a phase
+        with the two cx gates below it, which cancel each other; dropped
+        with it, they would leave their own windows nothing to meet."""
+        first = _gates(("cx", (0, 1)), ("h", (2,)), ("cx", (0, 1)), ("x", (2,)))
+        szs = _gates(("s", (0,)), ("z", (0,)), ("sdg", (0,)))
+        yxy = _gates(*[(kind, (2,)) for kind in ("y", "x", "y", "x", "y")])
+        htt = _gates(*[(kind, (2,)) for kind in ("h", "t", "t", "h", "t", "t", "h")])
+        second = (szs + first[:1] + szs + yxy + first[1:2] + yxy
+                  + szs + first[2:3] + szs + htt + first[3:] + htt)
+        assert reduced_miter(first, second) == []
+
+    def test_block_holding_an_inverse_pair(self):
+        """The second circuit's copy of the block ``cx cx`` cancels on its
+        own, so the first circuit's copy is dropped as a phase of its own
+        before the window below it can meet ``h q[0]``."""
+        first = _gates(("h", (0,)), ("cx", (1, 2)), ("cx", (1, 2)))
+        sxs = _gates(("swap", (1, 2)), ("x", (1,)), ("swap", (1, 2)))
+        zhyhz = _gates(*[(kind, (0,)) for kind in ("z", "h", "y", "h", "z")])
+        second = zhyhz + first[:1] + zhyhz + sxs + first[1:] + sxs
+        assert reduced_miter(first, second) == []
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_delayed_windows_reduce_to_nothing(self, data):
+        """A block of 1 to 3 gates on up to 3 qubits against w·b·w for any
+        delayed wrapper w that commits (w·b·w acts as b up to a phase): at
+        most 3 + 7 + 3 + 7 gates, which the span rule drops."""
+        n = data.draw(st.integers(1, 3))
+        kinds = sorted((k for k in UNITARY_KINDS if ARITY[k] <= n), key=lambda k: k.value)
+        block = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(kinds))
+            block.append(GateApp(kind, tuple(data.draw(st.permutations(range(n)))[:ARITY[kind]])))
+        wrapper = data.draw(st.sampled_from(DELAYED_SEQUENCES))
+        assume(wrapper.n_slots <= n)
+        slots = data.draw(st.permutations(range(n)))[:wrapper.n_slots]
+        assume(_delayed_commit_check(wrapper, slots, block))
+        w = list(_instantiate(wrapper, slots))
+        assert reduced_miter(block, w + block + w) == []
+
+
 class TestEquivalent:
     def test_one_object(self):
         assert qobf.equivalent is qobf.sim.equivalent is equivalent
+
+    @pytest.mark.parametrize("twice", [False, True], ids=["first", "second"])
+    @pytest.mark.parametrize(
+        "measures",
+        [[], [(0, 0), (0, 1)], [(0, 0), (1, 0)]],
+        ids=["none", "qubit-twice", "bit-twice"],
+    )
+    def test_distribution_refuses_what_the_dense_check_refuses(self, measures, twice):
+        """Before its exact shortcut, distribution mode raises what the dense
+        check raises, with the same message, for either circuit."""
+        good = Circuit(2, 2, (GateApp(GateKind.X, (0,)), GateApp(GateKind.MEASURE, (0,), cbit=0)))
+        bad = Circuit(2, 2, (GateApp(GateKind.X, (0,)),
+                             *(GateApp(GateKind.MEASURE, (q,), cbit=c) for q, c in measures)))
+        pair = (good, bad) if twice else (bad, good)
+        with pytest.raises(SimulationError) as dense:
+            qobf.sim._distribution_check(*pair)
+        with pytest.raises(SimulationError) as exact:
+            equivalent(*pair, "distribution")
+        assert str(exact.value) == str(dense.value)
+
+    def test_distribution_shortcut(self, monkeypatch):
+        """Equal measured pairs and a miter reduced to no gate give exactly
+        (True, 1.0) without the dense check; a miter that keeps a gate, or
+        other measured pairs, reach it."""
+        monkeypatch.setattr(qobf.sim, "_distribution_check", lambda c1, c2: "dense")
+        measure = GateApp(GateKind.MEASURE, (0,), cbit=0)
+        x = Circuit(1, 1, (GateApp(GateKind.X, (0,)), measure))
+        hzh = Circuit(1, 1, (*_gates(("h", (0,)), ("z", (0,)), ("h", (0,))), measure))
+        xt = Circuit(1, 1, (*_gates(("x", (0,)), ("t", (0,))), measure))
+        assert equivalent(x, hzh, "distribution") == (True, 1.0)
+        assert equivalent(x, xt, "distribution") == "dense"
+        other_bit = Circuit(1, 2, (GateApp(GateKind.X, (0,)), measure._replace(cbit=1)))
+        assert equivalent(x, other_bit, "distribution") == "dense"
