@@ -6,8 +6,10 @@ commands that use them, and importing this module loads none of them. So
 ``templates`` loads the wrapper alone, ``verify`` and ``obfuscate`` never
 load the wrapper, ``verify`` never loads the passes, and ``obfuscate``
 (without ``--report``), ``templates``, ``predicate`` and ``wrap`` never load
-numpy. ``verify`` loads numpy only for a pair whose miter keeps a gate, or in
-distribution mode, but refuses to run where numpy is missing.
+numpy. ``verify`` loads numpy only for a pair whose reduced miter keeps a
+gate, or in distribution mode when the two circuits measure different
+pairs; a ``verify`` that needs it where it is missing exits 2 and names the
+``dense`` extra.
 
 ``obfuscate`` checks what it writes without the dense simulator: every
 window the pass inserted or substituted must act as the original gates it

@@ -124,6 +124,9 @@ _INVERSE: dict[GateKind, GateKind] = {
     GateKind.TDG: GateKind.T,
 }
 
+#: each kind's code, below 16, for keys that pack gates into one int
+_KIND_CODE: dict[GateKind, int] = {kind: code for code, kind in enumerate(GateKind)}
+
 class GateApp(NamedTuple):
     """One gate application.
 

@@ -20,6 +20,7 @@ from typing import Sequence
 from .exact import _phase_numerator
 from .ir import (
     _INVERSE,
+    _KIND_CODE,
     _MONOMIAL,
     Circuit,
     GateApp,
@@ -140,13 +141,22 @@ def _drop_phase_suffixes(miter: list[tuple], middle: int) -> list[tuple]:
     return kept
 
 
-#: each kind's code in the span rule's keys, below 16
-_KIND_CODES = {kind: code for code, kind in enumerate(GateKind)}
-
 #: the span rule's verdicts: a trie of suffixes walked back from the top on
-#: first-touch labels, each node [verdict or None if not yet asked, children]
-_SPANS: list = [None, {}]
+#: first-touch labels. Each node is [verdict, children, state]: the verdict is
+#: None until asked, and False from the start for a suffix that cannot be a
+#: phase; the state counts the suffix's gates on each label, 6 bits a label,
+#: and above them the parity of its kinds in ``_ODD_KINDS``.
+_SPANS: list = [None, {}, 0]
 _span_nodes = 0
+
+#: the state's parity bit, and each kind's step to it
+_ODD = 1 << 6 * MAX_SPAN_QUBITS
+_PARITY = {kind: _ODD if kind in _ODD_KINDS else 0 for kind in GateKind}
+#: per number of labels n, (add, closed): 30 added to a count carries into
+#: its bit 5 just when the count is at least 2, so each of the first n counts
+#: is when (state + add) & closed == closed
+_CLOSED = [(sum(30 << 6 * l for l in range(n)), sum(32 << 6 * l for l in range(n)))
+           for n in range(MAX_SPAN_QUBITS + 1)]
 
 
 def _phase_suffix(kept: list[tuple], top: int, base: int) -> int | None:
@@ -157,18 +167,17 @@ def _phase_suffix(kept: list[tuple], top: int, base: int) -> int | None:
     A phase has at least two gates on each qubit it touches (no gate of the
     alphabet acts on one of its qubits as the identity) and an even number
     of the kinds in ``_ODD_KINDS``; only a suffix that passes both is run.
+    Both depend on the suffix's labelled gates alone, so each trie node
+    decides them once, when it is made.
     """
     global _span_nodes
     label: dict[int, int] = {}
     labelled = label.get
-    counts = [0] * MAX_SPAN_QUBITS
-    short = 0  # labelled qubits with fewer than two gates
-    odd = False
     node = _SPANS
     for i in range(top - 1, max(-1, top - 1 - MAX_SPAN, 2 * base - top - 1), -1):
         kind, qubits = kept[i]
         # the gate on labels, as one int: the kind's code, then 2 bits a label
-        key = _KIND_CODES[kind]
+        key = _KIND_CODE[kind]
         shift = 4
         for q in qubits:
             local = labelled(q)
@@ -176,28 +185,26 @@ def _phase_suffix(kept: list[tuple], top: int, base: int) -> int | None:
                 if i < base or len(label) == MAX_SPAN_QUBITS:
                     return None
                 local = label[q] = len(label)
-                short += 1
-            seen = counts[local] = counts[local] + 1
-            if seen == 2:
-                short -= 1
             key |= local << shift
             shift += 2
-        if kind in _ODD_KINDS:
-            odd = not odd
-        children = node[1]
-        node = children.get(key)
+        parent = node
+        node = parent[1].get(key)
         if node is None:
             if _span_nodes >= MAX_SPAN_NODES:
                 _SPANS[1].clear()
                 _span_nodes = 0
-            node = children[key] = [None, {}]
+            state = parent[2] ^ _PARITY[kind]
+            for q in qubits:
+                state += 1 << 6 * label[q]
+            add, closed = _CLOSED[len(label)]
+            shut = not state & _ODD and (state + add) & closed == closed
+            node = parent[1][key] = [None if shut else False, {}, state]
             _span_nodes += 1
-        if short or odd:
-            continue
-        if node[0] is None:
+        verdict = node[0]
+        if verdict is None:
             pairs = [(_MONOMIAL.get(k), tuple(map(label.__getitem__, qs))) for k, qs in kept[i:top]]
-            node[0] = _phase_numerator(pairs, len(label)) is not None
-        if node[0]:
+            verdict = node[0] = _phase_numerator(pairs, len(label)) is not None
+        if verdict:
             return i
     return None
 

@@ -48,6 +48,7 @@ from .ir import (
     GateSequence,
     UNITARY_KINDS,
     _INVERSE,
+    _KIND_CODE,
     same_gates,
 )
 
@@ -303,7 +304,7 @@ def _free_qubits(circuit: Circuit) -> list[list[int]]:
 def _instantiate(seq: GateSequence, qubits: Sequence[int], box: int | None = None,
                  group: int | None = None, window: int | None = None) -> list[GateApp]:
     return [
-        GateApp(kind, tuple(qubits[s] for s in slots), box=box, group=group, window=window)
+        GateApp(kind, tuple(map(qubits.__getitem__, slots)), None, box, group, window)
         for kind, slots in seq.gates
     ]
 
@@ -450,12 +451,8 @@ def _first_touch(gates: Iterable[GateApp], extra: Iterable[int] = ()) -> dict[in
     cached verdict."""
     local: dict[int, int] = {}
     for g in gates:
-        for q in g.qubits:
-            if q not in local:
-                local[q] = len(local)
-    for q in extra:
-        if q not in local:
-            local[q] = len(local)
+        _labels(g.qubits, local)
+    _labels(extra, local)
     return local
 
 
@@ -488,18 +485,46 @@ def _commit_verdict(
     3 first-touch labels, times the wrappers' slot placements, is 719,130
     keys at most. The cache keeps the 16,384 most recent (about 6 MB).
 
-    This compact key sits in front of ``_span_verdict``'s own cache because
-    it is cheaper to hash: keying each candidate on its whole 7-15-gate
-    window instead re-hashes every gate's ``GateKind`` on each lookup, and
-    slowed the delayed pass plus ``check_translation`` on an 8-qubit,
-    1000-gate random circuit from about 0.12 s to 0.17-0.21 s. There the
-    pass checks 4,878 candidates; 4,756 touch at most 3 qubits and look up
-    180 distinct keys.
+    The delayed pass asks here only when its int-keyed memo ``_COMMITS``
+    misses. On the benchmark's 8-qubit, 1000-gate random circuit (seed 1)
+    the pass makes 4,878 draws; 4,756 touch at most 3 qubits and come to 180
+    distinct keys. Cold, in a fresh process on a 2-CPU host, the pass takes
+    about 44 ms, of which the 180 verdicts take about 14 ms and the random
+    draws about 20 ms; building each draw's block and labels, and this key,
+    anew took it to about 67 ms.
     """
     wrapper_local = tuple(
         (kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates
     )
     return _span_verdict(wrapper_local + block + wrapper_local, block) is not None
+
+
+#: the delayed wrappers as draws take them: DELAYED_SEQUENCES's order (a
+#: draw from this tuple makes the same random call and picks the same
+#: wrapper), each with its index and slot count
+_WRAPPERS = tuple((i, seq, seq.n_slots) for i, seq in enumerate(DELAYED_SEQUENCES))
+
+#: the delayed pass's commit verdicts, keyed by one int: the block's gates on
+#: first-touch labels, the wrapper's index and its slot labels; cleared past
+#: 2**14 keys
+_COMMITS: dict[int, bool] = {}
+
+
+def _site_block(work: list[GateApp], start: int, length: int) -> tuple:
+    """The block of up to ``length`` gates at ``start`` (original unitary
+    gates, in no window or group), its qubits in first-touch order, and its
+    code: each gate's kind and first-touch labels in 10 bits under a leading
+    1, or 0 past 3 qubits."""
+    block: list[GateApp] = []
+    for g in work[start : start + length]:
+        if g.window is not None or g.group is not None or g.kind not in UNITARY_KINDS:
+            break
+        block.append(g)
+    label: dict[int, int] = {}
+    code = 1
+    for g in block:
+        code = code << 10 | _KIND_CODE[g.kind] | _labels(g.qubits, label) << 4
+    return block, list(label), code if len(label) <= 3 else 0
 
 
 def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
@@ -508,10 +533,12 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     For each candidate block start (coin per original unitary gate), up to
     MAX_DRAWS (wrapper, block, qubit-mapping) combinations are tried; an
     insertion is committed only when the wrapped block acts exactly like the
-    block alone, up to global phase (:func:`_commit_verdict`). A wrapper
-    reaches past the block's qubits only onto qubits not measured before the
-    block (:func:`_free_qubits`). Sites are processed right to left so
-    committed insertions do not shift pending candidate positions.
+    block alone, up to global phase (:func:`_delayed_commit_check`, asked
+    once per distinct int key in ``_COMMITS``). A wrapper reaches past the
+    block's qubits only onto qubits not measured before the block
+    (:func:`_free_qubits`). Sites are processed right to left so committed
+    insertions do not shift pending candidate positions. Each site builds
+    its candidate blocks once, on the first draw of their length.
     """
     rng = random.Random(cfg.seed)
     if not circuit.gates:
@@ -530,30 +557,38 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             continue
         if rng.random() >= cfg.intensity:
             continue
+        blocks: list = [None] * 4
         for _ in range(MAX_DRAWS):
             length = rng.randint(1, 3)
-            block: list[GateApp] = []
-            for g2 in work[start : start + length]:
-                if g2.window is not None or g2.group is not None or g2.kind not in UNITARY_KINDS:
-                    break
-                block.append(g2)
-            wrapper = rng.choice(DELAYED_SEQUENCES)
-            block_qubits = list(_first_touch(block))
-            need = wrapper.n_slots
+            if blocks[length] is None:
+                blocks[length] = _site_block(work, start, length)
+            block, block_qubits, code = blocks[length]
+            index, wrapper, need = rng.choice(_WRAPPERS)
             if need <= len(block_qubits):
                 wrapper_qubits = rng.sample(block_qubits, need)
+                if not code:
+                    continue  # past 3 qubits
+                slots = 0
+                for q in reversed(wrapper_qubits):
+                    slots = slots << 2 | block_qubits.index(q)
             else:
                 extras = [q for q in free[start] if q not in block_qubits]
                 if not extras:
                     continue
                 wrapper_qubits = block_qubits + rng.sample(extras, need - len(block_qubits))
-            if not _delayed_commit_check(wrapper, wrapper_qubits, block):
+                slots = 0b0100  # labels 0, 1
+            key = (code << 4 | index) << 4 | slots
+            verdict = _COMMITS.get(key)
+            if verdict is None:
+                if len(_COMMITS) >= 2**14:
+                    _COMMITS.clear()
+                verdict = _COMMITS[key] = _delayed_commit_check(wrapper, wrapper_qubits, block)
+            if not verdict:
                 continue
             # both copies of the wrapper, and the block between them, form one window
-            before = _instantiate(wrapper, wrapper_qubits, window=window)
-            after = _instantiate(wrapper, wrapper_qubits, window=window)
-            work[start:start] = before
-            work[start + len(before) + len(block) : start + len(before) + len(block)] = after
+            copy = _instantiate(wrapper, wrapper_qubits, window=window)
+            work[start + len(block) : start + len(block)] = copy
+            work[start:start] = copy
             committed += 1
             window += 1
             break
@@ -601,11 +636,11 @@ def undo(circuit: Circuit) -> Circuit:
                 if original is None:
                     raise ValueError(f"gate {pos}: group {g.group} has no recorded original")
                 if original.origin != "inserted":
-                    out.append(original._replace(box=None))
+                    out.append(original if original.box is None else original._replace(box=None))
             continue
         if g.window is not None:  # inserted
             continue
-        out.append(g._replace(box=None))
+        out.append(g if g.box is None else g._replace(box=None))
     remaining = {
         gid: g for gid, g in circuit.subst_originals.items() if gid not in seen_groups
     }
@@ -617,13 +652,17 @@ def undo(circuit: Circuit) -> Circuit:
 # --------------------------------------------------------------------------
 
 
-def _span_of(g: GateApp) -> tuple[str, int] | None | bool:
-    """The span a gate belongs to: None for an original gate standing alone,
-    ("window", id) for an inserted gate, ("group", id) for a substituted one,
-    or False for a gate with both a window and a group."""
-    if g.group is None:
-        return None if g.window is None else ("window", g.window)
-    return ("group", g.group) if g.window is None else False
+def _labels(qubits: Iterable[int], label: dict[int, int]) -> int:
+    """The first-touch labels of ``qubits``, 2 bits each, labelling new
+    qubits in ``label`` as they come."""
+    bits = shift = 0
+    for q in qubits:
+        local = label.get(q)
+        if local is None:
+            local = label[q] = len(label)
+        bits |= local << shift
+        shift += 2
+    return bits
 
 
 def _span_problem(span: Sequence[GateApp], originals: Sequence[GateApp]) -> str | None:
@@ -685,40 +724,59 @@ def check_translation(source: Circuit, output: Circuit) -> str | None:
     its originals changes the circuit only by a global phase, and what is
     left is ``source``, so the two are equivalent. Whatever the check cannot
     place fails closed; that includes a ``source`` that already carries a
-    pass's provenance, since undo rolls back every pass at once.
+    pass's provenance, since undo rolls back every pass at once. Spans are
+    decided once per call for each distinct pattern, the span and its
+    originals on first-touch labels packed into one int.
     """
     gates = output.gates
-    spans = []
     last: dict[tuple[str, int], int] = {}
     for pos, g in enumerate(gates):
-        key = _span_of(g)
-        if key is False:
+        if g.group is None:
+            if g.window is not None:
+                last["window", g.window] = pos
+        elif g.window is None:
+            last["group", g.group] = pos
+        else:
             return (f"gate {pos} ({g.kind.value}, {g.origin}, window {g.window},"
                     f" group {g.group}) fits no window or group")
-        spans.append(key)
-        if key is not None:
-            last[key] = pos
+    problems: dict[int, str | None] = {}  # by span code
     pos = 0
     while pos < len(gates):
-        key = spans[pos]
-        if key is None:
+        g = gates[pos]
+        if g.window is None and g.group is None:
             pos += 1
             continue
+        key = ("window", g.window) if g.group is None else ("group", g.group)
         end = last[key]
         what = f"{key[0]} {key[1]}"
+        # the span and its originals on first-touch labels, as one int: per
+        # gate 12 bits, its kind, whether it is in the span (0), in the
+        # originals (1) or in both (2), and its labels
+        label: dict[int, int] = {}
+        code, plain = 1, True
         for inner in range(pos, end + 1):
+            h = gates[inner]
             # a window holds its block's original gates; nothing else may sit inside
-            if spans[inner] != key and (spans[inner] is not None or key[0] == "group"):
+            if h.group != g.group or h.window is not None and h.window != g.window:
                 return f"{what} appears in two separate runs, split by gate {inner}"
+            both = h.window is None and g.group is None
+            code = code << 12 | _KIND_CODE[h.kind] | both << 5 | _labels(h.qubits, label) << 6
+            plain = plain and h.kind in UNITARY_KINDS
         span = gates[pos : end + 1]
-        if key[0] == "window":
-            originals = [g for g in span if g.window is None]
-        else:
+        if key[0] == "group":
             recorded = output.subst_originals.get(key[1])
             if recorded is None or recorded.origin != "original":
                 return f"{what} replaces no recorded original gate"
-            originals = [recorded]
-        problem = _span_problem(span, originals)
+            code = code << 12 | _KIND_CODE[recorded.kind] | 1 << 4 | _labels(recorded.qubits, label) << 6
+            plain = plain and recorded.kind in UNITARY_KINDS
+        cached = plain and len(label) <= 3  # else the code is not faithful
+        if cached and code in problems:
+            problem = problems[code]
+        else:
+            originals = [h for h in span if h.window is None] if key[0] == "window" else [recorded]
+            problem = _span_problem(span, originals)
+            if cached:
+                problems[code] = problem
         if problem:
             return f"{what} (gates {pos}-{end}) {problem}"
         pos = end + 1

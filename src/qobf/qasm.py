@@ -26,8 +26,10 @@ character, reported with its span.
 :func:`parse` reads in one of two ways, chosen by the input. A file with one
 whole statement on each line (the header first, blanks and ``//`` comments
 anywhere), which is what :func:`emit` writes, is read line by line: each
-distinct line is tokenized and parsed once, and a repeated line costs one
-dict lookup, so parse time grows with the distinct lines, not with the file.
+distinct line is parsed once, a gate or measurement line in the emitter's
+form by one pattern and any other by the tokenizer, and a repeated line
+costs one dict lookup, so parse time grows with the distinct lines, not
+with the file.
 Any other file, and any file with an error, is tokenized and parsed whole
 from the start; that token parser alone writes diagnostics.
 """
@@ -369,12 +371,41 @@ class _Parser:
         self.gates.append(GateApp(GateKind.BARRIER, tuple(operands)))
 
 
+#: the lines :func:`emit` writes for a gate or a measurement: a name, then
+#: one to three operands on ``q``, or one on ``q`` and one on ``c``
+_CANONICAL = (r"([a-z]+) q\[([0-9]{1,9})\]"
+              r"(?:,q\[([0-9]{1,9})\](?:,q\[([0-9]{1,9})\])?| -> c\[([0-9]{1,9})\])?;")
+
+
+def _canonical_gate(parser: _Parser, name: str, *indices: str | None) -> GateApp | None:
+    """The gate of a line that matched ``_CANONICAL``, when the parser
+    would read it without a diagnostic; else None, and the token parser
+    decides the line."""
+    *operands, cbit = indices
+    qreg = parser.qregs.get("q")
+    if qreg is None:
+        return None
+    offset, size = qreg
+    qubits = tuple(offset + int(i) for i in operands if i is not None)
+    if max(qubits) >= offset + size or len(set(qubits)) != len(qubits):
+        return None
+    if cbit is None:
+        kind = GATE_NAMES.get(name)
+        return GateApp(kind, qubits) if kind is not None and ARITY[kind] == len(qubits) else None
+    creg = parser.cregs.get("c")
+    if name != "measure" or creg is None or int(cbit) >= creg[1]:
+        return None
+    return GateApp(GateKind.MEASURE, qubits, cbit=creg[0] + int(cbit))
+
+
 def _read_lines(source: str) -> Circuit | None:
     """The circuit of a file written one statement per line, or None.
 
     Lines are split and stripped as :func:`tokenize` does, and the parser's
     own statement methods must read each line as exactly one statement
-    without a diagnostic, the header first and an optional include next.
+    without a diagnostic, the header first and an optional include next. A
+    gate or measurement line that matches ``_CANONICAL`` skips the
+    tokenizer when :func:`_canonical_gate` reads it as the parser would.
     Otherwise, or with no ``qreg``, this gives None and :func:`parse` runs
     the token parser over the whole file. A line that gives a gate or
     nothing is parsed once per distinct text, and a repeat adds the same
@@ -383,18 +414,30 @@ def _read_lines(source: str) -> Circuit | None:
     parsed every time, so a repeated one is rejected.
     """
     parser = _Parser([])
-    memo: dict[str, tuple[GateApp, ...]] = {}  # line -> the gate it gives, if any
+    gates = parser.gates
+    memo: dict[str, GateApp | None] = {}  # line -> the gate it gives, if any
     statements = 0
+    canonical = re.compile(_CANONICAL).fullmatch
     for text in source.split("\n"):
         text = text.rstrip(" \t\r")
-        if text in memo:
-            parser.gates.extend(memo[text])
+        gate = memo.get(text, False)
+        if gate is not False:
+            if gate is not None:
+                gates.append(gate)
             continue
+        match = canonical(text) if statements else None
+        if match:
+            gate = _canonical_gate(parser, *match.groups())
+            if gate is not None:
+                gates.append(gate)
+                memo[text] = gate
+                statements += 1
+                continue
         parser.tokens, parser.pos = [], 0
         try:
             _tokenize_line(text, 1, parser.tokens)
             if not parser.tokens:
-                memo[text] = ()
+                memo[text] = None
                 continue
             head = parser.tokens[0].lexeme
             if not statements:
@@ -409,10 +452,10 @@ def _read_lines(source: str) -> Circuit | None:
             return None
         statements += 1
         if head not in ("OPENQASM", "include", "qreg", "creg"):  # a gate, measure or barrier
-            memo[text] = (parser.gates[-1],)
+            memo[text] = gates[-1]
     if parser.n_qubits == 0:
         return None
-    return Circuit(parser.n_qubits, parser.n_cbits, tuple(parser.gates))
+    return Circuit(parser.n_qubits, parser.n_cbits, tuple(gates))
 
 
 def parse(source: str) -> ParseResult:
@@ -488,6 +531,7 @@ def emit(circuit: Circuit, *, _checked: bool = False) -> str:
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.n_qubits}];"]
     if circuit.n_cbits > 0:
         lines.append(f"creg c[{circuit.n_cbits}];")
+    statements: dict[tuple, str] = {}  # each distinct statement, formatted once
     open_box: int | None = None
     for g in circuit.gates:
         if g.box != open_box:
@@ -496,7 +540,11 @@ def emit(circuit: Circuit, *, _checked: bool = False) -> str:
             if g.box is not None:
                 lines.append(f"// begin composite grp{g.box}")
             open_box = g.box
-        lines.append(_statement(g))
+        key = g.kind, g.qubits, g.cbit
+        line = statements.get(key)
+        if line is None:
+            line = statements[key] = _statement(g)
+        lines.append(line)
     if open_box is not None:
         lines.append("// end composite")
     return "\n".join(lines) + "\n"

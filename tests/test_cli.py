@@ -188,6 +188,26 @@ def test_obfuscate_corpus_bytes_pinned(qasm_dir):
     assert digest.hexdigest() == CORPUS_SHA256
 
 
+#: sha256 over ``obfuscate`` of one long random circuit (8 qubits, 1,000
+#: gates, the benchmark's ``circuits_long`` shape) with each method and pass
+#: seeds 1 and 2. The corpus above has no fixture past 7 qubits, so a
+#: reordered draw in a rewritten delayed pass could pass it and not this.
+LONG_CIRCUIT_SHA256 = "92f7b754431c5ca633593c4549c138801304395c7a84cf284777ba54809e2036"
+
+
+def test_obfuscate_long_circuit_bytes_pinned(tmp_path):
+    circuit = random_circuit(random.Random(1), min_qubits=8, max_qubits=8,
+                             min_gates=1000, max_gates=1000, measure=True)
+    src, out = tmp_path / "long.qasm", tmp_path / "long_out.qasm"
+    src.write_text(emit(circuit), encoding="utf-8")
+    digest = hashlib.sha256()
+    for method in METHODS:
+        for seed in ["1", "2"]:
+            assert main(["obfuscate", "--method", method, "--seed", seed, str(src), "-o", str(out)]) == 0
+            digest.update(f"{method} {seed}\n".encode() + out.read_bytes())
+    assert digest.hexdigest() == LONG_CIRCUIT_SHA256
+
+
 #: sha256 over the predicate and wrap corpus below: every written file,
 #: stdout and stderr, with no paths. A change that means to alter the
 #: emitted bytes updates this digest and says so in CHANGES.md.

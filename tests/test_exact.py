@@ -353,6 +353,27 @@ class TestReducedMiter:
         second = zhyhz + first[:1] + zhyhz + sxs + first[1:] + sxs
         assert reduced_miter(first, second) == []
 
+    @staticmethod
+    def seed_306_pair():
+        """Seed 306 of a sweep over small random circuits, cut down: the
+        wrapper half ``swap q[2],q[1]; x q[2]; swap q[2],q[1]`` acts as
+        ``x q[1]`` and meets the block gate ``x q[1]`` of the window below
+        first."""
+        htt = _gates(*[(kind, (1,)) for kind in ("h", "t", "t", "h", "t", "t", "h")])
+        sxs = _gates(("swap", (2, 1)), ("x", (2,)), ("swap", (2, 1)))
+        first = _gates(("tdg", (0,)), ("s", (0,)), ("x", (1,)), ("h", (2,)))
+        return first, htt + first[:3] + htt + sxs + first[3:] + sxs
+
+    @pytest.mark.parametrize("mode", ["statevector", "unitary"])
+    def test_seed_306_decided_by_the_dense_check(self, mode):
+        first, second = self.seed_306_pair()
+        equal, fidelity = equivalent(Circuit(3, 0, tuple(first)), Circuit(3, 0, tuple(second)), mode)
+        assert equal and abs(fidelity - 1) < 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="the span rule keeps 18 gates of this miter (CHANGES.md, FOUND)")
+    def test_seed_306_reduces_to_nothing(self):
+        assert reduced_miter(*self.seed_306_pair()) == []
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_delayed_windows_reduce_to_nothing(self, data):

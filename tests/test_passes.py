@@ -398,8 +398,10 @@ class TestDelayedPass:
         assert _commit_verdict.cache_info().hits >= checked > 200
 
     def test_identity_checked_once_per_distinct_key(self, monkeypatch):
+        """Draws repeat the pass's int keys; each distinct one asks
+        ``_commit_verdict`` once, and that decides each of its keys once."""
         calls = {"identity_phase": 0}
-        keys = []
+        keys, draws = [], []
 
         def counting_identity_phase(*args):
             calls["identity_phase"] += 1
@@ -409,13 +411,20 @@ class TestDelayedPass:
             keys.append(key)
             return _commit_verdict(*key)
 
+        class RecordingCommits(dict):
+            def get(self, key):
+                draws.append(key)
+                return super().get(key)
+
         monkeypatch.setattr(qobf.passes, "identity_phase", counting_identity_phase)
         monkeypatch.setattr(qobf.passes, "_commit_verdict", recording_verdict)
+        monkeypatch.setattr(qobf.passes, "_COMMITS", RecordingCommits())
         _commit_verdict.cache_clear()
         c = random_circuit(random.Random(5), max_qubits=6, max_gates=300)
         out = delayed_gates_pass(c, cfg("delayed", seed=5))
         assert gate_count(out).total > gate_count(c).total
-        assert len(keys) > 2 * len(set(keys))
+        assert len(draws) > 2 * len(set(draws))
+        assert len(keys) == len(set(keys)) == len(set(draws))
         assert 0 < calls["identity_phase"] <= len(set(keys))
 
     def test_every_one_gate_key_matches_float_reference(self):

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qobf.qasm
 from qobf.ir import Circuit, GateApp, GateKind, flatten, same_gates
+from qobf.passes import ObfuscationConfig, apply_pass
 from qobf.qasm import (
     ParseResult,
     QasmError,
     _read_lines,
     _token_parse,
+    _tokenize_line,
     emit,
     loads,
     parse,
@@ -336,6 +339,24 @@ class TestLineReader:
     def test_emitted_text_takes_the_line_path(self, c):
         assert _read_lines(emit(c)) == flatten(c)
 
+    def test_emitted_gates_skip_the_tokenizer(self, monkeypatch):
+        """Every gate and measurement line emit writes is read by the line
+        reader's one pattern: the tokenizer sees only the header, the
+        include, the declarations and the box markers."""
+        seen = []
+
+        def recording(text, line, tokens):
+            seen.append(text)
+            return _tokenize_line(text, line, tokens)
+
+        monkeypatch.setattr(qobf.qasm, "_tokenize_line", recording)
+        circuit = random_circuit(random.Random(3), min_qubits=8, max_qubits=8,
+                                 min_gates=200, max_gates=200, measure=True)
+        text = emit(apply_pass("composite", circuit, ObfuscationConfig(seed=3)))
+        read = _read_lines(text)
+        assert {line.split(" ", 1)[0] for line in seen} == {"OPENQASM", "include", "qreg", "creg", "//", ""}
+        assert read == _token_parse(text).circuit
+
     def test_repeated_lines_share_one_gate(self):
         circuit = _read_lines(wrap_src("qreg q[2];\n" + "cx q[0],q[1];\n" * 3))
         assert len({id(g) for g in circuit.gates}) == 1
@@ -361,6 +382,26 @@ class TestLineReader:
     @example('OPENQASM 2.0;\nqreg q[1];\ninclude "qelib1.inc";\n')
     @example("OPENQASM 2.0;\n\n// no register\n")
     @example("OPENQASM 2.0;\nOPENQASM 2.0;\nqreg q[1];\n")
+    # the edges of the line reader's pattern for gate and measurement lines
+    @example(wrap_src("qreg q[2];\ncreg c[2];\ncx q[01],q[0];\nmeasure q[01] -> c[001];\n"))
+    @example(wrap_src("qreg q[2];\ncx q[01],q[1];\n"))
+    @example(wrap_src("qreg r[2];\nh r[0];\ncreg d[1];\nmeasure r[1] -> d[0];\n"))
+    @example(wrap_src("qreg r[1];\nqreg q[2];\ncreg d[1];\ncreg c[2];\ncx q[1],r[0];\nh q[1];\n"
+                      "measure q[1] -> c[1];\n"))
+    @example(wrap_src("qreg r[1];\ncreg q[1];\nh q[0];\n"))
+    @example(wrap_src("qreg q[1];\ncreg d[1];\nmeasure q[0] -> c[0];\n"))
+    @example(wrap_src("qreg q[3];\nccx q[0],q[1],q[0];\n"))
+    @example(wrap_src("qreg q[2];\nh q[2];\n"))
+    @example(wrap_src("qreg q[2];\ncreg c[1];\nmeasure q[1] -> c[1];\n"))
+    @example(wrap_src("qreg q[2];\nh q[0];// c\nh q[0]; // c\n"))
+    @example(wrap_src("qreg q[2];\nh\tq[0];\ncx q[0],\tq[1];\nh q[1];\t\n"))
+    @example(wrap_src("qreg q[2];\ncreg c[1];\ncx q[1],q[0];\nmeasure q[0] -> c[0];\n").replace("\n", "\r\n"))
+    @example(wrap_src("qreg q[2];\ncx q[0];\nh q[0],q[1];\n"))
+    @example(wrap_src("qreg q[2];\ncreg c[2];\nmeasure q[0],q[1] -> c[0];\n"))
+    @example(wrap_src("qreg q[2];\nu q[0];\n"))
+    @example(wrap_src("qreg q[2];\ncreg c[1];\nmeasure q[0] ->c[0];\nmeasure q[1] -> c[0]\n"))
+    @example(wrap_src("qreg q[2];\nh q[٣];\n"))
+    @example("h q[0];\n" + wrap_src("qreg q[1];\n"))
     def test_mutations_agree_with_token_parser(self, source):
         reference = _token_parse(source)
         read = _read_lines(source)
