@@ -10,11 +10,13 @@ Four transforms, each a seeded deterministic Circuit -> Circuit function:
   * delayed_gates_pass   - wrap a gate block B in a sequence D on both sides;
     committed only when D.B.D acts like B up to global phase
 
-Both checks are exact and build one cached miter, ``_span_verdict``, with
-:func:`check_translation`: :func:`qobf.exact.identity_phase` decides, in the
-ring Z[1/√2, i] and with no tolerance, whether a rule's replacement followed
-by the target's inverse, or D.B.D.B⁻¹, is a global phase times the identity
-on its own few qubits.
+Both checks, and :func:`check_translation`, ask one function,
+``_span_phase``, whether a span of gates acts as some original gates up to a
+global phase: :func:`qobf.exact.identity_phase` decides, in the ring
+Z[1/√2, i] and with no tolerance, whether a rule's replacement followed by
+the target's inverse, or D.B.D.B⁻¹, is a global phase times the identity on
+its own few qubits. One memo behind it decides each pattern once per
+process, whichever caller asks first.
 
 Every insertion carries a window id and every substitution a group id, the
 only provenance a gate has, so :func:`check_translation` can check a pass's
@@ -34,7 +36,6 @@ from __future__ import annotations
 import random
 import re
 import warnings
-from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -196,10 +197,10 @@ def effective_unitary(seq: GateSequence, n_qubits: int | None = None) -> np.ndar
 
 def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetReport:
     """Check every rule exactly: the replacement must act as the target up to
-    a global phase (:func:`_span_verdict`), and that phase, a power of ω, is
+    a global phase (:func:`_span_phase`), and that phase, a power of ω, is
     the rule's ``phase_factor``. Rules that fail come back in ``rejected``,
     whose ``effective`` unitary is built on access, and are never applied by
-    any pass. Each verdict lands in the cache ``check_translation`` reads.
+    any pass. Each verdict lands in the memo ``check_translation`` reads.
     """
     accepted: list[SubstitutionRule] = []
     rejected: list[RejectedRule] = []
@@ -207,7 +208,8 @@ def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetRep
         if target not in UNITARY_KINDS:
             raise RulesetError(f"rule target {target.value!r} is not a unitary gate")
         _check_slots(seq)
-        phase = _span_verdict(seq.gates, ((target, tuple(range(ARITY[target]))),))
+        original = GateApp(target, tuple(range(ARITY[target])))
+        phase = _span_phase(_instantiate(seq, range(3)), (original,))
         if phase is None:
             rejected.append(RejectedRule(target, seq))
         else:
@@ -445,60 +447,6 @@ def cloaked_gates_pass(
     return circuit.with_gates(out, subst_originals=subst)
 
 
-def _first_touch(gates: Iterable[GateApp], extra: Iterable[int] = ()) -> dict[int, int]:
-    """Labels 0, 1, 2, ... for the qubits of ``gates``, then ``extra``, in
-    first-touch order, so every placement of one local pattern shares a
-    cached verdict."""
-    local: dict[int, int] = {}
-    for g in gates:
-        _labels(g.qubits, local)
-    _labels(extra, local)
-    return local
-
-
-def _delayed_commit_check(
-    wrapper: GateSequence, wrapper_qubits: Sequence[int], block: Sequence[GateApp]
-) -> bool:
-    """Does wrapper . block . wrapper equal block up to global phase? Decided
-    by ``_commit_verdict`` on first-touch labels (block first)."""
-    local = _first_touch(block, wrapper_qubits)
-    if len(local) > 3:
-        return False
-    return _commit_verdict(
-        wrapper,
-        tuple(local[q] for q in wrapper_qubits),
-        tuple((g.kind, tuple(local[q] for q in g.qubits)) for g in block),
-    )
-
-
-@lru_cache(maxsize=2**14)
-def _commit_verdict(
-    wrapper: GateSequence,
-    wrapper_slots: tuple[int, ...],
-    block: tuple[tuple[GateKind, tuple[int, ...]], ...],
-) -> bool:
-    """The delayed commit check on local labels, decided once per distinct
-    (wrapper, slot labels, block) key by ``_span_verdict``: wrapper . block .
-    wrapper must act as block up to a global phase.
-
-    The key space is finite: 1-3 gates of the 13 unitary kinds on at most
-    3 first-touch labels, times the wrappers' slot placements, is 719,130
-    keys at most. The cache keeps the 16,384 most recent (about 6 MB).
-
-    The delayed pass asks here only when its int-keyed memo ``_COMMITS``
-    misses. On the benchmark's 8-qubit, 1000-gate random circuit (seed 1)
-    the pass makes 4,878 draws; 4,756 touch at most 3 qubits and come to 180
-    distinct keys. Cold, in a fresh process on a 2-CPU host, the pass takes
-    about 44 ms, of which the 180 verdicts take about 14 ms and the random
-    draws about 20 ms; building each draw's block and labels, and this key,
-    anew took it to about 67 ms.
-    """
-    wrapper_local = tuple(
-        (kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates
-    )
-    return _span_verdict(wrapper_local + block + wrapper_local, block) is not None
-
-
 #: the delayed wrappers as draws take them: DELAYED_SEQUENCES's order (a
 #: draw from this tuple makes the same random call and picks the same
 #: wrapper), each with its index and slot count
@@ -506,7 +454,9 @@ _WRAPPERS = tuple((i, seq, seq.n_slots) for i, seq in enumerate(DELAYED_SEQUENCE
 
 #: the delayed pass's commit verdicts, keyed by one int: the block's gates on
 #: first-touch labels, the wrapper's index and its slot labels; cleared past
-#: 2**14 keys
+#: 2**14 keys. Most draws repeat a key (4,878 draws come to 180 keys on an
+#: 8-qubit, 1,000-gate random circuit), and building each draw's window and
+#: its ``_span_phase`` key instead took the pass from about 44 to 67 ms
 _COMMITS: dict[int, bool] = {}
 
 
@@ -533,8 +483,11 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     For each candidate block start (coin per original unitary gate), up to
     MAX_DRAWS (wrapper, block, qubit-mapping) combinations are tried; an
     insertion is committed only when the wrapped block acts exactly like the
-    block alone, up to global phase (:func:`_delayed_commit_check`, asked
-    once per distinct int key in ``_COMMITS``). A wrapper reaches past the
+    block alone, up to global phase: ``_span_phase`` of the window against
+    the block, asked once per distinct int key of ``_COMMITS``. That is the
+    question :func:`check_translation` asks of the window, so the pass
+    commits a window exactly when the check accepts it, and the check finds
+    the verdict in ``_span_phase``'s memo. A wrapper reaches past the
     block's qubits only onto qubits not measured before the block
     (:func:`_free_qubits`). Sites are processed right to left so committed
     insertions do not shift pending candidate positions. Each site builds
@@ -582,7 +535,8 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
             if verdict is None:
                 if len(_COMMITS) >= 2**14:
                     _COMMITS.clear()
-                verdict = _COMMITS[key] = _delayed_commit_check(wrapper, wrapper_qubits, block)
+                copy = _instantiate(wrapper, wrapper_qubits)
+                verdict = _COMMITS[key] = _span_phase(copy + block + copy, block) is not None
             if not verdict:
                 continue
             # both copies of the wrapper, and the block between them, form one window
@@ -665,41 +619,41 @@ def _labels(qubits: Iterable[int], label: dict[int, int]) -> int:
     return bits
 
 
-def _span_problem(span: Sequence[GateApp], originals: Sequence[GateApp]) -> str | None:
-    """Why ``span`` does not act as ``originals`` up to a global phase, or
-    None. Decided by ``_span_verdict`` on first-touch labels."""
-    for g in (*span, *originals):
-        if g.kind not in UNITARY_KINDS:
-            return f"holds a {g.kind.value}"
-    local = _first_touch((*span, *originals))
-    if len(local) > 3:
-        return f"touches {len(local)} qubits; at most 3 allowed"
-
-    def pattern(gates: Sequence[GateApp]) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
-        return tuple((g.kind, tuple(local[q] for q in g.qubits)) for g in gates)
-
-    if _span_verdict(pattern(span), pattern(originals)) is None:
-        return "does not act as its original gates up to a global phase"
-    return None
+#: the verdicts of ``_span_phase``, keyed by one int: per gate 11 bits, its
+#: kind, whether it is one of the originals, and its first-touch labels;
+#: cleared past 2**14 keys
+_SPANS: dict[int, complex | None] = {}
 
 
-@lru_cache(maxsize=2**14)
-def _span_verdict(
-    span: tuple[tuple[GateKind, tuple[int, ...]], ...],
-    originals: tuple[tuple[GateKind, tuple[int, ...]], ...],
-) -> complex | None:
-    """The global phase c with span = c · originals, on local labels, or None.
+def _span_phase(span: Sequence[GateApp], originals: Sequence[GateApp]) -> complex | str | None:
+    """The global phase c with span = c · originals, exactly, or None if
+    there is none; or why the two cannot be compared: a gate that is not
+    unitary, or more than 3 qubits in all.
 
-    The one exact miter of this module: rule verification, the delayed commit
-    check and ``check_translation`` all come here. Decided once per distinct
-    key: span . originals⁻¹ must be c times the identity
+    The one exact check of this module: rule verification, the delayed
+    commit check and :func:`check_translation` all ask here. The span and
+    its originals, on first-touch labels, are one int key, so a pattern is
+    decided once per process by span . originals⁻¹ = c · I
     (:func:`qobf.exact.identity_phase`).
     """
-    m = 1 + max(q for _, qubits in (*span, *originals) for q in qubits)
-    miter = [GateApp(kind, qubits) for kind, qubits in span]
-    for kind, qubits in reversed(originals):
-        miter.append(GateApp(_INVERSE.get(kind, kind), qubits))
-    return identity_phase(miter, m)
+    label: dict[int, int] = {}
+    code = 1
+    for side, gates in ((0, span), (1 << 4, originals)):
+        for g in gates:
+            if g.kind not in UNITARY_KINDS:
+                return f"holds a {g.kind.value}"
+            code = code << 11 | _KIND_CODE[g.kind] | side | _labels(g.qubits, label) << 5
+    if len(label) > 3:  # past 3 labels the code is not faithful
+        return f"touches {len(label)} qubits; at most 3 allowed"
+    if code in _SPANS:
+        return _SPANS[code]
+    if len(_SPANS) >= 2**14:
+        _SPANS.clear()
+    miter = [GateApp(g.kind, tuple(map(label.__getitem__, g.qubits))) for g in span]
+    for g in reversed(originals):
+        miter.append(GateApp(_INVERSE.get(g.kind, g.kind), tuple(map(label.__getitem__, g.qubits))))
+    _SPANS[code] = phase = identity_phase(miter, len(label))
+    return phase
 
 
 def check_translation(source: Circuit, output: Circuit) -> str | None:
@@ -724,9 +678,11 @@ def check_translation(source: Circuit, output: Circuit) -> str | None:
     its originals changes the circuit only by a global phase, and what is
     left is ``source``, so the two are equivalent. Whatever the check cannot
     place fails closed; that includes a ``source`` that already carries a
-    pass's provenance, since undo rolls back every pass at once. Spans are
-    decided once per call for each distinct pattern, the span and its
-    originals on first-touch labels packed into one int.
+    pass's provenance, since undo rolls back every pass at once. Each span
+    is asked of ``_span_phase``, which decides each pattern once per
+    process, so the windows of a ``delayed`` output and the groups of a
+    ``cloaked`` one were decided when the pass committed them or the
+    ruleset was verified.
     """
     gates = output.gates
     last: dict[tuple[str, int], int] = {}
@@ -739,7 +695,6 @@ def check_translation(source: Circuit, output: Circuit) -> str | None:
         else:
             return (f"gate {pos} ({g.kind.value}, {g.origin}, window {g.window},"
                     f" group {g.group}) fits no window or group")
-    problems: dict[int, str | None] = {}  # by span code
     pos = 0
     while pos < len(gates):
         g = gates[pos]
@@ -749,36 +704,23 @@ def check_translation(source: Circuit, output: Circuit) -> str | None:
         key = ("window", g.window) if g.group is None else ("group", g.group)
         end = last[key]
         what = f"{key[0]} {key[1]}"
-        # the span and its originals on first-touch labels, as one int: per
-        # gate 12 bits, its kind, whether it is in the span (0), in the
-        # originals (1) or in both (2), and its labels
-        label: dict[int, int] = {}
-        code, plain = 1, True
-        for inner in range(pos, end + 1):
-            h = gates[inner]
+        span = gates[pos : end + 1]
+        for inner, h in enumerate(span, pos):
             # a window holds its block's original gates; nothing else may sit inside
             if h.group != g.group or h.window is not None and h.window != g.window:
                 return f"{what} appears in two separate runs, split by gate {inner}"
-            both = h.window is None and g.group is None
-            code = code << 12 | _KIND_CODE[h.kind] | both << 5 | _labels(h.qubits, label) << 6
-            plain = plain and h.kind in UNITARY_KINDS
-        span = gates[pos : end + 1]
         if key[0] == "group":
             recorded = output.subst_originals.get(key[1])
             if recorded is None or recorded.origin != "original":
                 return f"{what} replaces no recorded original gate"
-            code = code << 12 | _KIND_CODE[recorded.kind] | 1 << 4 | _labels(recorded.qubits, label) << 6
-            plain = plain and recorded.kind in UNITARY_KINDS
-        cached = plain and len(label) <= 3  # else the code is not faithful
-        if cached and code in problems:
-            problem = problems[code]
+            originals = (recorded,)
         else:
-            originals = [h for h in span if h.window is None] if key[0] == "window" else [recorded]
-            problem = _span_problem(span, originals)
-            if cached:
-                problems[code] = problem
-        if problem:
-            return f"{what} (gates {pos}-{end}) {problem}"
+            originals = [h for h in span if h.window is None]
+        phase = _span_phase(span, originals)
+        if phase is None:
+            phase = "does not act as its original gates up to a global phase"
+        if isinstance(phase, str):
+            return f"{what} (gates {pos}-{end}) {phase}"
         pos = end + 1
     if not same_gates(undo(output), source):
         return "undoing the pass does not give back the input"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from qobf.exact import (
 from qobf._kernel import _basis_run
 from qobf.ir import _INVERSE, ARITY, UNITARY_KINDS, Circuit, GateApp, GateKind, SimulationError, _kernel_gates
 from qobf.miter import equivalent, reduced_miter
-from qobf.passes import DELAYED_SEQUENCES, _delayed_commit_check, _instantiate
+from qobf.passes import DELAYED_SEQUENCES, _instantiate, _span_phase
 from qobf.predicates import (
     bell_predicate,
     branch_predicate,
@@ -378,19 +379,28 @@ class TestReducedMiter:
     @settings(max_examples=80, deadline=None)
     def test_delayed_windows_reduce_to_nothing(self, data):
         """A block of 1 to 3 gates on up to 3 qubits against w·b·w for any
-        delayed wrapper w that commits (w·b·w acts as b up to a phase): at
-        most 3 + 7 + 3 + 7 gates, which the span rule drops."""
+        placement of a delayed wrapper w that commits (w·b·w acts as b up to
+        a phase): at most 3 + 7 + 3 + 7 gates, which the span rule drops."""
         n = data.draw(st.integers(1, 3))
         kinds = sorted((k for k in UNITARY_KINDS if ARITY[k] <= n), key=lambda k: k.value)
         block = []
         for _ in range(data.draw(st.integers(1, 3))):
             kind = data.draw(st.sampled_from(kinds))
             block.append(GateApp(kind, tuple(data.draw(st.permutations(range(n)))[:ARITY[kind]])))
-        wrapper = data.draw(st.sampled_from(DELAYED_SEQUENCES))
-        assume(wrapper.n_slots <= n)
-        slots = data.draw(st.permutations(range(n)))[:wrapper.n_slots]
-        assume(_delayed_commit_check(wrapper, slots, block))
-        w = list(_instantiate(wrapper, slots))
+
+        def commits(wrapper, slots):
+            w = _instantiate(wrapper, slots)
+            return _span_phase(w + block + w, block) is not None
+
+        placements = [
+            (wrapper, slots)
+            for wrapper in DELAYED_SEQUENCES
+            for slots in itertools.permutations(range(n), wrapper.n_slots)
+            if commits(wrapper, slots)
+        ]
+        assume(placements)  # about 1 block in 10 has none
+        wrapper, slots = data.draw(st.sampled_from(placements))
+        w = _instantiate(wrapper, slots)
         assert reduced_miter(block, w + block + w) == []
 
 

@@ -20,8 +20,8 @@ from qobf.passes import (
     RESTORE_SEQUENCE,
     RulesetError,
     SubstitutionRule,
-    _commit_verdict,
-    _delayed_commit_check,
+    _instantiate,
+    _span_phase,
     apply_pass,
     check_translation,
     cloaked_gates_pass,
@@ -41,10 +41,17 @@ from strategies import random_circuit
 K = GateKind
 
 
+def _commits(wrapper, wrapper_qubits, block) -> bool:
+    """The delayed commit check as the pass asks it: the window D.B.D acts
+    as B up to a global phase."""
+    copy = _instantiate(wrapper, wrapper_qubits)
+    return type(_span_phase(copy + block + copy, block)) is complex
+
+
 def _float_verdict(wrapper, wrapper_slots, block) -> bool:
-    """The dense float reference for a commit-verdict key: D.B.D ~ B within 1e-9."""
-    m = 1 + max(*wrapper_slots, *(q for _, qubits in block for q in qubits))
-    u_block = unitary_of([GateApp(kind, qubits) for kind, qubits in block], n_qubits=m)
+    """The dense float reference for a commit check: D.B.D ~ B within 1e-9."""
+    m = 1 + max(*wrapper_slots, *(q for g in block for q in g.qubits))
+    u_block = unitary_of(block, n_qubits=m)
     u_wrap = unitary_of(
         [GateApp(kind, tuple(wrapper_slots[s] for s in slots)) for kind, slots in wrapper.gates],
         n_qubits=m,
@@ -313,15 +320,13 @@ class TestDelayedPass:
         x_block = [GateApp(K.X, (0,))]
         z_block = [GateApp(K.Z, (0,))]
         # the worked identity: [X,H,Z,H,X] . X . [X,H,Z,H,X] = X
-        assert _delayed_commit_check(by_name["x-h-z-h-x"], (0,), x_block)
+        assert _commits(by_name["x-h-z-h-x"], (0,), x_block)
         # Y,S,Y acts as S-dagger up to phase; conjugating Z by it drifts to the identity
-        assert not _delayed_commit_check(by_name["y-s-y"], (0,), z_block)
+        assert not _commits(by_name["y-s-y"], (0,), z_block)
         # S,Z,Sdg acts as Z; ZXZ = -X commits (global phase)
-        assert _delayed_commit_check(by_name["s-z-sdg"], (0,), x_block)
+        assert _commits(by_name["s-z-sdg"], (0,), x_block)
         # two-qubit wrapper on a two-qubit block
-        assert _delayed_commit_check(
-            by_name["swap-x-swap"], (0, 1), [GateApp(K.Z, (1,))]
-        )
+        assert _commits(by_name["swap-x-swap"], (0, 1), [GateApp(K.Z, (1,))])
 
     def test_wrapped_blocks_stay_equivalent(self, period7):
         out = delayed_gates_pass(period7, cfg("delayed", seed=6))
@@ -363,12 +368,20 @@ class TestDelayedPass:
         with pytest.warns(PassWarning, match="no eligible"):
             delayed_gates_pass(Circuit(1), cfg("delayed"))
 
-    def test_cached_verdict_matches_fresh_check(self):
+    def test_cached_verdict_matches_fresh_check(self, monkeypatch):
         """The memoised check agrees with D.B.D ~ B computed on the block's own
-        qubits of a 5-qubit register, without relabelling or cache."""
+        qubits of a 5-qubit register, without relabelling or memo; a window
+        past 3 qubits is refused, and a second ask is answered from the memo."""
         rng = random.Random(11)
         kinds = sorted(UNITARY_KINDS, key=lambda k: k.value)
-        _commit_verdict.cache_clear()
+        calls = []
+
+        def counting(gates, n):
+            calls.append(n)
+            return identity_phase(gates, n)
+
+        monkeypatch.setattr(qobf.passes, "identity_phase", counting)
+        monkeypatch.setattr(qobf.passes, "_SPANS", {})
         verdicts = []
         checked = 0
         for _ in range(400):
@@ -388,28 +401,33 @@ class TestDelayedPass:
                 [GateApp(k, tuple(wrapper_qubits[s] for s in slots)) for k, slots in wrapper.gates],
                 n_qubits=5,
             )
-            local = len(set(block_qubits) | set(wrapper_qubits)) <= 3
-            want = local and proportional(u_wrap @ u_block @ u_wrap, u_block, tol=1e-9)[0]
-            checked += local
-            for _ in range(2):  # the second call is answered from the cache
-                assert _delayed_commit_check(wrapper, wrapper_qubits, block) == want
+            width = len(set(block_qubits) | set(wrapper_qubits))
+            want = width <= 3 and proportional(u_wrap @ u_block @ u_wrap, u_block, tol=1e-9)[0]
+            checked += width <= 3
+            copy = _instantiate(wrapper, wrapper_qubits)
+            phase = _span_phase(copy + block + copy, block)
+            asked = len(calls)
+            # the second ask is answered from the memo
+            assert _span_phase(copy + block + copy, block) == phase and len(calls) == asked
+            assert (type(phase) is complex) == want
+            assert width <= 3 or phase == f"touches {width} qubits; at most 3 allowed"
             verdicts.append(want)
         assert any(verdicts) and not all(verdicts)
-        assert _commit_verdict.cache_info().hits >= checked > 200
+        assert len(calls) <= checked and checked > 200
 
     def test_identity_checked_once_per_distinct_key(self, monkeypatch):
         """Draws repeat the pass's int keys; each distinct one asks
-        ``_commit_verdict`` once, and that decides each of its keys once."""
+        ``_span_phase`` once, and that decides each of its patterns once."""
         calls = {"identity_phase": 0}
-        keys, draws = [], []
+        asks, draws = [], []
 
         def counting_identity_phase(*args):
             calls["identity_phase"] += 1
             return identity_phase(*args)
 
-        def recording_verdict(*key):
-            keys.append(key)
-            return _commit_verdict(*key)
+        def recording_span_phase(span, originals):
+            asks.append((span, originals))
+            return _span_phase(span, originals)
 
         class RecordingCommits(dict):
             def get(self, key):
@@ -417,26 +435,26 @@ class TestDelayedPass:
                 return super().get(key)
 
         monkeypatch.setattr(qobf.passes, "identity_phase", counting_identity_phase)
-        monkeypatch.setattr(qobf.passes, "_commit_verdict", recording_verdict)
+        monkeypatch.setattr(qobf.passes, "_span_phase", recording_span_phase)
         monkeypatch.setattr(qobf.passes, "_COMMITS", RecordingCommits())
-        _commit_verdict.cache_clear()
+        monkeypatch.setattr(qobf.passes, "_SPANS", {})
         c = random_circuit(random.Random(5), max_qubits=6, max_gates=300)
         out = delayed_gates_pass(c, cfg("delayed", seed=5))
         assert gate_count(out).total > gate_count(c).total
         assert len(draws) > 2 * len(set(draws))
-        assert len(keys) == len(set(keys)) == len(set(draws))
-        assert 0 < calls["identity_phase"] <= len(set(keys))
+        assert len(asks) == len(set(draws))
+        assert 0 < calls["identity_phase"] <= len(set(draws))
 
     def test_every_one_gate_key_matches_float_reference(self):
-        """Every (wrapper, slot labels, one-gate block) key the relabelling can
-        produce, and a few it cannot, gets the dense float verdict."""
+        """Every placement of a wrapper around a one-gate block, on the qubits
+        of the block and one more, gets the dense float verdict."""
         accepted = checked = 0
         for kind in sorted(UNITARY_KINDS, key=lambda k: k.value):
-            block = ((kind, tuple(range(ARITY[kind]))),)
+            block = [GateApp(kind, tuple(range(ARITY[kind])))]
             for wrapper in DELAYED_SEQUENCES:
                 width = max(ARITY[kind], wrapper.n_slots)
                 for slots in itertools.permutations(range(width), wrapper.n_slots):
-                    verdict = _commit_verdict(wrapper, slots, block)
+                    verdict = _commits(wrapper, slots, block)
                     assert verdict == _float_verdict(wrapper, slots, block), (kind, wrapper.name, slots)
                     accepted += verdict
                     checked += 1
@@ -569,9 +587,9 @@ class TestCheckTranslation:
         )
 
     def test_rule_verdicts_serve_cloaked_groups(self, period7, monkeypatch):
-        # verify_ruleset decides each rule through the same cached miter that
-        # check_translation consults for a substitution group
-        qobf.passes._span_verdict.cache_clear()
+        # verify_ruleset decides each rule through the same memoised check
+        # that check_translation asks of a substitution group
+        monkeypatch.setattr(qobf.passes, "_SPANS", {})
         rules = verify_ruleset(load_ruleset()).accepted
         calls = []
 
@@ -584,6 +602,42 @@ class TestCheckTranslation:
         assert any(g.group is not None for g in out.gates)
         assert check_translation(period7, out) is None
         assert calls == []
+
+    def test_delayed_windows_decided_by_the_pass(self, monkeypatch):
+        # the pass asks of each window what check_translation asks of it, so
+        # the check finds every verdict in the memo the pass filled
+        monkeypatch.setattr(qobf.passes, "_COMMITS", {})
+        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        c = random_circuit(random.Random(1), min_qubits=8, max_qubits=8,
+                           min_gates=1000, max_gates=1000)
+        out = delayed_gates_pass(c, cfg("delayed", seed=1))
+        calls = []
+
+        def counting(gates, n):
+            calls.append(n)
+            return identity_phase(gates, n)
+
+        monkeypatch.setattr(qobf.passes, "identity_phase", counting)
+        assert sum(g.window is not None for g in out.gates) > 100
+        assert check_translation(c, out) is None
+        assert calls == []
+
+    def test_memo_key_is_faithful(self, monkeypatch):
+        """Patterns that differ only in their labels, or only in which side a
+        gate is on, get their own verdicts in one process."""
+        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        cx01, cx10, s = GateApp(K.CX, (0, 1)), GateApp(K.CX, (1, 0)), GateApp(K.S, (0,))
+        asks = [
+            ([cx01, cx01], [], 1),
+            ([cx01, cx10], [], None),
+            ([s], [s], 1),
+            ([s, s], [], None),
+            ([], [s, s], None),
+            ([cx01], [cx01], 1),
+            ([cx01], [cx10], None),
+        ]
+        for span, originals, phase in asks + asks[::-1]:
+            assert _span_phase(span, originals) == phase, (span, originals)
 
 
 class TestConfig:
