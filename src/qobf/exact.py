@@ -62,11 +62,11 @@ def _check_width(n: int) -> None:
         )
 
 
-def _run(pairs: Sequence[tuple], n: int, start: int = 0) -> tuple[list[Amplitude], int]:
+def _run(pairs: Sequence[tuple], n: int) -> tuple[list[Amplitude], int]:
     """Numerators of the state the kernel's (table entry, qubits) pairs make
-    from basis state |start>, and their shared k."""
+    from |0...0>, and their shared k."""
     _check_width(n)
-    return _basis_run(pairs, n, start)
+    return _basis_run(pairs, n)
 
 
 def identity_phase(gates: Sequence[GateApp], n: int) -> complex | None:

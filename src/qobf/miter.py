@@ -4,17 +4,18 @@ reports. Standard library only.
 
 A miter reduced to no gate is equal, decided without numpy, in distribution
 mode too when both circuits measure the same pairs. The miter of a circuit
-and the output of any pass reduces so. Only a miter that keeps a gate, or
-distribution mode on circuits that measure different pairs, loads the dense
-float simulator in :mod:`qobf.sim`. The rewrites' phase tests run on the
-exact ring of :mod:`qobf.exact`. Only ``verify`` and the reports load this
-module, so the commands that do not compare circuits never compile it.
+and the output of any pass reduces so, but for a rare ``delayed`` output of
+a small circuit. Only a miter that keeps a gate, or distribution mode on
+circuits that measure different pairs, loads the dense float simulator in
+:mod:`qobf.sim`. But for an adjacent inverse pair, every phase the rewrites
+drop is decided by one trie of suffix verdicts on the exact ring of
+:mod:`qobf.exact`. Only ``verify`` and the reports load this module, so the
+commands that do not compare circuits never compile it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
 from typing import Sequence
 
 from .exact import _phase_numerator
@@ -32,18 +33,13 @@ from .ir import (
     measured_pairs,
 )
 
-#: the longest one-qubit run :func:`reduced_miter`'s stack pass multiplies
-#: out: in a miter, a delayed block b and wrapper w meet b, w⁻¹, b⁻¹, w⁻¹
-#: (1 + 7 + 1 + 7 gates)
-MAX_RUN = 16
-
-#: the most kept gates and qubits a suffix dropped by :func:`reduced_miter`'s
-#: span rule may have: a delayed window meets its block as b, w⁻¹, b⁻¹, w⁻¹
+#: the most kept gates and qubits a phase dropped by :func:`reduced_miter`'s
+#: rules may have: a delayed window meets its block as b, w⁻¹, b⁻¹, w⁻¹
 #: (3 + 7 + 3 + 7 gates) on at most 3 qubits
 MAX_SPAN = 20
 MAX_SPAN_QUBITS = 3
 
-#: the span rule's trie is cleared when it grows past this many nodes
+#: the rules' trie is cleared when it grows past this many nodes
 MAX_SPAN_NODES = 2**15
 
 #: the kinds of which a phase on at most 3 qubits holds an even number: c·I
@@ -66,17 +62,13 @@ def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[G
     First the span rule (:func:`_drop_phase_suffixes`) runs over the plain
     list: after each push of a gate of ``second``, it drops the shortest
     suffix of 2 to MAX_SPAN kept gates on at most MAX_SPAN_QUBITS qubits
-    that :func:`qobf.exact.identity_phase` finds a phase, memoised on
-    first-touch labels. It drops a delayed
-    window, where a block's gate on more qubits meets its inverse only
-    across the wrapper. What it keeps goes through the span rule once more,
-    the gates of both lists alike. Then a stack of kept gates per qubit
-    cancels a gate against the last kept gate on its qubits when that gate
-    is the last on every one of them and is its inverse on the same operand
-    tuple, across gates on other qubits, and drops a run (kept one-qubit
-    gates on one qubit, no kept gate on more qubits between them) of 3 to
-    MAX_RUN gates that is a phase, memoised by kinds. Two one-qubit kinds
-    make a phase only as an inverse pair.
+    that is a phase, such as a delayed window, where a block's gate on more
+    qubits meets its inverse only across the wrapper. Then the frontier rule
+    (:func:`_drop_frontier_phases`) drops, at each gate of what is left, the
+    shortest such phase read per qubit past gates on other qubits, such as a
+    wrapper half that met a block gate of the window below first. Both ask
+    :func:`_phase_suffix`, which decides a suffix exactly, memoised on
+    first-touch labels.
     """
     miter = [(g.kind, g.qubits) for g in first if g.kind is not GateKind.BARRIER]
     middle = len(miter)
@@ -85,9 +77,7 @@ def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[G
     if any(kind is GateKind.MEASURE for kind, _ in miter):
         raise SimulationError("circuit contains measurements; strip them first")
     kept = _drop_phase_suffixes(miter, middle)
-    if kept:
-        kept = _drop_phase_suffixes(kept, 0)
-    return [GateApp(*gate) for gate in _cancel_on_stacks(kept)]
+    return [GateApp(*gate) for gate in _drop_frontier_phases(kept)]
 
 
 def _drop_phase_suffixes(miter: list[tuple], middle: int) -> list[tuple]:
@@ -106,7 +96,9 @@ def _drop_phase_suffixes(miter: list[tuple], middle: int) -> list[tuple]:
     copy then blocks the gates below it, and the second circuit's gates
     pile up above it. So when they outgrow MAX_SPAN, and at the end, the
     first circuit's gates drop their shortest phase suffix, if they have
-    one, and the second circuit's gates above are pushed again.
+    one, and the second circuit's gates above are pushed again. The frontier
+    rule that follows reads only down from each gate, so it cannot stand in
+    for this retry.
     """
     kept = miter[:middle]
     # kept[:base] are untouched gates of the first circuit
@@ -141,7 +133,7 @@ def _drop_phase_suffixes(miter: list[tuple], middle: int) -> list[tuple]:
     return kept
 
 
-#: the span rule's verdicts: a trie of suffixes walked back from the top on
+#: both rules' verdicts: a trie of suffixes walked back from the top on
 #: first-touch labels. Each node is [verdict, children, state]: the verdict is
 #: None until asked, and False from the start for a suffix that cannot be a
 #: phase; the state counts the suffix's gates on each label, 6 bits a label,
@@ -160,8 +152,8 @@ _CLOSED = [(sum(30 << 6 * l for l in range(n)), sum(32 << 6 * l for l in range(n
 
 
 def _phase_suffix(kept: list[tuple], top: int, base: int) -> int | None:
-    """Where the shortest suffix of ``kept[:top]`` that the span rule drops
-    starts, or None. Below ``base``, a gate joins only on qubits the gates
+    """Where the shortest suffix of ``kept[:top]`` that is a phase starts,
+    or None. Below ``base``, a gate joins only on qubits the gates
     above ``base`` touch, and there are no more such gates than those.
 
     A phase has at least two gates on each qubit it touches (no gate of the
@@ -209,36 +201,46 @@ def _phase_suffix(kept: list[tuple], top: int, base: int) -> int | None:
     return None
 
 
-def _cancel_on_stacks(miter: list[tuple]) -> list[tuple]:
-    """The stack pass of :func:`reduced_miter`: the gates it keeps."""
-    kept: list[tuple[GateKind, tuple[int, ...]] | None] = []
-    # per qubit, each kept gate's index in kept and the kinds of the one-qubit
-    # run it ends: () for a gate on more qubits, None past MAX_RUN
-    stacks: dict[int, list[tuple[int, tuple[GateKind, ...] | None]]] = defaultdict(list)
-    for gate in miter:
-        kind, qubits = gate
-        stack = stacks[qubits[0]]
-        below = ()
-        if stack:
-            top, below = stack[-1]
-            if kept[top] == (_INVERSE.get(kind, kind), qubits) and (
-                    len(qubits) == 1 or all(stacks[q][-1][0] == top for q in qubits[1:])):
-                kept[top] = None
-                for q in qubits:
-                    stacks[q].pop()
-                continue
-        index = len(kept)
+def _drop_frontier_phases(miter: list[tuple]) -> list[tuple]:
+    """The frontier rule over what the span rule kept: the gates it keeps.
+
+    Each gate is pushed onto a stack per qubit, and the stacks of its qubits
+    are read down, newest gate first. A qubit joins only where its top is
+    the next gate read, so every kept gate above the point reached acts on
+    other qubits and commutes past the gates read. So dropping the fewest
+    gates read, from the newest, that :func:`_phase_suffix` finds a phase is
+    exact.
+    """
+    kept: list[tuple | None] = []
+    # per qubit, the indices in kept of its kept gates, above a floor of -1
+    stacks: dict[int, list[int]] = defaultdict(lambda: [-1])
+    for index, gate in enumerate(miter):
         kept.append(gate)
-        if len(qubits) > 1:
-            for q in qubits:
-                stacks[q].append((index, ()))
+        for q in gate[1]:
+            stacks[q].append(index)
+        # a phase has two gates on each of its qubits
+        if any(len(stacks[q]) < 3 for q in gate[1]):
             continue
-        run = None if below is None or len(below) == MAX_RUN else below + (kind,)
-        stack.append((index, run))
-        if run is not None and len(run) > 2 and _is_phase(run):
-            for i, _ in stack[-len(run):]:
+        # per qubit reached, the stack position of its next gate to read
+        at = {q: len(stacks[q]) - 1 for q in gate[1]}
+        read: list[int] = []
+        i = index
+        while i >= 0 and len(read) < MAX_SPAN:
+            # a new qubit joins only where its top is the gate read
+            joins = [q for q in kept[i][1] if q not in at]
+            if len(at) + len(joins) > MAX_SPAN_QUBITS or any(stacks[q][-1] != i for q in joins):
+                break
+            for q in kept[i][1]:
+                at[q] = at.get(q, len(stacks[q]) - 1) - 1
+            read.append(i)
+            i = max(stacks[q][p] for q, p in at.items())
+        span = [kept[i] for i in reversed(read)]
+        start = _phase_suffix(span, len(span), 0)
+        if start is not None:
+            for i in read[:len(span) - start]:
+                for q in kept[i][1]:
+                    stacks[q].pop()
                 kept[i] = None
-            del stack[-len(run):]
     return [gate for gate in kept if gate is not None]
 
 
@@ -302,8 +304,3 @@ def equivalent(c1: Circuit, c2: Circuit, mode: str = "statevector") -> tuple[boo
 def _unitary_miter(c1: Circuit, c2: Circuit) -> list[GateApp]:
     """:func:`reduced_miter` of two circuits, measurements stripped."""
     return reduced_miter(*([g for g in c.gates if g.kind is not GateKind.MEASURE] for c in (c1, c2)))
-
-
-@lru_cache(maxsize=2**14)
-def _is_phase(run: tuple[GateKind, ...]) -> bool:
-    return _phase_numerator([(_MONOMIAL.get(kind), (0,)) for kind in run], 1) is not None

@@ -145,8 +145,7 @@ class RejectedRule(NamedTuple):
     @property
     def effective(self) -> np.ndarray:
         """The computed unitary that failed the check, built on access."""
-        n = max(ARITY[self.target], self.replacement.n_slots)
-        return effective_unitary(self.replacement, n_qubits=n)
+        return effective_unitary(self.replacement, n_qubits=ARITY[self.target])
 
 
 class RulesetReport(NamedTuple):
@@ -168,10 +167,11 @@ class RulesetReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _check_slots(seq: GateSequence) -> None:
+def _check_slots(seq: GateSequence, arity: int = 3) -> None:
     """Refuse a gate that is not unitary or has the wrong number of slots, a
-    negative slot, a slot named twice by one gate, or more than 3 slots in
-    all, before anything is simulated."""
+    negative slot, a slot named twice by one gate, or more slots in all than
+    ``arity`` (a rule's replacement acts on its target's qubits, at most 3),
+    before anything is simulated."""
     for kind, slots in seq.gates:
         if kind not in UNITARY_KINDS or len(slots) != ARITY[kind]:
             raise RulesetError(
@@ -181,8 +181,8 @@ def _check_slots(seq: GateSequence) -> None:
             raise RulesetError(
                 f"sequence {seq.name!r}: {kind.value}{slots} needs distinct non-negative slots"
             )
-    if seq.n_slots > 3:
-        raise RulesetError(f"sequence {seq.name!r} uses {seq.n_slots} slots; at most 3 allowed")
+    if seq.n_slots > arity:
+        raise RulesetError(f"sequence {seq.name!r} uses {seq.n_slots} slots; at most {arity} allowed")
 
 
 def effective_unitary(seq: GateSequence, n_qubits: int | None = None) -> np.ndarray:
@@ -207,7 +207,7 @@ def verify_ruleset(rules: Iterable[tuple[GateKind, GateSequence]]) -> RulesetRep
     for target, seq in rules:
         if target not in UNITARY_KINDS:
             raise RulesetError(f"rule target {target.value!r} is not a unitary gate")
-        _check_slots(seq)
+        _check_slots(seq, ARITY[target])
         original = GateApp(target, tuple(range(ARITY[target])))
         phase = _span_phase(_instantiate(seq, range(3)), (original,))
         if phase is None:
@@ -272,7 +272,7 @@ def load_ruleset(path: str | Path | None = None) -> list[tuple[GateKind, GateSeq
             raise RulesetError(f"{path}:{lineno}: empty replacement sequence")
         seq = GateSequence("-".join(rhs.split()), tuple(gates))
         try:
-            _check_slots(seq)
+            _check_slots(seq, ARITY[target])
         except RulesetError as exc:
             raise RulesetError(f"{path}:{lineno}: {exc}") from None
         rules.append((target, seq))

@@ -82,6 +82,19 @@ class TestObfuscate:
         assert f"{rules}:2:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rule_wider_than_its_target_exit_2(self, tmp_path, capsys):
+        """``x: x cx(1,2) cx(1,2)`` acts as x on slot 0, but a replacement is
+        applied on its target's one qubit: refused at load, nothing written."""
+        rules = tmp_path / "wide.rules"
+        rules.write_text("x: x cx(1,2) cx(1,2)\n")
+        src = tmp_path / "x3.qasm"
+        src.write_text("OPENQASM 2.0;\nqreg q[3];\nx q[0];\n")
+        out = tmp_path / "never.qasm"
+        rc = main(["obfuscate", "--method", "cloaked", "--ruleset", str(rules), str(src), "-o", str(out)])
+        assert rc == 2
+        assert f"{rules}:1: sequence 'x-cx(1,2)-cx(1,2)' uses 3 slots; at most 1 allowed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_written(self, qasm_dir):
         out = qasm_dir / "obf.qasm"
         report = qasm_dir / "report.json"

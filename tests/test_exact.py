@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import qobf
 import qobf.exact
-import qobf.miter
 import qobf.sim
 from qobf.exact import (
     MAX_EXACT_QUBITS,
@@ -258,8 +257,8 @@ class TestReducedMiter:
         assert reduced_miter(_gates(("x", (0,))), _gates(("h", (0,)), ("z", (0,)), ("h", (0,)))) == []
 
     def test_collapse_from_the_middle(self):
-        # x and h z h drop as a run, which leaves the cx pair, then the t
-        # pair, at the top of the stacks
+        # x and h z h drop as one phase, which leaves the cx pair, then the
+        # t pair, on top
         first = _gates(("t", (0,)), ("cx", (0, 1)), ("x", (0,)))
         second = _gates(("t", (0,)), ("cx", (0, 1)), ("h", (0,)), ("z", (0,)), ("h", (0,)))
         assert reduced_miter(first, second) == []
@@ -267,11 +266,18 @@ class TestReducedMiter:
     @pytest.mark.parametrize("a", [k for k in GateKind if ARITY[k] == 1 and k is not GateKind.MEASURE],
                              ids=lambda k: k.value)
     def test_two_one_qubit_kinds_make_a_phase_only_as_inverses(self, a):
-        """Why runs of two are left to the inverse-pair rule."""
+        """Why the span rule's adjacent inverse cancel misses no phase of two
+        one-qubit gates."""
         for b in GateKind:
             if ARITY[b] == 1 and b is not GateKind.MEASURE:
                 pair = [GateApp(a, (0,)), GateApp(b, (0,))]
                 assert (identity_phase(pair, 1) is not None) == (b is _INVERSE.get(a, a))
+
+    def test_one_qubit_phase_read_past_gates_on_other_qubits(self):
+        """h z h x on qubit 0 is a phase; the gates on qubits 1-3 between its
+        gates stay."""
+        first = _gates(("h", (0,)), ("cx", (1, 2)), ("z", (0,)), ("ccx", (1, 2, 3)), ("h", (0,)), ("x", (0,)))
+        assert _kinds(reduced_miter(first, [])) == [("cx", (1, 2)), ("ccx", (1, 2, 3))]
 
     def test_hsh_kept(self):
         first = _gates(("h", (0,)), ("s", (0,)), ("h", (0,)))
@@ -310,11 +316,6 @@ class TestReducedMiter:
     def test_delayed_window_drops_as_one_span(self):
         first, second = self.BLOCK, self.WRAPPER + self.BLOCK + self.WRAPPER
         assert reduced_miter(first, second) == []
-        # the stack pass alone drops none of it: the cz meets its inverse
-        # only across the wrapper on qubit 1
-        miter = [(g.kind, g.qubits) for g in first]
-        miter += [(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(second)]
-        assert len(qobf.miter._cancel_on_stacks(miter)) == 20
 
     def test_span_limit(self):
         """The window's miter with its sdg written as tdg tdg is a phase of
@@ -354,6 +355,19 @@ class TestReducedMiter:
         second = zhyhz + first[:1] + zhyhz + sxs + first[1:] + sxs
         assert reduced_miter(first, second) == []
 
+    def test_block_copy_cancelled_on_its_own_is_retried(self):
+        """Seed 9 of a sweep over small random circuits, cut down: the second
+        circuit's copy of the block ``h q[1]; h q[1]`` cancels on its own,
+        and the first circuit's copy blocks ``ccx q[0],q[3],q[1]`` below it
+        until the span rule drops it as a phase of its own and pushes the
+        second circuit's gates again. Read per qubit instead, the window
+        ``s z sdg`` around ``cx q[0],q[2]; ccx q[1],q[0],q[2]`` stays."""
+        first = _gates(("cx", (0, 2)), ("ccx", (1, 0, 2)), ("ccx", (0, 3, 1)), ("h", (1,)), ("h", (1,)))
+        szs = _gates(*[(kind, (1,)) for kind in ("s", "z", "sdg")])
+        yxyxy = _gates(*[(kind, (1,)) for kind in ("y", "x", "y", "x", "y")])
+        second = szs + first[:2] + szs + first[2:3] + yxyxy + first[3:] + yxyxy
+        assert reduced_miter(first, second) == []
+
     @staticmethod
     def seed_306_pair():
         """Seed 306 of a sweep over small random circuits, cut down: the
@@ -367,11 +381,14 @@ class TestReducedMiter:
 
     @pytest.mark.parametrize("mode", ["statevector", "unitary"])
     def test_seed_306_decided_by_the_dense_check(self, mode):
+        """The full miter, unreduced, is a phase on the dense check too."""
         first, second = self.seed_306_pair()
-        equal, fidelity = equivalent(Circuit(3, 0, tuple(first)), Circuit(3, 0, tuple(second)), mode)
+        miter = first + [GateApp(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(second)]
+        columns = qobf.sim._stimulus if mode == "statevector" else qobf.sim._identity
+        equal, fidelity = qobf.sim._miter_check(miter, 3, columns)
         assert equal and abs(fidelity - 1) < 1e-9
+        assert equivalent(Circuit(3, 0, tuple(first)), Circuit(3, 0, tuple(second)), mode) == (True, 1.0)
 
-    @pytest.mark.xfail(strict=True, reason="the span rule keeps 18 gates of this miter (CHANGES.md, FOUND)")
     def test_seed_306_reduces_to_nothing(self):
         assert reduced_miter(*self.seed_306_pair()) == []
 

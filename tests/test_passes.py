@@ -156,6 +156,18 @@ class TestVerifyRuleset:
         with pytest.raises(RulesetError, match="4 slots"):
             verify_ruleset([(K.X, wide)])
 
+    def test_more_slots_than_the_target_raises(self, tmp_path, monkeypatch):
+        """A replacement acts on its target's qubits, so it may use no more
+        slots than its target has; the rule is refused before any check."""
+        monkeypatch.setattr(qobf.passes, "_span_phase", None)
+        bad = tmp_path / "bad.rules"
+        bad.write_text("h: h h h\nx: x cx(1,2) cx(1,2)\n")
+        with pytest.raises(RulesetError, match=r"bad.rules:2: .*uses 3 slots; at most 1 allowed"):
+            load_ruleset(bad)
+        wide = type(INVERSE_PAIRS[0])("x-cx", ((K.X, (0,)), (K.CX, (1, 2)), (K.CX, (1, 2))))
+        with pytest.raises(RulesetError, match="uses 3 slots; at most 1 allowed"):
+            verify_ruleset([(K.X, wide)])
+
     @pytest.mark.parametrize(
         "rule, message",
         [
