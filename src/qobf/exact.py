@@ -14,16 +14,17 @@ state, and a component wider than MAX_EXACT_QUBITS raises SimulationError.
 Values leave the ring once, at the end, each rounded to the nearest float.
 
 This is the predicate side's simulator: opaque-predicate models and branch
-resolution use it. It also decides the circuit passes' small equivalences:
-:func:`identity_phase` tells whether a substitution rule, a delayed wrapper
-with its block, or any window ``obfuscate`` checks
-(:func:`qobf.passes.check_translation`) acts as the identity up to a global
-phase, by exact equality, with no tolerance.
-
-The same phase test, on the kernel's pairs, lets :mod:`qobf.miter` reduce
-the miter of two whole circuits exactly for the equivalence oracle; whole-circuit states
-are too large for the ring, so what it leaves runs on the dense float
-simulator in :mod:`qobf.sim`.
+resolution use it. It also holds the package's one up-to-phase check of
+short gate lists: :func:`_phase_suffix` tells whether a list on at most
+MAX_SPAN_QUBITS qubits, or a suffix of it, acts as the identity up to a
+global phase, by exact equality, with no tolerance, and keeps each verdict
+and its phase in one trie. ``obfuscate`` asks it of the whole miter of a
+substitution rule, a delayed wrapper with its block, or any window
+:func:`qobf.passes.check_translation` checks; ``verify`` asks it of the
+suffixes :mod:`qobf.miter` may drop from the miter of two whole circuits.
+Whole-circuit states are too large for the ring, so what that miter keeps
+runs on the dense float simulator in :mod:`qobf.sim`.
+:func:`identity_phase` is the same test without the memo.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ._kernel import (
     _measured_parts,
     _times_omega,
 )
-from .ir import Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
+from .ir import _KIND_CODE, _MONOMIAL, Circuit, GateApp, GateKind, SimulationError, _kernel_gates, _key_pairs
 
 #: widest component simulated; the widest predicate (branch) has five qubits,
 #: so it stays in range even if a pass joins its two segments
@@ -120,6 +121,94 @@ def _monomial_phase(pairs: Sequence[tuple], n: int) -> tuple[Amplitude, int] | N
             return None
         phase = e % 8
     return _times_omega((1, 0, 0, 0), phase), 0
+
+
+#: the widest gate list the trie below decides, in qubits
+MAX_SPAN_QUBITS = 3
+
+#: the trie is cleared when it grows past this many nodes
+MAX_SPAN_NODES = 2**15
+
+#: the kinds of which a phase on at most 3 qubits holds an even number: c·I
+#: on m qubits has determinant c^(2^m), c a power of ω, and an odd number of
+#: them gives the product a determinant that is no such power
+_ODD_KINDS = frozenset({GateKind.T, GateKind.TDG, GateKind.CCX})
+
+#: the package's one memo of phase verdicts: a trie of gate lists walked
+#: back from the top on first-touch labels. Each node is [verdict, children,
+#: state]: the verdict is None until asked, then the list's phase or False,
+#: and False from the start for a list that cannot be a phase; the state
+#: counts the list's gates on each label, 2 bits a label that stop at 2, and
+#: above them the parity of its kinds in ``_ODD_KINDS``. The root, the empty
+#: list, is never asked.
+_SPANS: list = [None, {}, 0]
+_span_nodes = 0
+
+#: the state's parity bit, and each kind's step to it
+_ODD = 1 << 2 * MAX_SPAN_QUBITS
+_PARITY = {kind: _ODD if kind in _ODD_KINDS else 0 for kind in GateKind}
+#: per number of labels n, the state's bits that are set when each of the
+#: first n counts has reached 2
+_CLOSED = [sum(2 << 2 * l for l in range(n)) for n in range(MAX_SPAN_QUBITS + 1)]
+
+
+def _phase_suffix(gates: Sequence[tuple], top: int, base: int, reach: int,
+                  shortest: int = 1) -> tuple[int, complex] | None:
+    """The shortest suffix of ``gates[:top]``, (kind, qubits) pairs, of
+    ``shortest`` to ``reach`` gates on at most MAX_SPAN_QUBITS qubits that
+    acts as a phase c times the identity: where it starts, and c as
+    :func:`identity_phase` gives it; or None. Below ``base``, a gate joins
+    only on qubits the gates above ``base`` touch, and there are no more
+    such gates than those.
+
+    Shorter suffixes are walked, to reach the longer ones, but not asked. A
+    phase has at least two gates on each qubit it touches (no unitary gate
+    acts on one of its qubits as the identity) and an even number of the
+    kinds in ``_ODD_KINDS``; only a suffix that passes both is run. Both
+    depend on the suffix's labelled gates alone, so each trie node decides
+    them once, when it is made, and runs the exact check at most once.
+    """
+    global _span_nodes
+    label: dict[int, int] = {}
+    labelled = label.get
+    node = _SPANS
+    for i in range(top - 1, max(-1, top - 1 - reach, 2 * base - top - 1), -1):
+        kind, qubits = gates[i]
+        # the gate on labels, as one int: the kind's code, then 2 bits a label
+        key = _KIND_CODE[kind]
+        shift = 4
+        for q in qubits:
+            local = labelled(q)
+            if local is None:
+                if i < base or len(label) == MAX_SPAN_QUBITS:
+                    return None
+                local = label[q] = len(label)
+            key |= local << shift
+            shift += 2
+        parent = node
+        node = parent[1].get(key)
+        if node is None:
+            if _span_nodes >= MAX_SPAN_NODES:
+                _SPANS[1].clear()
+                _span_nodes = 0
+            state = parent[2] ^ _PARITY[kind]
+            for q in qubits:
+                if not state >> 2 * label[q] & 2:
+                    state += 1 << 2 * label[q]
+            closed = _CLOSED[len(label)]
+            shut = not state & _ODD and state & closed == closed
+            node = parent[1][key] = [None if shut else False, {}, state]
+            _span_nodes += 1
+        if top - i < shortest:
+            continue
+        verdict = node[0]
+        if verdict is None:
+            pairs = [(_MONOMIAL.get(k), tuple(map(label.__getitem__, qs))) for k, qs in gates[i:top]]
+            phase = _phase_numerator(pairs, len(label))
+            verdict = node[0] = False if phase is None else _complex(*phase)
+        if verdict:
+            return i, verdict
+    return None
 
 
 def exact_probabilities(circuit: Circuit) -> dict[str, Dyadic]:

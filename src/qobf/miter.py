@@ -8,9 +8,10 @@ and the output of any pass reduces so, but for a rare ``delayed`` output of
 a small circuit. Only a miter that keeps a gate, or distribution mode on
 circuits that measure different pairs, loads the dense float simulator in
 :mod:`qobf.sim`. But for an adjacent inverse pair, every phase the rewrites
-drop is decided by one trie of suffix verdicts on the exact ring of
-:mod:`qobf.exact`. Only ``verify`` and the reports load this module, so the
-commands that do not compare circuits never compile it.
+drop is decided on the exact ring by :func:`qobf.exact._phase_suffix`, the
+package's one memo of phase verdicts, which ``obfuscate`` shares. Only
+``verify`` and the reports load this module, so the commands that do not
+compare circuits never compile it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .exact import _phase_numerator
+from .exact import MAX_SPAN_QUBITS, _phase_suffix
 from .ir import (
     _INVERSE,
-    _KIND_CODE,
-    _MONOMIAL,
     Circuit,
     GateApp,
     GateKind,
@@ -33,19 +32,10 @@ from .ir import (
     measured_pairs,
 )
 
-#: the most kept gates and qubits a phase dropped by :func:`reduced_miter`'s
-#: rules may have: a delayed window meets its block as b, w⁻¹, b⁻¹, w⁻¹
-#: (3 + 7 + 3 + 7 gates) on at most 3 qubits
+#: the most kept gates a phase dropped by :func:`reduced_miter`'s rules may
+#: have, on at most MAX_SPAN_QUBITS qubits: a delayed window meets its block
+#: as b, w⁻¹, b⁻¹, w⁻¹ (3 + 7 + 3 + 7 gates)
 MAX_SPAN = 20
-MAX_SPAN_QUBITS = 3
-
-#: the rules' trie is cleared when it grows past this many nodes
-MAX_SPAN_NODES = 2**15
-
-#: the kinds of which a phase on at most 3 qubits holds an even number: c·I
-#: on m qubits has determinant c^(2^m), c a power of ω, and an odd number of
-#: them gives the product a determinant that is no such power
-_ODD_KINDS = frozenset({GateKind.T, GateKind.TDG, GateKind.CCX})
 
 
 def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[GateApp]:
@@ -67,8 +57,8 @@ def reduced_miter(first: Sequence[GateApp], second: Sequence[GateApp]) -> list[G
     (:func:`_drop_frontier_phases`) drops, at each gate of what is left, the
     shortest such phase read per qubit past gates on other qubits, such as a
     wrapper half that met a block gate of the window below first. Both ask
-    :func:`_phase_suffix`, which decides a suffix exactly, memoised on
-    first-touch labels.
+    :func:`qobf.exact._phase_suffix`, which decides a suffix exactly,
+    memoised on first-touch labels.
     """
     miter = [(g.kind, g.qubits) for g in first if g.kind is not GateKind.BARRIER]
     middle = len(miter)
@@ -86,9 +76,9 @@ def _drop_phase_suffixes(miter: list[tuple], middle: int) -> list[tuple]:
 
     The first circuit's gates are pushed as they are. Each gate of the
     second then cancels an inverse on top, or is pushed and may end a
-    suffix that :func:`_phase_suffix` drops. Such a suffix's gates of the
-    first circuit sit only on qubits its gates of the second touch, and are
-    no more than those: a window of the second circuit meets its own block,
+    suffix that :func:`qobf.exact._phase_suffix` drops. Such a suffix's
+    gates of the first circuit sit only on qubits its gates of the second
+    touch, and are no more than those: a window of the second circuit meets its own block,
     not the first circuit's gates below, whose windows come later.
 
     The second circuit's copy of a phase in the first, such as a block
@@ -115,90 +105,22 @@ def _drop_phase_suffixes(miter: list[tuple], middle: int) -> list[tuple]:
                 continue
             kept.append(gate)
             if len(kept) - base <= MAX_SPAN:
-                start = _phase_suffix(kept, len(kept), base)
-                if start is not None:
-                    del kept[start:]
-                    base = min(base, start)
+                found = _phase_suffix(kept, len(kept), base, MAX_SPAN)
+                if found is not None:
+                    del kept[found[0]:]
+                    base = min(base, found[0])
                 continue
             if retried == base:
                 continue
         # stuck, or at the end: the first circuit's top drops a phase of its
         # own, and the second circuit's gates above it are pushed again
         retried = base
-        start = _phase_suffix(kept, base, 0)
-        if start is not None:
+        found = _phase_suffix(kept, base, 0, MAX_SPAN)
+        if found is not None:
             todo += reversed(kept[base:])
-            del kept[start:]
-            base = start
+            del kept[found[0]:]
+            base = found[0]
     return kept
-
-
-#: both rules' verdicts: a trie of suffixes walked back from the top on
-#: first-touch labels. Each node is [verdict, children, state]: the verdict is
-#: None until asked, and False from the start for a suffix that cannot be a
-#: phase; the state counts the suffix's gates on each label, 6 bits a label,
-#: and above them the parity of its kinds in ``_ODD_KINDS``.
-_SPANS: list = [None, {}, 0]
-_span_nodes = 0
-
-#: the state's parity bit, and each kind's step to it
-_ODD = 1 << 6 * MAX_SPAN_QUBITS
-_PARITY = {kind: _ODD if kind in _ODD_KINDS else 0 for kind in GateKind}
-#: per number of labels n, (add, closed): 30 added to a count carries into
-#: its bit 5 just when the count is at least 2, so each of the first n counts
-#: is when (state + add) & closed == closed
-_CLOSED = [(sum(30 << 6 * l for l in range(n)), sum(32 << 6 * l for l in range(n)))
-           for n in range(MAX_SPAN_QUBITS + 1)]
-
-
-def _phase_suffix(kept: list[tuple], top: int, base: int) -> int | None:
-    """Where the shortest suffix of ``kept[:top]`` that is a phase starts,
-    or None. Below ``base``, a gate joins only on qubits the gates
-    above ``base`` touch, and there are no more such gates than those.
-
-    A phase has at least two gates on each qubit it touches (no gate of the
-    alphabet acts on one of its qubits as the identity) and an even number
-    of the kinds in ``_ODD_KINDS``; only a suffix that passes both is run.
-    Both depend on the suffix's labelled gates alone, so each trie node
-    decides them once, when it is made.
-    """
-    global _span_nodes
-    label: dict[int, int] = {}
-    labelled = label.get
-    node = _SPANS
-    for i in range(top - 1, max(-1, top - 1 - MAX_SPAN, 2 * base - top - 1), -1):
-        kind, qubits = kept[i]
-        # the gate on labels, as one int: the kind's code, then 2 bits a label
-        key = _KIND_CODE[kind]
-        shift = 4
-        for q in qubits:
-            local = labelled(q)
-            if local is None:
-                if i < base or len(label) == MAX_SPAN_QUBITS:
-                    return None
-                local = label[q] = len(label)
-            key |= local << shift
-            shift += 2
-        parent = node
-        node = parent[1].get(key)
-        if node is None:
-            if _span_nodes >= MAX_SPAN_NODES:
-                _SPANS[1].clear()
-                _span_nodes = 0
-            state = parent[2] ^ _PARITY[kind]
-            for q in qubits:
-                state += 1 << 6 * label[q]
-            add, closed = _CLOSED[len(label)]
-            shut = not state & _ODD and (state + add) & closed == closed
-            node = parent[1][key] = [None if shut else False, {}, state]
-            _span_nodes += 1
-        verdict = node[0]
-        if verdict is None:
-            pairs = [(_MONOMIAL.get(k), tuple(map(label.__getitem__, qs))) for k, qs in kept[i:top]]
-            verdict = node[0] = _phase_numerator(pairs, len(label)) is not None
-        if verdict:
-            return i
-    return None
 
 
 def _drop_frontier_phases(miter: list[tuple]) -> list[tuple]:
@@ -208,8 +130,8 @@ def _drop_frontier_phases(miter: list[tuple]) -> list[tuple]:
     are read down, newest gate first. A qubit joins only where its top is
     the next gate read, so every kept gate above the point reached acts on
     other qubits and commutes past the gates read. So dropping the fewest
-    gates read, from the newest, that :func:`_phase_suffix` finds a phase is
-    exact.
+    gates read, from the newest, that :func:`qobf.exact._phase_suffix` finds
+    a phase is exact.
     """
     kept: list[tuple | None] = []
     # per qubit, the indices in kept of its kept gates, above a floor of -1
@@ -235,9 +157,9 @@ def _drop_frontier_phases(miter: list[tuple]) -> list[tuple]:
             read.append(i)
             i = max(stacks[q][p] for q, p in at.items())
         span = [kept[i] for i in reversed(read)]
-        start = _phase_suffix(span, len(span), 0)
-        if start is not None:
-            for i in read[:len(span) - start]:
+        found = _phase_suffix(span, len(span), 0, MAX_SPAN)
+        if found is not None:
+            for i in read[:len(span) - found[0]]:
                 for q in kept[i][1]:
                     stacks[q].pop()
                 kept[i] = None

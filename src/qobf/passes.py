@@ -12,11 +12,11 @@ Four transforms, each a seeded deterministic Circuit -> Circuit function:
 
 Both checks, and :func:`check_translation`, ask one function,
 ``_span_phase``, whether a span of gates acts as some original gates up to a
-global phase: :func:`qobf.exact.identity_phase` decides, in the ring
+global phase: :func:`qobf.exact._phase_suffix` decides, in the ring
 Z[1/√2, i] and with no tolerance, whether a rule's replacement followed by
 the target's inverse, or D.B.D.B⁻¹, is a global phase times the identity on
-its own few qubits. One memo behind it decides each pattern once per
-process, whichever caller asks first.
+its own few qubits. Its trie, the package's one memo of phase verdicts,
+decides each pattern once per process, whichever caller asks first.
 
 Every insertion carries a window id and every substitution a group id, the
 only provenance a gate has, so :func:`check_translation` can check a pass's
@@ -39,7 +39,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import identity_phase
+from .exact import MAX_SPAN_QUBITS, _phase_suffix
 from .ir import (
     ARITY,
     METHODS,  # noqa: F401 (re-exported)
@@ -455,8 +455,8 @@ _WRAPPERS = tuple((i, seq, seq.n_slots) for i, seq in enumerate(DELAYED_SEQUENCE
 #: the delayed pass's commit verdicts, keyed by one int: the block's gates on
 #: first-touch labels, the wrapper's index and its slot labels; cleared past
 #: 2**14 keys. Most draws repeat a key (4,878 draws come to 180 keys on an
-#: 8-qubit, 1,000-gate random circuit), and building each draw's window and
-#: its ``_span_phase`` key instead took the pass from about 44 to 67 ms
+#: 8-qubit, 1,000-gate random circuit), and asking ``_span_phase`` of each
+#: draw's window instead took the pass from about 44 to 67 ms
 _COMMITS: dict[int, bool] = {}
 
 
@@ -473,7 +473,9 @@ def _site_block(work: list[GateApp], start: int, length: int) -> tuple:
     label: dict[int, int] = {}
     code = 1
     for g in block:
-        code = code << 10 | _KIND_CODE[g.kind] | _labels(g.qubits, label) << 4
+        code = code << 10 | _KIND_CODE[g.kind]
+        for shift, q in enumerate(g.qubits, 2):
+            code |= label.setdefault(q, len(label)) << 2 * shift
     return block, list(label), code if len(label) <= 3 else 0
 
 
@@ -487,7 +489,7 @@ def delayed_gates_pass(circuit: Circuit, cfg: ObfuscationConfig) -> Circuit:
     the block, asked once per distinct int key of ``_COMMITS``. That is the
     question :func:`check_translation` asks of the window, so the pass
     commits a window exactly when the check accepts it, and the check finds
-    the verdict in ``_span_phase``'s memo. A wrapper reaches past the
+    the verdict in the memo behind ``_span_phase``. A wrapper reaches past the
     block's qubits only onto qubits not measured before the block
     (:func:`_free_qubits`). Sites are processed right to left so committed
     insertions do not shift pending candidate positions. Each site builds
@@ -606,54 +608,31 @@ def undo(circuit: Circuit) -> Circuit:
 # --------------------------------------------------------------------------
 
 
-def _labels(qubits: Iterable[int], label: dict[int, int]) -> int:
-    """The first-touch labels of ``qubits``, 2 bits each, labelling new
-    qubits in ``label`` as they come."""
-    bits = shift = 0
-    for q in qubits:
-        local = label.get(q)
-        if local is None:
-            local = label[q] = len(label)
-        bits |= local << shift
-        shift += 2
-    return bits
-
-
-#: the verdicts of ``_span_phase``, keyed by one int: per gate 11 bits, its
-#: kind, whether it is one of the originals, and its first-touch labels;
-#: cleared past 2**14 keys
-_SPANS: dict[int, complex | None] = {}
-
-
 def _span_phase(span: Sequence[GateApp], originals: Sequence[GateApp]) -> complex | str | None:
     """The global phase c with span = c · originals, exactly, or None if
     there is none; or why the two cannot be compared: a gate that is not
-    unitary, or more than 3 qubits in all.
+    unitary, or more than MAX_SPAN_QUBITS qubits in all.
 
     The one exact check of this module: rule verification, the delayed
-    commit check and :func:`check_translation` all ask here. The span and
-    its originals, on first-touch labels, are one int key, so a pattern is
-    decided once per process by span . originals⁻¹ = c · I
-    (:func:`qobf.exact.identity_phase`).
+    commit check and :func:`check_translation` all ask here. It asks
+    :func:`qobf.exact._phase_suffix`, the package's one memo of phase
+    verdicts, whether the whole miter span . originals⁻¹ is c · I, so a
+    pattern is decided once per process, whichever caller asks first.
     """
-    label: dict[int, int] = {}
-    code = 1
-    for side, gates in ((0, span), (1 << 4, originals)):
-        for g in gates:
-            if g.kind not in UNITARY_KINDS:
-                return f"holds a {g.kind.value}"
-            code = code << 11 | _KIND_CODE[g.kind] | side | _labels(g.qubits, label) << 5
-    if len(label) > 3:  # past 3 labels the code is not faithful
-        return f"touches {len(label)} qubits; at most 3 allowed"
-    if code in _SPANS:
-        return _SPANS[code]
-    if len(_SPANS) >= 2**14:
-        _SPANS.clear()
-    miter = [GateApp(g.kind, tuple(map(label.__getitem__, g.qubits))) for g in span]
-    for g in reversed(originals):
-        miter.append(GateApp(_INVERSE.get(g.kind, g.kind), tuple(map(label.__getitem__, g.qubits))))
-    _SPANS[code] = phase = identity_phase(miter, len(label))
-    return phase
+    for g in (*span, *originals):
+        if g.kind not in UNITARY_KINDS:
+            return f"holds a {g.kind.value}"
+    miter = [(g.kind, g.qubits) for g in span]
+    miter += [(_INVERSE.get(g.kind, g.kind), g.qubits) for g in reversed(originals)]
+    # only the whole list is asked, never its shorter suffixes
+    found = _phase_suffix(miter, len(miter), 0, len(miter), len(miter))
+    if found is not None:
+        return found[1]
+    # the walk refuses a list on more qubits, so only a refusal counts them
+    width = len({q for _, qubits in miter for q in qubits})
+    if width > MAX_SPAN_QUBITS:
+        return f"touches {width} qubits; at most {MAX_SPAN_QUBITS} allowed"
+    return None
 
 
 def check_translation(source: Circuit, output: Circuit) -> str | None:
@@ -672,11 +651,11 @@ def check_translation(source: Circuit, output: Circuit) -> str | None:
 
     Each window and group touches at most 3 qubits and must act as its
     originals (the window's original gates, or the group's recorded original
-    gate) up to a global phase, decided exactly by
-    :func:`qobf.exact.identity_phase`. Then ``undo(output)`` must equal
-    ``source`` gate for gate, measurements included. Replacing each span by
-    its originals changes the circuit only by a global phase, and what is
-    left is ``source``, so the two are equivalent. Whatever the check cannot
+    gate) up to a global phase, decided exactly by ``_span_phase``. Then
+    ``undo(output)`` must equal ``source`` gate for gate, measurements
+    included. Replacing each span by its originals changes the circuit only
+    by a global phase, and what is left is ``source``, so the two are
+    equivalent. Whatever the check cannot
     place fails closed; that includes a ``source`` that already carries a
     pass's provenance, since undo rolls back every pass at once. Each span
     is asked of ``_span_phase``, which decides each pattern once per

@@ -2,8 +2,7 @@
 oracle's float checks.
 
 It gives Born-rule outcome distributions (no shot noise) and runs the dense
-side of :func:`qobf.miter.equivalent`, which this module re-exports: the
-reduced miter of two circuits in statevector and unitary mode, when
+side of :func:`qobf.miter.equivalent`: the reduced miter of two circuits in statevector and unitary mode, when
 :func:`qobf.miter.reduced_miter` leaves a gate, and both circuits' measured
 distributions in distribution mode. A pair whose miter reduces to no gate is
 decided without this module, in distribution mode too when both circuits
@@ -34,7 +33,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernel
-from .miter import equivalent  # noqa: F401 (re-exported)
 from .ir import (  # MAX_SIM_QUBITS, MAX_UNITARY_QUBITS and their checks are re-exported
     MAX_SIM_QUBITS,
     MAX_UNITARY_QUBITS,

@@ -27,6 +27,7 @@ from qobf.ir import (
     same_gates,
 )
 from qobf.metrics import load_schema, measure_circuit_run, parse_report_json, render_report
+from qobf.miter import equivalent
 from qobf.passes import (
     AUXILIARY_SEQUENCE,
     INVERSE_PAIRS,
@@ -49,7 +50,7 @@ from qobf.predicates import (
     shroud_predicate,
 )
 from qobf.qasm import emit, parse
-from qobf.sim import equivalent, gate_matrix, measure_distribution, simulate, unitary_of
+from qobf.sim import gate_matrix, measure_distribution, simulate, unitary_of
 from qobf.wrapper import SourceBlock, extract_branch_body, extract_payload, resolve_branches, wrap
 import qobf.cli
 from qobf.cli import main as cli_main

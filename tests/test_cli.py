@@ -18,10 +18,10 @@ from qobf.cli import main
 from qobf.exact import identity_phase
 from qobf.fixtures import standard_fixtures
 from qobf.ir import _INVERSE, ARITY, UNITARY_KINDS, GateApp, GateKind
-from qobf.miter import reduced_miter
+from qobf.miter import equivalent, reduced_miter
 from qobf.passes import METHODS, apply_pass
 from qobf.qasm import emit, parse
-from qobf.sim import equivalent, measure_distribution, strip_measures
+from qobf.sim import measure_distribution, strip_measures
 from strategies import random_circuit
 
 

@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+import qobf.exact
 import qobf.passes
 import qobf.sim
-from qobf.exact import identity_phase
+from qobf.exact import _phase_numerator
 from qobf.ir import ARITY, UNITARY_KINDS, Circuit, GateApp, GateKind, flatten, gate_count, same_gates
+from qobf.miter import equivalent
 from qobf.passes import (
     AUXILIARY_SEQUENCE,
     DELAYED_SEQUENCES,
@@ -35,10 +37,16 @@ from qobf.passes import (
     verify_ruleset,
 )
 from qobf.qasm import emit
-from qobf.sim import equivalent, gate_matrix, proportional, unitary_of
+from qobf.sim import gate_matrix, proportional, unitary_of
 from strategies import random_circuit
 
 K = GateKind
+
+
+def _fresh_memo(monkeypatch) -> None:
+    """An empty trie of phase verdicts, the package's one memo of them, for
+    one test."""
+    monkeypatch.setattr(qobf.exact, "_SPANS", [None, {}, 0])
 
 
 def _commits(wrapper, wrapper_qubits, block) -> bool:
@@ -104,6 +112,24 @@ class TestVerifyRuleset:
         assert rejected == {"s-y-s", "h-y-h", "s-z-y-z-s"}
         # decided in the exact ring, so the phases are exact powers of ω
         assert accepted == {"h-z-h": 1, "z-h-z-h-z": -1, "sdg-y-s": -1}
+
+    def test_long_rules_accepted_and_checked(self, tmp_path):
+        """A rule is decided whole, however long: past the miter rules'
+        reach of 20 gates, and with 64 gates on one qubit of the rule and its
+        target. The groups such rules write pass the output check."""
+        path = tmp_path / "long.rules"
+        path.write_text(f"x: {'h ' * 24}x\nx: {'h ' * 62}x\ncx: {'s(1) sdg(1) ' * 12}cx\n")
+        report = verify_ruleset(load_ruleset(path))
+        assert report.rejected == ()
+        assert [(r.target, len(r.replacement.gates), r.phase_factor) for r in report.accepted] == [
+            (K.X, 25, 1), (K.X, 63, 1), (K.CX, 25, 1)
+        ]
+        c = Circuit(2, 0, (GateApp(K.X, (1,)), GateApp(K.CX, (1, 0)), GateApp(K.X, (0,))))
+        for rule in report.accepted:
+            out = cloaked_gates_pass(c, cfg("cloaked"), [rule])
+            assert len(out.gates) > 25
+            assert check_translation(c, out) is None
+            assert equivalent(c, out, "unitary")[0]
 
     def test_rejected_carry_effective_unitary(self):
         report = default_verified_rules()
@@ -228,7 +254,7 @@ class TestVerifyRuleset:
         def no_simulation(*args):
             raise AssertionError("simulated a malformed rule")
 
-        monkeypatch.setattr(qobf.passes, "identity_phase", no_simulation)
+        monkeypatch.setattr(qobf.exact, "_phase_numerator", no_simulation)
         monkeypatch.setattr(qobf.sim, "unitary_of", no_simulation)
         seq = type(INVERSE_PAIRS[0])("bad", (gate,))
         with pytest.raises(RulesetError, match=message):
@@ -388,12 +414,12 @@ class TestDelayedPass:
         kinds = sorted(UNITARY_KINDS, key=lambda k: k.value)
         calls = []
 
-        def counting(gates, n):
+        def counting(pairs, n):
             calls.append(n)
-            return identity_phase(gates, n)
+            return _phase_numerator(pairs, n)
 
-        monkeypatch.setattr(qobf.passes, "identity_phase", counting)
-        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        monkeypatch.setattr(qobf.exact, "_phase_numerator", counting)
+        _fresh_memo(monkeypatch)
         verdicts = []
         checked = 0
         for _ in range(400):
@@ -430,12 +456,12 @@ class TestDelayedPass:
     def test_identity_checked_once_per_distinct_key(self, monkeypatch):
         """Draws repeat the pass's int keys; each distinct one asks
         ``_span_phase`` once, and that decides each of its patterns once."""
-        calls = {"identity_phase": 0}
+        calls = {"_phase_numerator": 0}
         asks, draws = [], []
 
-        def counting_identity_phase(*args):
-            calls["identity_phase"] += 1
-            return identity_phase(*args)
+        def counting_phase_numerator(*args):
+            calls["_phase_numerator"] += 1
+            return _phase_numerator(*args)
 
         def recording_span_phase(span, originals):
             asks.append((span, originals))
@@ -446,16 +472,16 @@ class TestDelayedPass:
                 draws.append(key)
                 return super().get(key)
 
-        monkeypatch.setattr(qobf.passes, "identity_phase", counting_identity_phase)
+        monkeypatch.setattr(qobf.exact, "_phase_numerator", counting_phase_numerator)
         monkeypatch.setattr(qobf.passes, "_span_phase", recording_span_phase)
         monkeypatch.setattr(qobf.passes, "_COMMITS", RecordingCommits())
-        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        _fresh_memo(monkeypatch)
         c = random_circuit(random.Random(5), max_qubits=6, max_gates=300)
         out = delayed_gates_pass(c, cfg("delayed", seed=5))
         assert gate_count(out).total > gate_count(c).total
         assert len(draws) > 2 * len(set(draws))
         assert len(asks) == len(set(draws))
-        assert 0 < calls["identity_phase"] <= len(set(draws))
+        assert 0 < calls["_phase_numerator"] <= len(set(draws))
 
     def test_every_one_gate_key_matches_float_reference(self):
         """Every placement of a wrapper around a one-gate block, on the qubits
@@ -601,15 +627,15 @@ class TestCheckTranslation:
     def test_rule_verdicts_serve_cloaked_groups(self, period7, monkeypatch):
         # verify_ruleset decides each rule through the same memoised check
         # that check_translation asks of a substitution group
-        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        _fresh_memo(monkeypatch)
         rules = verify_ruleset(load_ruleset()).accepted
         calls = []
 
-        def counting(gates, n):
+        def counting(pairs, n):
             calls.append(n)
-            return identity_phase(gates, n)
+            return _phase_numerator(pairs, n)
 
-        monkeypatch.setattr(qobf.passes, "identity_phase", counting)
+        monkeypatch.setattr(qobf.exact, "_phase_numerator", counting)
         out = cloaked_gates_pass(period7, cfg("cloaked", seed=3), rules)
         assert any(g.group is not None for g in out.gates)
         assert check_translation(period7, out) is None
@@ -619,17 +645,17 @@ class TestCheckTranslation:
         # the pass asks of each window what check_translation asks of it, so
         # the check finds every verdict in the memo the pass filled
         monkeypatch.setattr(qobf.passes, "_COMMITS", {})
-        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        _fresh_memo(monkeypatch)
         c = random_circuit(random.Random(1), min_qubits=8, max_qubits=8,
                            min_gates=1000, max_gates=1000)
         out = delayed_gates_pass(c, cfg("delayed", seed=1))
         calls = []
 
-        def counting(gates, n):
+        def counting(pairs, n):
             calls.append(n)
-            return identity_phase(gates, n)
+            return _phase_numerator(pairs, n)
 
-        monkeypatch.setattr(qobf.passes, "identity_phase", counting)
+        monkeypatch.setattr(qobf.exact, "_phase_numerator", counting)
         assert sum(g.window is not None for g in out.gates) > 100
         assert check_translation(c, out) is None
         assert calls == []
@@ -637,7 +663,7 @@ class TestCheckTranslation:
     def test_memo_key_is_faithful(self, monkeypatch):
         """Patterns that differ only in their labels, or only in which side a
         gate is on, get their own verdicts in one process."""
-        monkeypatch.setattr(qobf.passes, "_SPANS", {})
+        _fresh_memo(monkeypatch)
         cx01, cx10, s = GateApp(K.CX, (0, 1)), GateApp(K.CX, (1, 0)), GateApp(K.S, (0,))
         asks = [
             ([cx01, cx01], [], 1),

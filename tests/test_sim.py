@@ -16,6 +16,7 @@ import qobf.sim
 from qobf._kernel import _components, _measured_parts
 from qobf.fixtures import standard_fixtures
 from qobf.ir import ARITY, Circuit, GateApp, GateKind, UNITARY_KINDS, _kernel_gates
+from qobf.miter import equivalent
 from qobf.passes import METHODS, ObfuscationConfig, apply_pass
 from qobf.predicates import multi_pair_predicate
 from qobf.qasm import emit
@@ -25,7 +26,6 @@ from qobf.sim import (
     _basis,
     _run,
     _stimulus,
-    equivalent,
     gate_matrix,
     measure_distribution,
     proportional,
